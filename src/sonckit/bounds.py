@@ -450,8 +450,9 @@ def dual_program_solve(
 
     best_val, best_v = None, None
     for _, z in _local_minima(p, seed):
-        v = moment_vector(z, support)
-        if not all(math.isfinite(x) for x in v.as_tuple()):
+        try:
+            v = moment_vector(z, support)
+        except ValueError:  # a moment overflowed the float range
             continue
         if feasible(v):
             val = objective(v)

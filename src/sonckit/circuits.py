@@ -13,8 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .polynomials import Exponent, SupportSet, check_exponent
 
@@ -171,8 +173,9 @@ class Circuit:
         )
 
 
-def circuit_number(c: Sequence[float], circuit: Circuit) -> float:
-    """prod_i (c_i / mu_i)^(mu_i), evaluated in the log domain."""
+def log_circuit_number(c: Sequence[float], circuit: Circuit) -> float:
+    """sum_i mu_i log(c_i / mu_i), the log of the circuit number; finite
+    even where the number itself exceeds the float range."""
     if len(c) != circuit.k:
         raise ValueError(f"expected {circuit.k} coefficients, got {len(c)}")
     acc = 0.0
@@ -182,7 +185,57 @@ def circuit_number(c: Sequence[float], circuit: Circuit) -> float:
             raise ValueError(f"circuit coefficients must be positive and finite, got {ci}")
         mf = float(mi)
         acc += mf * (math.log(ci) - math.log(mf))
-    return math.exp(acc)
+    return acc
+
+
+def circuit_number(c: Sequence[float], circuit: Circuit) -> float:
+    """prod_i (c_i / mu_i)^(mu_i), evaluated in the log domain."""
+    return math.exp(log_circuit_number(c, circuit))
+
+
+@dataclass(frozen=True, eq=False)
+class ArityGroup:
+    """Circuits of one arity k as arrays, for per-circuit tests vectorized
+    over a catalog: m circuits in canonical order, n variables.
+
+    `solve` maps each r with weights . r = 0 to the minimum-norm tau with
+    (beta - alpha(j)) . tau = r_j for every j: on such r it acts as the
+    pseudo-inverse of the matrix with rows beta - alpha(j).
+    """
+
+    index: np.ndarray  # (m,) positions in the catalog
+    vertices: np.ndarray  # (m, k) indices of alpha(j) into the support's points
+    inner: np.ndarray  # (m,) index of beta
+    weights: np.ndarray  # (m, k) barycentric coordinates as floats
+    beta_even: np.ndarray  # (m,) bool
+    solve: np.ndarray  # (m, n, k)
+
+    @property
+    def k(self) -> int:
+        return self.vertices.shape[1]
+
+    @classmethod
+    def of(cls, circuits: Sequence[Circuit], index: Sequence[int], position: Mapping[Exponent, int]) -> "ArityGroup":
+        """Group circuits of equal arity; `position` maps a lattice point to
+        its index in the value arrays the tests will read."""
+        m, k, n = len(circuits), circuits[0].k, circuits[0].n
+        rows = np.array(
+            [[[b - a for a, b in zip(vert, c.inner)] for vert in c.vertices] for c in circuits], dtype=float
+        ).reshape(m, k, n)
+        solve = np.zeros((m, n, k))
+        if k > 1:
+            # The weights are the only dependency among the k rows and they
+            # are all positive, so any k - 1 rows are independent and the
+            # last one holds whenever the others do.
+            solve[:, :, :-1] = np.linalg.pinv(rows[:, :-1, :])
+        return cls(
+            index=np.asarray(index, dtype=np.intp),
+            vertices=np.array([[position[a] for a in c.vertices] for c in circuits], dtype=np.intp),
+            inner=np.array([position[c.inner] for c in circuits], dtype=np.intp),
+            weights=np.array([[float(mu) for mu in c.barycentric] for c in circuits]),
+            beta_even=np.array([c.beta_even for c in circuits], dtype=bool),
+            solve=solve,
+        )
 
 
 @dataclass(frozen=True)
@@ -195,6 +248,19 @@ class CircuitCatalog:
 
     def __len__(self) -> int:
         return len(self.circuits)
+
+    @cached_property
+    def arity_groups(self) -> tuple[ArityGroup, ...]:
+        """The circuits split by arity, in increasing arity; concatenated,
+        the groups list the catalog in its canonical order.  Built on first
+        use and kept with the catalog, so the enumeration cache serves it."""
+        position = {p: i for i, p in enumerate(self.support.points)}
+        by_arity: dict[int, list[int]] = {}
+        for i, c in enumerate(self.circuits):
+            by_arity.setdefault(c.k, []).append(i)
+        return tuple(
+            ArityGroup.of([self.circuits[i] for i in idx], idx, position) for _, idx in sorted(by_arity.items())
+        )
 
     def to_json_dict(self) -> dict:
         return {"circuits": [c.to_json_dict() for c in self.circuits]}

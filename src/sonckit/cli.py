@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Sequence
@@ -171,8 +172,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     sp.add_argument("input")
 
     args = parser.parse_args(argv)
-    if args.tol <= 0:
-        parser.error("--tol must be positive")
+    if not (args.tol > 0 and math.isfinite(args.tol)):
+        parser.error("--tol must be positive and finite")
     try:
         seed = args.seed if args.seed is not None else int(os.environ.get("SONC_SEED", "0"))
         if args.command == "circuits":

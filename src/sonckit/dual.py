@@ -1,31 +1,42 @@
 """Membership in the dual cone of sums of nonnegative circuit polynomials,
 the dual SAGE cone, and the closed-form univariate-quartic oracles.
 
-For one circuit with vertices alpha(1..k) and inner point beta, a vector v
-indexed by the support is dual-feasible for that circuit iff there are
-v* >= |v_beta| and tau in R^n with
+For one circuit with vertices alpha(1..k), weights lambda and inner point
+beta, a vector v indexed by the support is dual-feasible for that circuit
+iff there are v* >= |v_beta| and tau in R^n with
 
-    v* log(v* / v_alpha(j))  <=  (beta - alpha(j)) . tau      for all j
+    b_j = v* log(v* / v_alpha(j))  <=  (beta - alpha(j)) . tau      for all j
 
-under the extended log conventions at zero.  The tau quantifier is
-eliminated by a minimax LP (closed form on a line, a dense two-phase
-simplex otherwise); for odd inner points the v* quantifier is handled by
-golden-section search on the convex infeasibility profile.  For even inner
-points v_beta is itself nonnegative, so v* is pinned to it.
+under the extended log conventions at zero.  The vertices are affinely
+independent, so lambda is the only multiplier of the minimax LP over tau
+and its value is the closed form  s = sum_j lambda_j b_j
+= v* (log v* - sum_j lambda_j log v_alpha(j)).  As s <= 0 exactly when
+v* <= prod_j v_alpha(j)^lambda_j, pinning v* = |v_beta| is optimal: the
+test is the quantifier-free condition |v_beta| <= prod_j v_alpha(j)^lambda_j
+of the dual cone, decided as s <= tol in the log domain.  The witness keeps
+v* = |v_beta| and takes the minimum-norm tau with every row at slack -s,
+from one linear map precomputed per circuit (the system is consistent since
+sum_j lambda_j (beta - alpha(j)) = 0 and sum_j lambda_j (b_j - s) = 0).
+
+The test runs vectorized over a catalog, one arity group at a time.  The
+minimax LP solver in `minimax_lp` now serves only the dual SAGE test.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
-from .circuits import Circuit, CircuitCatalog, enumerate_circuits
+import numpy as np
+
+from .circuits import ArityGroup, Circuit, CircuitCatalog, enumerate_circuits
 from .entropy import DEFAULT_TOL, xlogx_over
 from .minimax_lp import minimax_simplex
 from .polynomials import DualVector, SupportSet
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: |v_beta| at or below this never enters a pairing; v* = 0 certifies.
+_ZERO_INNER = 1e-12
 
 
 @dataclass(frozen=True)
@@ -56,7 +67,8 @@ class MembershipReport:
 
 
 def lp_min_infeasibility(rows: Sequence[tuple[Sequence[float], float]]) -> tuple[float, tuple[float, ...]]:
-    """min over tau of max_j (b_j - a_j . tau), plus an attaining tau.
+    """min over tau of max_j (b_j - a_j . tau), plus an attaining tau; the
+    LP behind the dual SAGE test.
 
     The epigraph form is always feasible; -inf means every row can be
     satisfied with arbitrarily large slack, and the returned tau already
@@ -104,87 +116,85 @@ def _minimax_line(rows: list[tuple[float, float]]) -> tuple[float, tuple[float, 
     return best, (best_tau,)
 
 
+def _gaps(g: ArityGroup, vals: np.ndarray, v_star: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The minimax gap s = v* (log v* - sum_j lambda_j log v_alpha(j)) of
+    every circuit in the group, +inf where a vertex value is 0 < v*.
+
+    Vertex values are clamped at 0.  Also returns the log vertex values and
+    their lambda-weighted mean, which the witness needs.  Zero vertex
+    values are masked before any log, so no inf or nan arises.
+    """
+    verts = np.maximum(vals[g.vertices], 0.0)
+    live = verts > 0.0
+    logs = np.log(verts, out=np.zeros_like(verts), where=live)
+    mean = np.einsum("ij,ij->i", g.weights, logs)
+    pos = v_star > 0.0
+    log_star = np.log(v_star, out=np.zeros_like(v_star), where=pos)
+    with np.errstate(over="ignore"):  # |s| beyond the float range is +-inf, sign intact
+        s = v_star * (log_star - mean)
+    s[pos & ~live.all(axis=1)] = np.inf
+    return s, logs, mean
+
+
+def _taus(g: ArityGroup, v_star: np.ndarray, logs: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """tau = solve @ (b - s), with b_j - s = v* (mean - log v_alpha(j));
+    the added 0.0 turns the -0.0 of rows with v* = 0 into 0.0."""
+    with np.errstate(over="ignore"):
+        return v_star[:, None] * np.einsum("mnk,mk->mn", g.solve, mean[:, None] - logs) + 0.0
+
+
+def _test_group(g: ArityGroup, vals: np.ndarray, tol: float):
+    """Decide every circuit (k >= 2) of the group at once.
+
+    A circuit fails on a vertex value below -tol, on an even inner point
+    with v_beta below -tol, or on a gap s > tol at v* = |v_beta|.  Returns
+    the failure mask and what `_taus` needs for the witnesses.
+    """
+    v_beta = vals[g.inner]
+    v_star = np.abs(v_beta)
+    v_star[v_star <= _ZERO_INNER] = 0.0
+    s, logs, mean = _gaps(g, vals, v_star)
+    failed = (vals[g.vertices] < -tol).any(axis=1) | (g.beta_even & (v_beta < -tol)) | (s > tol)
+    return failed, v_star, logs, mean
+
+
+def _one_circuit(circuit: Circuit, v: DualVector) -> tuple[ArityGroup, np.ndarray]:
+    points = (*circuit.vertices, circuit.inner)
+    group = ArityGroup.of([circuit], [-1], {p: i for i, p in enumerate(points)})
+    return group, np.array([v[p] for p in points], dtype=float)
+
+
 def circuit_row_infeasibility(circuit: Circuit, v: DualVector, v_star: float) -> tuple[float, tuple[float, ...]]:
-    """min over tau of max_j (v* log(v*/v_alpha(j)) - (beta - alpha(j)) . tau).
+    """min over tau of max_j (v* log(v*/v_alpha(j)) - (beta - alpha(j)) . tau),
+    by the closed form, with an attaining tau.
 
     +inf when some row is itself +inf, i.e. a zero vertex value with v* > 0.
     """
-    rows = []
-    for vert in circuit.vertices:
-        s = max(v[vert], 0.0)
-        b = xlogx_over(float(v_star), s)
-        if math.isinf(b):
-            return math.inf, (0.0,) * circuit.n
-        a = tuple(float(bi - ai) for bi, ai in zip(circuit.inner, vert))
-        rows.append((a, b))
-    return lp_min_infeasibility(rows)
+    group, vals = _one_circuit(circuit, v)
+    star = np.array([float(v_star)])
+    s, logs, mean = _gaps(group, vals, star)
+    if math.isinf(s[0]):
+        return math.inf, (0.0,) * circuit.n
+    return float(s[0]), tuple(_taus(group, star, logs, mean)[0].tolist())
 
 
 def circuit_dual_membership(
     circuit: Circuit,
     v: DualVector,
     tol: float = DEFAULT_TOL,
-    search_even: bool = False,
 ) -> tuple[bool, DualWitness | None]:
-    """Dual-cone test for a single circuit, with a certifying witness.
-
-    `search_even` also runs the golden-section search over v* >= v_beta for
-    even inner points instead of pinning v* = v_beta; the verdict is the
-    same either way (pinning is optimal), the flag just exercises it.
-    """
-    zeros = (0.0,) * circuit.n
+    """Dual-cone test for a single circuit, with a certifying witness."""
     if circuit.k == 1:
         val = v[circuit.vertices[0]]
         if val >= -tol:
-            return True, DualWitness(-1, max(val, 0.0), zeros)
+            return True, DualWitness(-1, max(val, 0.0), (0.0,) * circuit.n)
         return False, None
-    for vert in circuit.vertices:
-        if v[vert] < -tol:
-            return False, None
-    v_beta = v[circuit.inner]
-    if circuit.beta_even and v_beta < -tol:
+    group, vals = _one_circuit(circuit, v)
+    failed, v_star, logs, mean = _test_group(group, vals, tol)
+    if failed[0]:
         return False, None
-    target = abs(v_beta)
-    if target <= 1e-12:
-        # Pairings never see v_beta; the closure point with v* = 0 certifies.
-        return True, DualWitness(-1, 0.0, zeros)
-    if circuit.beta_even and not search_even:
-        gap, tau = circuit_row_infeasibility(circuit, v, target)
-        if gap <= tol:
-            return True, DualWitness(-1, target, tau)
-        return False, None
-
-    smax = max(max(v[vert], 0.0) for vert in circuit.vertices)
-    hi = 2.0 * max(target, math.e * smax)
-    best_gap, best_v, best_tau = math.inf, target, zeros
-
-    def probe(vs: float) -> float:
-        nonlocal best_gap, best_v, best_tau
-        gap, tau = circuit_row_infeasibility(circuit, v, vs)
-        if gap < best_gap:
-            best_gap, best_v, best_tau = gap, vs, tau
-        return gap
-
-    if probe(target) <= tol:
-        return True, DualWitness(-1, best_v, best_tau)
-    lo_x, hi_x = target, hi
-    x1 = hi_x - _GOLDEN * (hi_x - lo_x)
-    x2 = lo_x + _GOLDEN * (hi_x - lo_x)
-    f1, f2 = probe(x1), probe(x2)
-    for _ in range(200):
-        if best_gap <= tol or hi_x - lo_x <= 1e-13 * max(1.0, hi):
-            break
-        if f1 <= f2:
-            hi_x, x2, f2 = x2, x1, f1
-            x1 = hi_x - _GOLDEN * (hi_x - lo_x)
-            f1 = probe(x1)
-        else:
-            lo_x, x1, f1 = x1, x2, f2
-            x2 = lo_x + _GOLDEN * (hi_x - lo_x)
-            f2 = probe(x2)
-    if best_gap <= tol:
-        return True, DualWitness(-1, best_v, best_tau)
-    return False, None
+    tau = _taus(group, v_star, logs, mean)[0]
+    return True, DualWitness(-1, float(v_star[0]), tuple(tau.tolist()))
 
 
 def sonc_dual_membership(
@@ -197,7 +207,9 @@ def sonc_dual_membership(
 
     Requires every even-exponent coordinate to be (tol-)nonnegative (the
     single-vertex circuits) and the per-circuit condition for every circuit
-    with k >= 2, reported in canonical catalog order.
+    with k >= 2.  A non-member names the first failing circuit in canonical
+    catalog order; a member carries one witness per circuit with k >= 2, in
+    that order.
     """
     if v.support != support:
         raise ValueError("dual vector is not indexed by the given support")
@@ -205,24 +217,37 @@ def sonc_dual_membership(
         catalog = enumerate_circuits(support)
     elif catalog.support != support:
         raise ValueError("catalog was built for a different support")
+    vals = np.array(v.as_tuple(), dtype=float)
+    passed = []
+    for group in catalog.arity_groups:
+        if group.k == 1:
+            failed = vals[group.inner] < -tol
+        else:
+            failed, *found = _test_group(group, vals, tol)
+            passed.append((group, *found))
+        if failed.any():
+            return MembershipReport(False, (), catalog.circuits[group.index[failed.argmax()]])
     witnesses = []
-    for idx, circuit in enumerate(catalog.circuits):
-        if circuit.k == 1:
-            if v[circuit.inner] < -tol:
-                return MembershipReport(False, (), circuit)
-            continue
-        ok, wit = circuit_dual_membership(circuit, v, tol)
-        if not ok:
-            return MembershipReport(False, (), circuit)
-        witnesses.append(replace(wit, circuit_index=idx))
+    for group, v_star, logs, mean in passed:
+        taus = _taus(group, v_star, logs, mean).tolist()
+        witnesses.extend(
+            DualWitness(idx, star, tuple(tau)) for idx, star, tau in zip(group.index.tolist(), v_star.tolist(), taus)
+        )
     return MembershipReport(True, tuple(witnesses), None)
+
+
+def _quartic_vector(v: Sequence[float]) -> tuple[float, ...]:
+    if len(v) != 5:
+        raise ValueError("expected a vector of length 5")
+    vec = tuple(float(x) for x in v)
+    if not all(math.isfinite(x) for x in vec):
+        raise ValueError("quartic dual vectors must be finite")
+    return vec
 
 
 def quartic_dual_membership(v: Sequence[float], tol: float = DEFAULT_TOL) -> bool:
     """Closed-form dual-cone test for univariate quartics (support 0..4)."""
-    if len(v) != 5:
-        raise ValueError("expected a vector of length 5")
-    v0, v1, v2, v3, v4 = (float(x) for x in v)
+    v0, v1, v2, v3, v4 = _quartic_vector(v)
     scale = max(1.0, max(abs(x) for x in (v0, v1, v2, v3, v4)) ** 4)
     thr = -tol * scale
     checks = (
@@ -240,9 +265,7 @@ def quartic_dual_membership(v: Sequence[float], tol: float = DEFAULT_TOL) -> boo
 
 def psd_dual_quartic(v: Sequence[float], tol: float = DEFAULT_TOL) -> bool:
     """Principal-minor test for the 3x3 Hankel moment matrix of (v0..v4)."""
-    if len(v) != 5:
-        raise ValueError("expected a vector of length 5")
-    v0, v1, v2, v3, v4 = (float(x) for x in v)
+    v0, v1, v2, v3, v4 = _quartic_vector(v)
     scale = max(1.0, max(abs(x) for x in (v0, v1, v2, v3, v4)) ** 4)
     thr = -tol * scale
     checks = (

@@ -11,14 +11,17 @@ entropy minimizer, never from a numeric solver.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .circuits import Circuit, circuit_number
+from .circuits import Circuit, log_circuit_number
 from .entropy import entropy_minimizer, relative_entropy
 from .polynomials import SparsePolynomial
 
 #: Absolute decision tolerance, scaled by max(1, Theta).
 DECISION_TOL = 1e-9
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -46,27 +49,41 @@ class EntropyWitness:
     nu: tuple[float, ...]
 
 
+def _within_theta(mag: float, log_theta: float) -> bool:
+    """mag <= Theta + DECISION_TOL * max(1, Theta), compared in the log
+    domain so that Theta = exp(log_theta) is never formed when it is large."""
+    if log_theta <= 0.0:
+        return mag <= math.exp(log_theta) + DECISION_TOL
+    return mag <= 1.0 or math.log(mag) <= log_theta + math.log1p(DECISION_TOL)
+
+
+def _witness(p: CircuitPolynomial, log_theta: float) -> EntropyWitness | None:
+    """The entropy minimizer Theta * mu; None when it exceeds the float range."""
+    if log_theta >= _LOG_FLOAT_MAX:
+        return None
+    nu, _ = entropy_minimizer(p.circuit, p.c)
+    return EntropyWitness(nu)
+
+
 def is_nonneg_on_positive_orthant(p: CircuitPolynomial) -> tuple[bool, EntropyWitness | None]:
     """Decide nonnegativity on the positive orthant: delta >= -Theta."""
-    theta = circuit_number(p.c, p.circuit)
-    if p.delta >= -theta - DECISION_TOL * max(1.0, theta):
-        nu, _ = entropy_minimizer(p.circuit, p.c)
-        return True, EntropyWitness(nu)
+    log_theta = log_circuit_number(p.c, p.circuit)
+    if _within_theta(-p.delta, log_theta):
+        return True, _witness(p, log_theta)
     return False, None
 
 
 def is_nonneg_circuit(p: CircuitPolynomial) -> tuple[bool, EntropyWitness | None]:
-    """Decide nonnegativity on all of R^n via the parity split on beta."""
-    theta = circuit_number(p.c, p.circuit)
-    tol = DECISION_TOL * max(1.0, theta)
-    if p.circuit.beta_even:
-        ok = p.delta >= -theta - tol
-    else:
-        ok = abs(p.delta) <= theta + tol
-    if not ok:
+    """Decide nonnegativity on all of R^n via the parity split on beta.
+
+    A nonnegative circuit polynomial comes with its witness, unless the
+    circuit number overflows the float range (witness None).
+    """
+    log_theta = log_circuit_number(p.c, p.circuit)
+    mag = -p.delta if p.circuit.beta_even else abs(p.delta)
+    if not _within_theta(mag, log_theta):
         return False, None
-    nu, _ = entropy_minimizer(p.circuit, p.c)
-    return True, EntropyWitness(nu)
+    return True, _witness(p, log_theta)
 
 
 def verify_entropy_witness(p: CircuitPolynomial, w: EntropyWitness, tol: float = 1e-9) -> bool:

@@ -177,6 +177,8 @@ class DualVector:
             vals[p] = given[p]
         if len(given) != len(vals):
             raise ValueError("dual values keyed outside the support")
+        if not all(math.isfinite(x) for x in vals.values()):
+            raise ValueError("dual values must be finite")
         object.__setattr__(self, "values", vals)
 
     def __getitem__(self, point) -> float:

@@ -107,6 +107,19 @@ class TestCheck:
         code, _, err = run_main(["check", "dual-member", files("g.json", "{not json")], capsys)
         assert code == 2 and err.startswith("error:")
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("kind", ["dual-member", "sage-dual"])
+    def test_nonfinite_dual_vector_exits_2(self, files, capsys, kind, bad):
+        path = files("v.json", '{"n": 1, "points": [[0], [1], [2]], "values": [1.0, %s, 1.0]}' % bad)
+        code, out, err = run_main(["check", kind, path], capsys)
+        assert code == 2 and out == "" and "finite" in err
+
+    @pytest.mark.parametrize("flags", [[], ["--psd"]])
+    def test_nonfinite_quartic_vector_exits_2(self, files, capsys, flags):
+        path = files("v.json", '{"v": [1, NaN, 1, 0, 1]}')
+        code, out, err = run_main(["check", "quartic-dual", *flags, path], capsys)
+        assert code == 2 and out == "" and "finite" in err
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_main(["check", "quartic-dual", "/nonexistent/v.json"], capsys)
         assert code == 2
@@ -138,6 +151,19 @@ class TestBound:
         assert code == 1
         blob = json.loads(out)
         assert blob["status"] == "dual_only" and blob["p_sonc"] is None
+
+
+    def test_coefficients_near_float_max(self, files, capsys):
+        # The circuit number of the certificate's piece exceeds the float range.
+        code, out, _ = run_main(["bound", files("big.txt", "1e308*x1^2 - 1e308*x1")], capsys)
+        assert code in (0, 1)
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        blob = json.loads(out, parse_constant=reject)
+        # inf p = -2.5e307 at x1 = 1/2; a certified bound may not exceed it.
+        assert blob["p_sonc"] is None or blob["p_sonc"] <= -2.5e307
 
 
 class TestCertify:
@@ -198,3 +224,11 @@ class TestEntryPoint:
         with pytest.raises(SystemExit) as exc:
             main(["--tol", "-1", "circuits", "x.json"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_nonfinite_tol_rejected(self, files, capsys, tol):
+        with pytest.raises(SystemExit) as exc:
+            main([f"--tol={tol}", "check", "dual-member", files("v.json", SEP_POINT)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--tol must be positive and finite" in captured.err

@@ -1,5 +1,6 @@
-"""Minimax LP, per-circuit and full dual-cone membership, SAGE dual,
-and the closed-form univariate-quartic oracles."""
+"""Minimax LP, per-circuit and full dual-cone membership (checked against
+the per-circuit LP route), SAGE dual, and the closed-form univariate-quartic
+oracles."""
 
 import math
 
@@ -113,6 +114,37 @@ class TestMinimaxLP:
                 assert minimax_value(rows, tau) == pytest.approx(t, abs=1e-8)
 
 
+def circuit_rows(circuit, v, v_star):
+    """The rows (beta - alpha(j), v* log(v*/v_alpha(j))) of one circuit's LP."""
+    return [
+        (tuple(float(b - a) for a, b in zip(vert, circuit.inner)), xlogx_over(v_star, max(v[vert], 0.0)))
+        for vert in circuit.vertices
+    ]
+
+
+def lp_gap(circuit, v, v_star) -> float:
+    rows = circuit_rows(circuit, v, v_star)
+    if any(math.isinf(b) for _, b in rows):
+        return math.inf
+    return lp_min_infeasibility(rows)[0]
+
+
+def lp_first_violated(catalog, v, tol):
+    """The per-circuit LP route at v* = |v_beta|: the first circuit in
+    catalog order that fails, or None for a member."""
+    for c in catalog.circuits:
+        v_beta = v[c.inner]
+        if c.k == 1:
+            if v_beta < -tol:
+                return c
+            continue
+        if any(v[a] < -tol for a in c.vertices) or (c.beta_even and v_beta < -tol):
+            return c
+        if abs(v_beta) > 1e-12 and lp_gap(c, v, abs(v_beta)) > tol:
+            return c
+    return None
+
+
 class TestCircuitMembership:
     def setup_method(self):
         self.support = SupportSet.of([(0,), (1,), (2,)])
@@ -152,16 +184,45 @@ class TestCircuitMembership:
             ok, _ = circuit_dual_membership(self.circuit, self.dv(v0, v1, v2))
             assert ok == (v1 * v1 <= v0 * v2)
 
-    def test_even_search_flag_agrees(self):
+    def test_pinned_v_star_is_optimal(self):
+        # The LP gap at any v* >= |v_beta| never beats the gap at v* = |v_beta|
+        # once that one exceeds the tolerance, for even and odd inner points,
+        # so the search over v* that used to follow could not change a verdict.
         rng = np.random.default_rng(44)
-        support = SupportSet.of([(0,), (2,), (4,)])
-        circuit = Circuit.make([(0,), (4,)], (2,))
-        for _ in range(200):
-            vals = {(0,): 10.0 ** rng.uniform(-2, 2), (2,): rng.uniform(-1, 4), (4,): 10.0 ** rng.uniform(-2, 2)}
+        grid = np.concatenate([np.geomspace(1e-9, 1e3, 40), [0.5, 1.0, 2.0, math.e]])
+        failing = 0
+        for _ in range(150):
+            c = random_circuit(rng)
+            support = SupportSet.of(sorted(set(c.vertices) | {c.inner}), n=c.n)
+            vals = {p: 10.0 ** rng.uniform(-2, 2) for p in support.points}
+            if not c.beta_even:
+                vals[c.inner] *= rng.choice([-1.0, 1.0])
             v = DualVector(support, vals)
-            pinned = circuit_dual_membership(circuit, v, search_even=False)[0]
-            searched = circuit_dual_membership(circuit, v, search_even=True)[0]
-            assert pinned == searched
+            pinned = abs(v[c.inner])
+            gap = lp_gap(c, v, pinned)
+            ok, _ = circuit_dual_membership(c, v)
+            assert ok == (gap <= 1e-9)
+            if ok:
+                continue
+            failing += 1
+            for step in grid:
+                assert lp_gap(c, v, pinned * (1.0 + step)) >= gap - 1e-9 * max(1.0, abs(gap))
+        assert failing >= 50
+
+    def test_closed_form_matches_lp(self):
+        rng = np.random.default_rng(53)
+        for _ in range(300):
+            c = random_circuit(rng)
+            support = SupportSet.of(sorted(set(c.vertices) | {c.inner}), n=c.n)
+            v = DualVector(support, {p: 10.0 ** rng.uniform(-2, 2) for p in support.points})
+            v_star = 10.0 ** rng.uniform(-2, 2)
+            s, tau = circuit_row_infeasibility(c, v, v_star)
+            rows = circuit_rows(c, v, v_star)
+            scale = max(1.0, max(abs(b) for _, b in rows))
+            assert s == pytest.approx(lp_min_infeasibility(rows)[0], abs=1e-9 * scale)
+            # every row sits at slack -s: tau attains the minimax value
+            for a, b in rows:
+                assert b - sum(ai * ti for ai, ti in zip(a, tau)) == pytest.approx(s, abs=1e-9 * scale)
 
     def test_profile_is_convex(self):
         rng = np.random.default_rng(45)
@@ -227,6 +288,94 @@ class TestSoncDualMembership:
                     assert lhs <= rhs + 1e-9 + 1e-12 * abs(rhs)
 
 
+class TestAgainstLPRoute:
+    """The closed form against the per-circuit LP it replaced."""
+
+    @staticmethod
+    def draw(rng, support, mode):
+        """A dual vector: a perturbed moment vector (mostly members) or
+        independent values with zeros, small negatives and mixed signs."""
+        if mode == "moment":
+            x = rng.uniform(-2.0, 2.0, size=support.n)
+            if rng.uniform() < 0.3:
+                x[rng.integers(0, support.n)] = 0.0
+            vals = dict(moment_vector(tuple(x), support).values)
+            if rng.uniform() < 0.5:
+                p = support.points[rng.integers(0, len(support))]
+                vals[p] *= 1.0 + rng.normal(0.0, 0.1)
+        else:
+            vals = {}
+            for p in support.points:
+                r = rng.uniform()
+                if r < 0.15:
+                    vals[p] = 0.0
+                elif r < 0.2:
+                    vals[p] = -10.0 ** rng.uniform(-12, -10)  # inside [-tol, 0)
+                elif r < 0.3:
+                    vals[p] = -10.0 ** rng.uniform(-3, 1)
+                else:
+                    vals[p] = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3)
+        return DualVector(support, vals)
+
+    def test_matches_lp_route_on_random_supports(self):
+        rng = np.random.default_rng(54)
+        tol = 1e-9
+        seen = dict.fromkeys(
+            ("member", "nonmember", "even_beta", "odd_beta", "zero_vertex", "zero_beta", "witness_n2", "witness_n3"), 0
+        )
+        for _ in range(300):
+            n = int(rng.integers(1, 4))
+            # one planted circuit, so every dimension contributes circuits
+            planted = random_circuit(rng, n=n)
+            extra = random_support(rng, n, max_points=5, max_entry=6).points
+            support = SupportSet.of(sorted({*planted.vertices, planted.inner, *extra}), n=n)
+            catalog = enumerate_circuits(support)
+            higher = [c for c in catalog.circuits if c.k >= 2]
+            for mode in ("moment", "values", "values"):
+                v = self.draw(rng, support, mode)
+                report = sonc_dual_membership(support, v, tol=tol)
+                assert report.violated_circuit == lp_first_violated(catalog, v, tol)
+                assert report.member == (report.violated_circuit is None)
+                seen["member" if report.member else "nonmember"] += 1
+                seen["even_beta"] += any(c.beta_even for c in higher)
+                seen["odd_beta"] += any(not c.beta_even for c in higher)
+                seen["zero_vertex"] += any(v[a] <= 0.0 for c in higher for a in c.vertices)
+                seen["zero_beta"] += any(v[c.inner] == 0.0 for c in higher)
+                if report.member:
+                    assert [w.circuit_index for w in report.witnesses] == [
+                        i for i, c in enumerate(catalog.circuits) if c.k >= 2
+                    ]
+                    for w in report.witnesses:
+                        circuit = catalog.circuits[w.circuit_index]
+                        self.check_witness(circuit, v, w, tol)
+                    seen[f"witness_n{n}"] = seen.get(f"witness_n{n}", 0) + 1
+        assert min(seen.values()) >= 20, seen
+
+    @staticmethod
+    def check_witness(circuit, v, w, tol):
+        v_beta = abs(v[circuit.inner])
+        assert w.v_star == (v_beta if v_beta > 1e-12 else 0.0)
+        for vert in circuit.vertices:
+            lhs = xlogx_over(w.v_star, max(v[vert], 0.0))
+            rhs = sum((b - a) * t for b, a, t in zip(circuit.inner, vert, w.tau))
+            assert lhs <= rhs + tol + 1e-12 * max(abs(lhs), abs(rhs))
+
+    def test_extreme_magnitudes_decided_without_overflow(self):
+        support = SupportSet.of([(0,), (1,), (2,)])
+        cases = [
+            ((1e-300, 1e300, 1e300), False),  # |v_1| = 1e300 > 1 = sqrt(v_0 v_2)
+            ((1e-300, 1.5e308, 1e300), False),  # the gap itself overflows to +inf
+            ((1e300, 1e-300, 1e300), True),
+            ((1.7e308, -1.7e308, 1.7e308), True),
+            ((5e-324, 5e-324, 5e-324), True),
+        ]
+        for vals, member in cases:
+            v = DualVector(support, dict(zip(support.points, vals)))
+            report = sonc_dual_membership(support, v)
+            assert report.member == member
+            assert all(math.isfinite(t) for w in report.witnesses for t in w.tau)
+
+
 class TestQuarticOracles:
     def test_separating_point_values(self):
         assert quartic_dual_membership([2, 0, 1, 1, 1])
@@ -246,6 +395,14 @@ class TestQuarticOracles:
     def test_length_checked(self):
         with pytest.raises(ValueError):
             quartic_dual_membership([1, 2, 3])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_rejected(self, bad):
+        for test in (quartic_dual_membership, psd_dual_quartic):
+            with pytest.raises(ValueError):
+                test([1, bad, 1, 0, 1])
+        with pytest.raises(ValueError):
+            dv4([1, 0, bad, 0, 1])
 
     def test_generic_membership_matches_closed_form(self):
         rng = np.random.default_rng(47)

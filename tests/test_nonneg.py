@@ -1,5 +1,7 @@
 """Circuit-polynomial nonnegativity decisions and entropy witnesses."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -12,6 +14,7 @@ from sonckit import (
     circuit_number,
     is_nonneg_circuit,
     is_nonneg_on_positive_orthant,
+    log_circuit_number,
     verify_entropy_witness,
 )
 
@@ -54,6 +57,19 @@ class TestFullSpace:
         assert is_nonneg_circuit(p)[0]
         assert is_nonneg_circuit(CircuitPolynomial(motzkin_circuit(), (1.0, 1.0, 1.0), -3.0))[0]
         assert not is_nonneg_circuit(CircuitPolynomial(motzkin_circuit(), (1.0, 1.0, 1.0), -3.01))[0]
+
+    def test_huge_coefficients_decided_in_log_domain(self):
+        c = Circuit.make([(0,), (2,)], (1,))
+        # Theta = 2e300 is representable: the tolerance edge is kept.
+        ok, wit = is_nonneg_circuit(CircuitPolynomial(c, (1e300, 1e300), -2e300))
+        assert ok and wit.nu == pytest.approx((1e300, 1e300), rel=1e-12)
+        assert not is_nonneg_circuit(CircuitPolynomial(c, (1e300, 1e300), -2e300 * (1 + 1e-8)))[0]
+        # Theta = 2e308 overflows a float; the decision stands without it.
+        assert log_circuit_number((1e308, 1e308), c) == pytest.approx(math.log(2.0) + math.log(1e308), rel=1e-15)
+        for delta in (-1.7e308, 1.7e308):
+            assert is_nonneg_circuit(CircuitPolynomial(c, (1e308, 1e308), delta)) == (True, None)
+        assert is_nonneg_on_positive_orthant(CircuitPolynomial(c, (1e308, 1e308), -1.7e308)) == (True, None)
+        assert not is_nonneg_circuit(CircuitPolynomial(c, (1e-300, 1e-300), -1e-8))[0]
 
     def test_single_monomial(self):
         c = Circuit.make([(2, 0)], (2, 0))
