@@ -399,7 +399,7 @@ def sonc_lower_bound(
             trace.append((gamma, cert is not None))
         return replace(cert, gamma=gamma) if cert is not None else None
 
-    gamma_hi = min(p.evaluate(x) for _, x in _local_minima(p, seed))
+    gamma_hi = _local_minima(p, seed)[0][0]
     cert = attempt(gamma_hi)
     if cert is not None:
         return BoundResult(gamma_hi, None, cert, None, None, Status.CERTIFIED)
@@ -452,7 +452,7 @@ def dual_program_solve(
     for _, z in _local_minima(p, seed):
         try:
             v = moment_vector(z, support)
-        except ValueError:  # a moment overflowed the float range
+        except (ValueError, OverflowError):  # a moment overflowed the float range
             continue
         if feasible(v):
             val = objective(v)
@@ -566,7 +566,7 @@ def certify_optimality(p: SparsePolynomial, seed: int = 0, budget: int = 5000) -
     optimal_point = None
     if (
         z is not None
-        and abs(p.evaluate(z) - value) <= 1e-6 * scale
+        and abs(_safe_eval(p)(z) - value) <= 1e-6 * scale
         and math.isfinite(primal.p_sonc)
         and value - primal.p_sonc <= 1e-5 * scale
     ):

@@ -3,9 +3,10 @@ numbers, and exhaustive catalog enumeration.
 
 A circuit is a set of affinely independent all-even lattice points (the
 vertices) together with one more lattice point lying in the relative
-interior of their convex hull.  Barycentric coordinates of the inner point
-are computed in exact rational arithmetic, so strict positivity (and hence
-relative-interior membership) never depends on a float tolerance.
+interior of their convex hull.  Barycentric coordinates come from one
+fraction-free elimination on Python ints per vertex set, so they are exact
+at any exponent size and strict positivity (hence relative-interior
+membership) never depends on a float tolerance.
 """
 
 from __future__ import annotations
@@ -33,6 +34,38 @@ def is_even_point(point: Sequence[int]) -> bool:
     return all(e % 2 == 0 for e in point)
 
 
+def _affine_coordinates(vertices: Sequence[Exponent], targets: Sequence[Sequence[int]]) -> list[list[Fraction] | None]:
+    """Exact affine weights of every target over affinely independent vertices.
+
+    One fraction-free (Bareiss) Gauss-Jordan elimination on Python ints over
+    the lifted matrix [1 ... 1; vertices | 1 ... 1; targets], so entries stay
+    exact at any exponent size.  For each target, the weights mu with
+    sum(mu) = 1 and sum(mu_i * v_i) = target, or None when the target lies
+    outside the affine hull.  Raises AffinelyDependentError when some vertex
+    column gets no pivot.
+    """
+    k = len(vertices)
+    rows = [[1] * (k + len(targets)), *map(list, zip(*vertices, *targets))]
+    prev = 1
+    for col in range(k):
+        pivot = next((i for i in range(col, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            raise AffinelyDependentError(f"vertices {tuple(vertices)} are affinely dependent")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = rows[col]
+        p = top[col]
+        for i, row in enumerate(rows):
+            if i != col:
+                a = row[col]
+                # Bareiss: every entry is a minor of the input, so prev divides exactly.
+                rows[i] = [(p * x - a * y) // prev for x, y in zip(row, top)]
+        prev = p
+    return [
+        None if any(row[j] for row in rows[k:]) else [Fraction(rows[i][j], rows[i][i]) for i in range(k)]
+        for j in range(k, k + len(targets))
+    ]
+
+
 def barycentric_coordinates(vertices: Sequence[Exponent], beta: Sequence[int]) -> list[Fraction] | None:
     """Exact weights mu > 0 with sum(mu) = 1 and sum(mu_i * v_i) = beta.
 
@@ -42,59 +75,22 @@ def barycentric_coordinates(vertices: Sequence[Exponent], beta: Sequence[int]) -
     """
     if not vertices:
         raise ValueError("need at least one vertex")
-    k = len(vertices)
     n = len(vertices[0])
     if any(len(v) != n for v in vertices) or len(beta) != n:
         raise ValueError("dimension mismatch between vertices and inner point")
-    rows = [[Fraction(1)] * k + [Fraction(1)]]
-    for t in range(n):
-        rows.append([Fraction(v[t]) for v in vertices] + [Fraction(beta[t])])
-    # Gauss-Jordan over the rationals; every column must get a pivot.
-    r = 0
-    for col in range(k):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            raise AffinelyDependentError(f"vertices {tuple(vertices)} are affinely dependent")
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][col]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][k] != 0:
-            return None  # beta outside the affine hull
-    mu = [rows[i][k] for i in range(k)]
-    if any(m <= 0 for m in mu):
-        return None  # on the boundary or outside
+    mu = _affine_coordinates(vertices, [beta])[0]
+    if mu is None or any(m <= 0 for m in mu):
+        return None  # outside the affine hull, on the boundary or outside
     return mu
 
 
 def affinely_independent(points: Sequence[Exponent]) -> bool:
-    """Exact affine-independence test via rank of the lifted vectors."""
-    basis: list[tuple[int, list[Fraction]]] = []
-    for p in points:
-        vec = [Fraction(1)] + [Fraction(x) for x in p]
-        red = _reduce_against(vec, basis)
-        if red is None:
-            return False
-        basis.append(red)
+    """Exact affine-independence test: every lifted point gets a pivot."""
+    try:
+        _affine_coordinates(points, [])
+    except AffinelyDependentError:
+        return False
     return True
-
-
-def _reduce_against(vec: list[Fraction], basis: list[tuple[int, list[Fraction]]]):
-    vec = list(vec)
-    for piv, row in basis:
-        if vec[piv] != 0:
-            f = vec[piv]
-            vec = [a - f * b for a, b in zip(vec, row)]
-    piv = next((i for i, a in enumerate(vec) if a != 0), None)
-    if piv is None:
-        return None
-    inv = vec[piv]
-    return piv, [a / inv for a in vec]
 
 
 @dataclass(frozen=True)
@@ -270,38 +266,31 @@ class CircuitCatalog:
 def enumerate_circuits(support: SupportSet, max_even_points: int = 20) -> CircuitCatalog:
     """Every circuit with vertices and inner point drawn from the support.
 
-    Exhaustive over affinely independent even vertex subsets (grown
-    incrementally against an exact echelon basis, so each extension is a
-    rank-1 check) with every remaining support point tested as the inner
-    point by barycentric signs.  Exponential in the even-point count, hence
-    the cap.
+    Affinely independent even vertex sets are grown one even point at a
+    time.  Each vertex set costs one exact integer elimination with every
+    support point as a target, and that one result answers both questions:
+    the points with all weights positive are its inner points, and the even
+    points outside its affine hull are the ones that may extend it.
+    Exponential in the even-point count, hence the cap.
     """
-    even = [p for p in support.points if is_even_point(p)]
+    points = support.points
+    even = [i for i, p in enumerate(points) if is_even_point(p)]
     if len(even) > max_even_points:
         raise SupportTooLargeError(
             f"{len(even)} even points exceed the enumeration cap {max_even_points}"
         )
-    n = support.n
-    found: list[Circuit] = [Circuit.make((e,), e) for e in even]
+    found: list[Circuit] = [Circuit.make((points[i],), points[i]) for i in even]
 
-    def grow(start: int, chosen: list[Exponent], basis: list) -> None:
+    def grow(start: int, chosen: tuple[Exponent, ...]) -> None:
+        weights = _affine_coordinates(chosen, points)
         if len(chosen) >= 2:
-            verts = tuple(chosen)
-            taken = set(verts)
-            for beta in support.points:
-                if beta in taken:
-                    continue
-                mu = barycentric_coordinates(verts, beta)
-                if mu is not None:
-                    found.append(Circuit(verts, beta, tuple(mu), is_even_point(beta)))
-        if len(chosen) == n + 1:
-            return
-        for i in range(start, len(even)):
-            vec = [Fraction(1)] + [Fraction(x) for x in even[i]]
-            ext = _reduce_against(vec, basis)
-            if ext is not None:
-                grow(i + 1, chosen + [even[i]], basis + [ext])
+            for beta, mu in zip(points, weights):
+                if mu is not None and all(m > 0 for m in mu):
+                    found.append(Circuit(chosen, beta, tuple(mu), is_even_point(beta)))
+        for j in range(start, len(even)):
+            if weights[even[j]] is None:
+                grow(j + 1, chosen + (points[even[j]],))
 
-    grow(0, [], [])
+    grow(0, ())
     found.sort(key=lambda c: (c.k, c.vertices, c.inner))
     return CircuitCatalog(support, tuple(found))

@@ -21,7 +21,7 @@ from typing import Sequence
 
 from . import __version__
 from .bounds import Status, certify_optimality, sonc_feasibility
-from .circuits import Circuit, SupportTooLargeError, circuit_number, enumerate_circuits
+from .circuits import Circuit, SupportTooLargeError, enumerate_circuits, log_circuit_number
 from .dual import psd_dual_quartic, quartic_dual_membership, sage_dual_membership, sonc_dual_membership
 from .nonneg import CircuitPolynomial, is_nonneg_circuit
 from .polynomials import DualVector, ParseError, SparsePolynomial, SupportSet, parse_polynomial
@@ -97,10 +97,14 @@ def _cmd_check(args) -> int:
         circuit = Circuit.make(obj["vertices"], obj["beta"])
         cp = CircuitPolynomial(circuit, tuple(float(x) for x in obj["c"]), float(obj["delta"]))
         ok, witness = is_nonneg_circuit(cp)
+        try:
+            theta = math.exp(log_circuit_number(cp.c, circuit))
+        except OverflowError:  # Theta beyond the float range has no JSON number
+            theta = None
         _emit(
             {
                 "nonneg": ok,
-                "theta": circuit_number(cp.c, circuit),
+                "theta": theta,
                 "witness": {"nu": list(witness.nu)} if witness else None,
             },
             args.format,
@@ -183,7 +187,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "bound":
             return _cmd_bound(args, seed)
         return _cmd_certify(args)
-    except (ParseError, SupportTooLargeError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ParseError, SupportTooLargeError, ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

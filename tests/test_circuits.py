@@ -1,5 +1,6 @@
 """Barycentric coordinates, circuit numbers, and catalog enumeration."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -55,6 +56,17 @@ class TestBarycentric:
     def test_affinely_independent_helper(self):
         assert affinely_independent([(0, 0), (2, 0), (0, 2)])
         assert not affinely_independent([(0, 0), (2, 2), (4, 4)])
+
+    def test_affinely_independent_empty(self):
+        assert affinely_independent([])
+
+    def test_exact_near_exponent_cap(self):
+        big = 2**20
+        mu = barycentric_coordinates([(0, 0), (big, 2), (2, big)], (1, 1))
+        assert mu == [Fraction(big, big + 2), Fraction(1, big + 2), Fraction(1, big + 2)]
+        # det = big * (big - 4) - (big - 2)^2 = -4: independent, though barely
+        assert affinely_independent([(0, 0), (big, big - 2), (big - 2, big - 4)])
+        assert not affinely_independent([(0, 0), (big, big - 2), (big // 2, big // 2 - 1)])
 
 
 class TestCircuitType:
@@ -170,9 +182,13 @@ class TestEnumeration:
 
     def test_matches_brute_force_on_random_supports(self):
         rng = np.random.default_rng(12)
-        for _ in range(50):
-            n = int(rng.integers(1, 4))
-            A = random_support(rng, n)
+        supports = [random_support(rng, int(rng.integers(1, 4))) for _ in range(50)]
+        # Dense simplex supports and a 75% subset of each.
+        for n, d in [(1, 8), (2, 6), (3, 4)]:
+            dense = [a for a in itertools.product(range(d + 1), repeat=n) if sum(a) <= d]
+            keep = rng.choice(len(dense), size=round(0.75 * len(dense)), replace=False)
+            supports += [SupportSet.of(dense, n=n), SupportSet.of([dense[i] for i in sorted(keep)], n=n)]
+        for A in supports:
             cat = enumerate_circuits(A)
             got = {(c.vertices, c.inner) for c in cat.circuits if c.k >= 2}
             assert got == brute_force_circuits(A)

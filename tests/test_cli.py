@@ -120,6 +120,32 @@ class TestCheck:
         code, out, err = run_main(["check", "quartic-dual", *flags, path], capsys)
         assert code == 2 and out == "" and "finite" in err
 
+    def test_nonneg_circuit_theta_beyond_float_range(self, files, capsys):
+        # Theta = 2e308 has no float value; |delta| = 1e308 is within it.
+        obj = {"vertices": [[0], [2]], "beta": [1], "c": [1e308, 1e308], "delta": -1e308}
+        code, out, _ = run_main(["check", "nonneg-circuit", files("c.json", obj)], capsys)
+        assert code == 0
+        blob = json.loads(out)
+        assert blob["nonneg"] is True and blob["theta"] is None
+
+    @pytest.mark.parametrize("flags", [[], ["--psd"]])
+    def test_quartic_vector_with_huge_entry(self, files, capsys, flags):
+        path = files("v.json", {"v": [1e100, 0, 1, 0, 1]})
+        code, out, _ = run_main(["check", "quartic-dual", *flags, path], capsys)
+        assert code == 0 and json.loads(out)["member"] is True
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 1, "points": 5, "values": [1]}',
+            '{"n": 1, "points": [[0], [2]], "values": [1, null]}',
+            "[1, 2]",
+        ],
+    )
+    def test_malformed_dual_vector_exits_2(self, files, capsys, text):
+        code, out, err = run_main(["check", "dual-member", files("v.json", text)], capsys)
+        assert code == 2 and out == "" and err.startswith("error:")
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_main(["check", "quartic-dual", "/nonexistent/v.json"], capsys)
         assert code == 2
@@ -164,6 +190,15 @@ class TestBound:
         blob = json.loads(out, parse_constant=reject)
         # inf p = -2.5e307 at x1 = 1/2; a certified bound may not exceed it.
         assert blob["p_sonc"] is None or blob["p_sonc"] <= -2.5e307
+
+    def test_exponent_at_parser_cap(self, files, capsys):
+        code, out, _ = run_main(["bound", files("cap.txt", "x1^1048576 - x1")], capsys)
+        assert code in (0, 1)
+        blob = json.loads(out)
+        # inf p = z * (1/N - 1) at z = N^(-1/(N-1)), N = 2^20.
+        big = 2.0**20
+        inf_p = big ** (-1.0 / (big - 1.0)) * (1.0 / big - 1.0)
+        assert blob["p_sonc"] is None or blob["p_sonc"] <= inf_p + 1e-12
 
 
 class TestCertify:

@@ -396,6 +396,15 @@ class TestQuarticOracles:
         with pytest.raises(ValueError):
             quartic_dual_membership([1, 2, 3])
 
+    @pytest.mark.parametrize("test", [quartic_dual_membership, psd_dual_quartic])
+    def test_huge_entries_decided_without_overflow(self, test):
+        assert test([1e100, 0, 1, 0, 1])
+        assert test([1.7e308, -1.7e308, 1.7e308, -1.7e308, 1.7e308])
+
+    def test_huge_non_member(self):
+        # v0^3 v4 - v1^4 = -15e400 lies below -tol * max|v_i|^4 = -1e391.
+        assert not quartic_dual_membership([1e100, 2e100, 1e100, 0, 1e100])
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_rejected(self, bad):
         for test in (quartic_dual_membership, psd_dual_quartic):
