@@ -12,6 +12,10 @@ The dual program minimizes the coefficient pairing over the dual cone with
 the constant coordinate normalized to 1 (the normalization comes from
 dualizing the gamma row of the primal).  Moment vectors of local minimizers
 seed it, and a recovered point z with matching moments certifies optimality.
+
+Both programs first look at the Newton polytope: a polynomial with an odd or
+negative nonzero vertex is unbounded below, which settles the primal, and a
+point on the curve exposing that vertex seeds the dual instead.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 from scipy import optimize as sciopt
@@ -373,6 +378,72 @@ def _local_minima(p: SparsePolynomial, seed: int, starts: int = 12) -> list[tupl
     return found
 
 
+#: Integer weights w and signs s of the curve x(t) = (s_i t^(w_i)), t > 0.
+_Curve = tuple[tuple[int, ...], tuple[float, ...]]
+
+
+def _unbounded_curve(p: SparsePolynomial) -> _Curve | None:
+    """Integer weights w and signs s with p(s_i t^(w_i)) -> -inf as t -> inf,
+    or None when the Newton polytope test below finds none.
+
+    p is unbounded below when some nonzero vertex alpha of New(p u {0}) is
+    odd or carries a negative coefficient: a weight vector w exposing alpha,
+    <w, alpha - beta> > 0 for every other point beta, makes c_alpha s^alpha
+    t^<w, alpha> the dominant term along the curve, and s is chosen so that
+    this term is negative.  A HiGHS LP with margin 1 (and the least l1 norm,
+    so the integer vector stays small) proposes w; its rationalization is
+    accepted only when the strict inequalities hold exactly in integers.
+    """
+    zero = (0,) * p.n
+    points = sorted(set(p.coefficients) | {zero})
+    for alpha in points:
+        coef = p.coefficients.get(alpha, 0.0)
+        if alpha == zero or (is_even_point(alpha) and coef > 0.0):
+            continue
+        diffs = [[a - b for a, b in zip(alpha, beta)] for beta in points if beta != alpha]
+        # w = u - v with u, v >= 0; <w, alpha - beta> >= 1 for every beta.
+        a_ub = -np.array(diffs, dtype=float)
+        lp = sciopt.linprog(
+            np.ones(2 * p.n), A_ub=np.hstack([a_ub, -a_ub]), b_ub=-np.ones(len(diffs)), method="highs"
+        )
+        if lp.status != 0:
+            continue
+        frac = [Fraction(float(u - v)).limit_denominator(1000) for u, v in zip(lp.x[: p.n], lp.x[p.n :])]
+        lcm = math.lcm(*(f.denominator for f in frac))
+        w = [int(f * lcm) for f in frac]
+        g = math.gcd(*w) or 1
+        w = tuple(wi // g for wi in w)
+        if not all(sum(wi * di for wi, di in zip(w, d)) > 0 for d in diffs):
+            continue
+        s = [1.0] * p.n
+        if coef > 0.0:  # alpha is odd: flip one odd coordinate so s^alpha = -1
+            s[next(i for i, e in enumerate(alpha) if e % 2)] = -1.0
+        return w, tuple(s)
+    return None
+
+
+def _curve_point(p: SparsePolynomial, curve: _Curve) -> tuple[float, ...] | None:
+    """The first x(t) = (s_i t^(w_i)), t = 1, 2, 4, ..., 2^64, with
+    p(x(t)) < p(0) - scale and a finite moment vector; None if there is none."""
+    w, s = curve
+    support = _extended_support(p)
+    target = p.coefficients.get((0,) * p.n, 0.0) - _scale(p)
+    f = _safe_eval(p)
+    for k in range(65):
+        try:
+            x = tuple(si * 2.0 ** (k * wi) for si, wi in zip(s, w))
+            if f(x) < target:
+                moment_vector(x, support)
+                return x
+        except (ValueError, OverflowError):  # x or a moment beyond the float range
+            continue
+    return None
+
+
+#: The primal answer without a certified bound.
+_UNBOUNDED = BoundResult(-math.inf, None, None, None, None, Status.INFEASIBLE_UNBOUNDED)
+
+
 def sonc_lower_bound(
     p: SparsePolynomial,
     budget: int = 5000,
@@ -381,25 +452,37 @@ def sonc_lower_bound(
 ) -> BoundResult:
     """Largest gamma with p - gamma certified in the cone, by bisection.
 
-    gamma_hi starts at the best sampled value of p (always an upper bound on
-    the infimum); a feasible lower bracket is found by doubling steps, and
-    failing that the status is infeasible_unbounded.  When `trace` is a
-    list, every oracle call is appended as (gamma, certified)."""
+    A polynomial with an odd or negative vertex of its Newton polytope (with
+    the origin added) is unbounded below; it is settled there, before any
+    search, as infeasible_unbounded.  Otherwise gamma_hi starts at the best
+    multistart value of p (always an upper bound on the infimum); a feasible
+    lower bracket is found by doubling steps, and failing that the status is
+    infeasible_unbounded.  When `trace` is a list, every oracle call is
+    appended as (gamma, certified)."""
+    if _unbounded_curve(p) is not None:
+        return _UNBOUNDED
+    return _bisect_bound(p, budget, _local_minima(p, seed)[0][0], trace)
+
+
+def _bisect_bound(p: SparsePolynomial, budget: int, gamma_hi: float, trace: list | None = None) -> BoundResult:
+    """Bracket and bisect gamma below the upper bound gamma_hi."""
     support = _extended_support(p)
     catalog = enumerate_circuits(support)
     scale = _scale(p)
     zero = (0,) * p.n
+    constant = p.coefficients.get(zero, 0.0)
 
     def attempt(gamma: float) -> SoncCertificate | None:
         shifted = dict(p.coefficients)
-        shifted[zero] = shifted.get(zero, 0.0) - gamma
+        shifted[zero] = constant - gamma
+        if not math.isfinite(shifted[zero]):  # beyond the float range: no certificate
+            return None
         q = SparsePolynomial(support, {e: c for e, c in shifted.items() if c != 0.0})
         cert = sonc_feasibility(q, catalog, budget=budget)
         if trace is not None:
             trace.append((gamma, cert is not None))
         return replace(cert, gamma=gamma) if cert is not None else None
 
-    gamma_hi = _local_minima(p, seed)[0][0]
     cert = attempt(gamma_hi)
     if cert is not None:
         return BoundResult(gamma_hi, None, cert, None, None, Status.CERTIFIED)
@@ -414,7 +497,7 @@ def sonc_lower_bound(
             break
         step *= 2.0
     if lo is None:
-        return BoundResult(-math.inf, None, None, None, None, Status.INFEASIBLE_UNBOUNDED)
+        return _UNBOUNDED
     for _ in range(100):
         if hi - lo <= 2e-7 * scale:
             break
@@ -433,10 +516,33 @@ def dual_program_solve(
     """Minimize the coefficient pairing over the dual cone, with the constant
     coordinate normalized to 1.
 
-    Moment vectors of multistart local minimizers of p seed the search; each
-    is verified by the membership oracle.  A projected step-shrinking
-    descent along -c then tries to improve while keeping verified
-    membership.  Deterministic for a fixed seed."""
+    Moment vectors seed the search: of one point on the exposing curve when
+    p is unbounded at its Newton polytope, else of multistart local
+    minimizers of p.  Each is verified by the membership oracle.  A
+    projected step-shrinking descent along -c then tries to improve while
+    keeping verified membership.  Deterministic for a fixed seed."""
+    return _dual_solve(p, seed, budget, _unbounded_curve(p), None)
+
+
+def _dual_solve(
+    p: SparsePolynomial, seed: int, budget: int, curve: _Curve | None, minima: list | None
+) -> tuple[float, DualVector]:
+    """The dual program from a point on `curve` when there is one, falling
+    back to the multistart minima (`minima`, computed here when None)."""
+    if curve is not None:
+        x = _curve_point(p, curve)
+        if x is not None:
+            try:
+                return _dual_descent(p, [x], budget)
+            except DualSolveError:
+                pass
+    if minima is None:
+        minima = _local_minima(p, seed)
+    return _dual_descent(p, [z for _, z in minima], budget)
+
+
+def _dual_descent(p: SparsePolynomial, starts: list, budget: int) -> tuple[float, DualVector]:
+    """Best verified moment vector of the start points, then the descent."""
     support = _extended_support(p)
     catalog = enumerate_circuits(support)
     c_vec = {exp: p.coefficients.get(exp, 0.0) for exp in support.points}
@@ -449,15 +555,14 @@ def dual_program_solve(
         return sonc_dual_membership(support, v, tol=DUAL_FEAS_TOL, catalog=catalog).member
 
     best_val, best_v = None, None
-    for _, z in _local_minima(p, seed):
+    for z in starts:
         try:
             v = moment_vector(z, support)
         except (ValueError, OverflowError):  # a moment overflowed the float range
             continue
-        if feasible(v):
-            val = objective(v)
-            if best_val is None or val < best_val:
-                best_val, best_v = val, v
+        val = objective(v)
+        if math.isfinite(val) and feasible(v) and (best_val is None or val < best_val):
+            best_val, best_v = val, v
     if best_v is None:
         raise DualSolveError("no feasible dual iterate found", None, None)
 
@@ -474,8 +579,9 @@ def dual_program_solve(
                 x = 0.0
             trial_vals[exp] = x
         trial = DualVector(support, trial_vals)
-        if feasible(trial) and objective(trial) < best_val - 1e-12:
-            best_val, best_v = objective(trial), trial
+        val = objective(trial)
+        if val < best_val - 1e-12 and math.isfinite(val) and feasible(trial):
+            best_val, best_v = val, trial
             eta *= 1.5
         else:
             eta *= 0.5
@@ -555,11 +661,21 @@ def _verify_moments(z, pts, vals, tol) -> bool:
 def certify_optimality(p: SparsePolynomial, seed: int = 0, budget: int = 5000) -> BoundResult:
     """Primal bound, dual solve, and moment recovery of an optimal point.
 
+    A polynomial that is unbounded at its Newton polytope is settled there:
+    p_sonc is -inf, and dual_point and p_dual come from one point on the
+    exposing curve, improved by the dual descent.  Otherwise the multistart
+    descent runs once and seeds both the primal bracket and the dual.
     Optimality is claimed only when a recovered point's value matches the
     dual objective and the certified primal bound closes the gap, so the
     sandwich p_sonc <= inf p <= p(z) = p_dual pins the infimum."""
-    primal = sonc_lower_bound(p, budget=budget, seed=seed)
-    value, v = dual_program_solve(p, seed=seed)
+    curve = _unbounded_curve(p)
+    if curve is not None:
+        minima = None
+        primal = _UNBOUNDED
+    else:
+        minima = _local_minima(p, seed)
+        primal = _bisect_bound(p, budget, minima[0][0])
+    value, v = _dual_solve(p, seed, 40, curve, minima)  # dual_program_solve's budget
     scale = _scale(p)
     support = _extended_support(p)
     z = recover_optimizer(v, support)

@@ -34,15 +34,20 @@ def is_even_point(point: Sequence[int]) -> bool:
     return all(e % 2 == 0 for e in point)
 
 
-def _affine_coordinates(vertices: Sequence[Exponent], targets: Sequence[Sequence[int]]) -> list[list[Fraction] | None]:
-    """Exact affine weights of every target over affinely independent vertices.
+def _affine_coordinates(
+    vertices: Sequence[Exponent], targets: Sequence[Sequence[int]]
+) -> tuple[list[bool], dict[int, list[Fraction]]]:
+    """Where every target lies relative to affinely independent vertices.
 
     One fraction-free (Bareiss) Gauss-Jordan elimination on Python ints over
     the lifted matrix [1 ... 1; vertices | 1 ... 1; targets], so entries stay
-    exact at any exponent size.  For each target, the weights mu with
-    sum(mu) = 1 and sum(mu_i * v_i) = target, or None when the target lies
-    outside the affine hull.  Raises AffinelyDependentError when some vertex
-    column gets no pivot.
+    exact at any exponent size.  The affine weights mu of a target (sum(mu)
+    = 1, sum(mu_i * v_i) = target) are integer numerators over their row's
+    pivot.  Returns, per target, whether it lies outside the affine hull,
+    and the weights of the targets in the relative interior (every mu_i >
+    0), keyed by target position; the signs are read off the integers, so
+    Fractions are built for those targets only.  Raises
+    AffinelyDependentError when some vertex column gets no pivot.
     """
     k = len(vertices)
     rows = [[1] * (k + len(targets)), *map(list, zip(*vertices, *targets))]
@@ -60,10 +65,13 @@ def _affine_coordinates(vertices: Sequence[Exponent], targets: Sequence[Sequence
                 # Bareiss: every entry is a minor of the input, so prev divides exactly.
                 rows[i] = [(p * x - a * y) // prev for x, y in zip(row, top)]
         prev = p
-    return [
-        None if any(row[j] for row in rows[k:]) else [Fraction(rows[i][j], rows[i][i]) for i in range(k)]
+    outside = [any(row[j] for row in rows[k:]) for j in range(k, k + len(targets))]
+    interior = {
+        j - k: [Fraction(rows[i][j], rows[i][i]) for i in range(k)]
         for j in range(k, k + len(targets))
-    ]
+        if not outside[j - k] and all(rows[i][j] * rows[i][i] > 0 for i in range(k))
+    }
+    return outside, interior
 
 
 def barycentric_coordinates(vertices: Sequence[Exponent], beta: Sequence[int]) -> list[Fraction] | None:
@@ -78,10 +86,7 @@ def barycentric_coordinates(vertices: Sequence[Exponent], beta: Sequence[int]) -
     n = len(vertices[0])
     if any(len(v) != n for v in vertices) or len(beta) != n:
         raise ValueError("dimension mismatch between vertices and inner point")
-    mu = _affine_coordinates(vertices, [beta])[0]
-    if mu is None or any(m <= 0 for m in mu):
-        return None  # outside the affine hull, on the boundary or outside
-    return mu
+    return _affine_coordinates(vertices, [beta])[1].get(0)  # None off the relative interior
 
 
 def affinely_independent(points: Sequence[Exponent]) -> bool:
@@ -282,13 +287,12 @@ def enumerate_circuits(support: SupportSet, max_even_points: int = 20) -> Circui
     found: list[Circuit] = [Circuit.make((points[i],), points[i]) for i in even]
 
     def grow(start: int, chosen: tuple[Exponent, ...]) -> None:
-        weights = _affine_coordinates(chosen, points)
+        outside, interior = _affine_coordinates(chosen, points)
         if len(chosen) >= 2:
-            for beta, mu in zip(points, weights):
-                if mu is not None and all(m > 0 for m in mu):
-                    found.append(Circuit(chosen, beta, tuple(mu), is_even_point(beta)))
+            for j, mu in interior.items():
+                found.append(Circuit(chosen, points[j], tuple(mu), is_even_point(points[j])))
         for j in range(start, len(even)):
-            if weights[even[j]] is None:
+            if outside[even[j]]:
                 grow(j + 1, chosen + (points[even[j]],))
 
     grow(0, ())

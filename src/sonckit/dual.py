@@ -236,11 +236,11 @@ def sonc_dual_membership(
     return MembershipReport(True, tuple(witnesses), None)
 
 
-def _scaled_quartic(v: Sequence[float], tol: float) -> tuple[tuple[float, ...], int, float]:
-    """(u, e, thr) with u = v / 2^e, 2^e the power of two just above m = max |v_i|
-    when m > 1 (else e = 0), so that a check c of degree d, c(v) >= -tol * max(1, m)^4,
-    reads ldexp(c(u), -e * (4 - d)) >= thr: the same inequality over 2^(4e), in which
-    no power of a large entry is formed."""
+def _scaled_quartic(v: Sequence[float]) -> tuple[tuple[float, ...], float]:
+    """(u, r) with u = v / 2^e, 2^e the power of two just above m = max |v_i|
+    when m > 1 (else e = 0), and r = max(1, m) / 2^e.  A check c of degree d,
+    c(v) >= -tol * max(1, m)^d, then reads c(u) >= -tol * r^d: the same
+    inequality over 2^(e d), in which no power of a large entry is formed."""
     if len(v) != 5:
         raise ValueError("expected a vector of length 5")
     vec = tuple(float(x) for x in v)
@@ -248,12 +248,12 @@ def _scaled_quartic(v: Sequence[float], tol: float) -> tuple[tuple[float, ...], 
         raise ValueError("quartic dual vectors must be finite")
     m = max(1.0, max(abs(x) for x in vec))
     e = math.frexp(m)[1] if m > 1.0 else 0
-    return tuple(math.ldexp(x, -e) for x in vec), e, -tol * math.ldexp(m, -e) ** 4
+    return tuple(math.ldexp(x, -e) for x in vec), math.ldexp(m, -e)
 
 
 def quartic_dual_membership(v: Sequence[float], tol: float = DEFAULT_TOL) -> bool:
     """Closed-form dual-cone test for univariate quartics (support 0..4)."""
-    (v0, v1, v2, v3, v4), e, thr = _scaled_quartic(v, tol)  # v scaled by 2^-e
+    (v0, v1, v2, v3, v4), r = _scaled_quartic(v)  # v scaled by 2^-e
     checks = (  # (degree, value)
         (1, v0),
         (1, v2),
@@ -264,12 +264,12 @@ def quartic_dual_membership(v: Sequence[float], tol: float = DEFAULT_TOL) -> boo
         (4, v0 * v4 ** 3 - v3 ** 4),
         (2, v2 * v4 - v3 ** 2),
     )
-    return all(math.ldexp(x, -e * (4 - d)) >= thr for d, x in checks)
+    return all(x >= -tol * r ** d for d, x in checks)
 
 
 def psd_dual_quartic(v: Sequence[float], tol: float = DEFAULT_TOL) -> bool:
     """Principal-minor test for the 3x3 Hankel moment matrix of (v0..v4)."""
-    (v0, v1, v2, v3, v4), e, thr = _scaled_quartic(v, tol)  # v scaled by 2^-e
+    (v0, v1, v2, v3, v4), r = _scaled_quartic(v)  # v scaled by 2^-e
     checks = (  # (degree, value)
         (1, v0),
         (1, v2),
@@ -279,7 +279,7 @@ def psd_dual_quartic(v: Sequence[float], tol: float = DEFAULT_TOL) -> bool:
         (2, v2 * v4 - v3 ** 2),
         (3, v0 * v2 * v4 + 2.0 * v1 * v2 * v3 - v2 ** 3 - v0 * v3 ** 2 - v1 ** 2 * v4),
     )
-    return all(math.ldexp(x, -e * (4 - d)) >= thr for d, x in checks)
+    return all(x >= -tol * r ** d for d, x in checks)
 
 
 def sage_dual_membership(support: SupportSet, v: DualVector, tol: float = DEFAULT_TOL) -> bool:

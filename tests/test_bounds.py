@@ -1,6 +1,7 @@
 """Feasibility decomposition, lower bounds, dual program, optimality."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from sonckit import (
     sonc_lower_bound,
     verify_certificate,
 )
+from sonckit import bounds
+from sonckit.bounds import DUAL_FEAS_TOL, _unbounded_curve
 
 from _gen import MOTZKIN_TEXT, eval_on_points, random_sparse_poly, random_support
 
@@ -315,3 +318,92 @@ class TestCertifyOptimality:
             xs = rng.uniform(-3.0, 3.0, size=(2000, n))
             assert float(eval_on_points(p, xs).min()) >= r.p_sonc - 1e-6 * scale
         assert checked >= 10
+
+
+def _criterion9_polys():
+    rng = np.random.default_rng(109)
+    polys = []
+    for _ in range(100):
+        n = int(rng.integers(1, 3))
+        polys.append(random_sparse_poly(rng, n, max_degree=6, max_terms=5))
+    return polys
+
+
+def _along_curve(p, w, s):
+    """The terms of p(s_i t^(w_i)) as exact (coefficient, exponent of t) pairs."""
+    terms = []
+    for exp, coef in p.coefficients.items():
+        sign = 1
+        for si, e in zip(s, exp):
+            sign *= int(si) ** e
+        terms.append((Fraction(coef) * sign, sum(wi * e for wi, e in zip(w, exp))))
+    return terms
+
+
+class TestNewtonPolytopeShortcut:
+    def test_flagged_curves_descend(self):
+        flagged = 0
+        for p in _criterion9_polys():
+            curve = _unbounded_curve(p)
+            if curve is None:
+                continue
+            flagged += 1
+            w, s = curve
+            assert all(type(wi) is int for wi in w) and all(si in (1.0, -1.0) for si in s)
+            # w exposes a single point alpha of supp(p) u {0}, exactly in integers;
+            # its term is negative along the curve, so it drives p to -inf.
+            points = set(p.coefficients) | {(0,) * p.n}
+            height = {beta: sum(wi * b for wi, b in zip(w, beta)) for beta in points}
+            top = max(height.values())
+            (alpha,) = [beta for beta in points if height[beta] == top]
+            assert top > 0
+            terms = _along_curve(p, w, s)
+            (lead,) = [c for c, e in terms if e == top]
+            assert lead < 0
+            # Past T the derivative along the curve is negative: for t >= 1,
+            # f'(t) <= t^(N-2) (lead * N * t + sum |c_j e_j|).
+            bound = sum(abs(c * e) for c, e in terms if e != top) / (abs(lead) * top)
+            k0 = 0
+            while 2**k0 < bound:
+                k0 += 1
+            values = [sum(c * Fraction(2) ** (e * (k0 + k)) for c, e in terms) for k in range(1, 7)]
+            assert all(a > b for a, b in zip(values, values[1:]))
+            assert sonc_lower_bound(p).status is Status.INFEASIBLE_UNBOUNDED
+        assert flagged == 83
+
+    @pytest.mark.parametrize("text", [MOTZKIN_TEXT, "1 + x1^4 - 3*x1^2", "1 + x1^2", "7"])
+    def test_bounded_not_flagged(self, text):
+        assert _unbounded_curve(parse_polynomial(text)) is None
+
+    def test_settled_without_oracle_calls(self):
+        trace: list = []
+        r = sonc_lower_bound(parse_polynomial("x1^2*x2 + 1"), trace=trace)
+        assert r.status is Status.INFEASIBLE_UNBOUNDED and r.p_sonc == -math.inf
+        assert trace == []
+
+    def test_multistart_runs_once(self, monkeypatch):
+        calls = []
+        real = bounds._local_minima
+
+        def counting(p, seed, *args, **kwargs):
+            calls.append(p)
+            return real(p, seed, *args, **kwargs)
+
+        monkeypatch.setattr(bounds, "_local_minima", counting)
+        certify_optimality(parse_polynomial("x1"))
+        assert calls == []
+        certify_optimality(motzkin())
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("text", ["x1", "38.18*x2", "x1^2*x2 + 1", "1 - x1^2 + x2^4", "2 - 3*x1^3*x2 + x1^2"])
+    def test_curve_dual_point(self, text):
+        p = parse_polynomial(text)
+        assert _unbounded_curve(p) is not None
+        r = certify_optimality(p)
+        assert r.status is Status.DUAL_ONLY and r.p_sonc == -math.inf
+        support = _extended(p)
+        assert sonc_dual_membership(support, r.dual_point, tol=DUAL_FEAS_TOL).member
+        assert r.dual_point[(0,) * p.n] == 1.0
+        assert r.p_dual == sum(p.coefficients.get(e, 0.0) * r.dual_point[e] for e in support.points)
+        # the curve point already lies below p(0) - scale
+        assert r.p_dual < p.coefficients.get((0,) * p.n, 0.0) - (1.0 + max(map(abs, p.coefficients.values())))

@@ -17,6 +17,7 @@ from sonckit import (
     enumerate_circuits,
     parse_polynomial,
 )
+from sonckit.circuits import _affine_coordinates
 
 from _gen import MOTZKIN_TEXT, brute_force_circuits, random_circuit, random_support
 
@@ -59,6 +60,13 @@ class TestBarycentric:
 
     def test_affinely_independent_empty(self):
         assert affinely_independent([])
+
+    def test_affine_coordinates_split(self):
+        # (2,) is interior; the vertex (4,) and (6,) lie on the line, off the
+        # open segment; (1, 1) leaves the line.
+        outside, interior = _affine_coordinates([(0, 0), (4, 0)], [(2, 0), (4, 0), (6, 0), (1, 1)])
+        assert outside == [False, False, False, True]
+        assert interior == {0: [Fraction(1, 2), Fraction(1, 2)]}
 
     def test_exact_near_exponent_cap(self):
         big = 2**20

@@ -134,6 +134,12 @@ class TestCheck:
         code, out, _ = run_main(["check", "quartic-dual", *flags, path], capsys)
         assert code == 0 and json.loads(out)["member"] is True
 
+    @pytest.mark.parametrize("flags", [[], ["--psd"]])
+    def test_quartic_tolerance_scales_with_degree(self, files, capsys, flags):
+        path = files("v.json", {"v": [1e10, 0, -1e10, 0, 1e10]})
+        code, out, _ = run_main(["check", "quartic-dual", *flags, path], capsys)
+        assert code == 1 and json.loads(out)["member"] is False
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -190,6 +196,19 @@ class TestBound:
         blob = json.loads(out, parse_constant=reject)
         # inf p = -2.5e307 at x1 = 1/2; a certified bound may not exceed it.
         assert blob["p_sonc"] is None or blob["p_sonc"] <= -2.5e307
+
+    @pytest.mark.parametrize("text", ["x1^6 + 1e303*x1^5", "1e308*x1^3"])
+    def test_huge_coefficients_answer_dual_only(self, files, capsys, text):
+        # Valid input: the bracket search stops where the shifted constant
+        # leaves the float range, and 1e308*x1^3 is settled at its Newton polytope.
+        code, out, err = run_main(["bound", files("h.txt", text)], capsys)
+        assert code == 1 and err == ""
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        blob = json.loads(out, parse_constant=reject)
+        assert blob["status"] == "dual_only" and blob["p_sonc"] is None
 
     def test_exponent_at_parser_cap(self, files, capsys):
         code, out, _ = run_main(["bound", files("cap.txt", "x1^1048576 - x1")], capsys)

@@ -405,6 +405,13 @@ class TestQuarticOracles:
         # v0^3 v4 - v1^4 = -15e400 lies below -tol * max|v_i|^4 = -1e391.
         assert not quartic_dual_membership([1e100, 2e100, 1e100, 0, 1e100])
 
+    @pytest.mark.parametrize("test", [quartic_dual_membership, psd_dual_quartic])
+    def test_tolerance_scales_with_degree(self, test):
+        # v2 = -1e10 fails the degree-1 check v2 >= -tol * max|v_i|; a
+        # tolerance of tol * max|v_i|^4 = 1e31 would let it pass.
+        assert not test([1e10, 0, -1e10, 0, 1e10])
+        assert test([1e10, 0, 1e10, 0, 1e10])
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_rejected(self, bad):
         for test in (quartic_dual_membership, psd_dual_quartic):
