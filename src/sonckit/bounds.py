@@ -444,12 +444,7 @@ def _curve_point(p: SparsePolynomial, curve: _Curve) -> tuple[float, ...] | None
 _UNBOUNDED = BoundResult(-math.inf, None, None, None, None, Status.INFEASIBLE_UNBOUNDED)
 
 
-def sonc_lower_bound(
-    p: SparsePolynomial,
-    budget: int = 5000,
-    seed: int = 0,
-    trace: list | None = None,
-) -> BoundResult:
+def sonc_lower_bound(p: SparsePolynomial, budget: int = 5000, seed: int = 0) -> BoundResult:
     """Largest gamma with p - gamma certified in the cone, by bisection.
 
     A polynomial with an odd or negative vertex of its Newton polytope (with
@@ -457,14 +452,13 @@ def sonc_lower_bound(
     search, as infeasible_unbounded.  Otherwise gamma_hi starts at the best
     multistart value of p (always an upper bound on the infimum); a feasible
     lower bracket is found by doubling steps, and failing that the status is
-    infeasible_unbounded.  When `trace` is a list, every oracle call is
-    appended as (gamma, certified)."""
+    infeasible_unbounded."""
     if _unbounded_curve(p) is not None:
         return _UNBOUNDED
-    return _bisect_bound(p, budget, _local_minima(p, seed)[0][0], trace)
+    return _bisect_bound(p, budget, _local_minima(p, seed)[0][0])
 
 
-def _bisect_bound(p: SparsePolynomial, budget: int, gamma_hi: float, trace: list | None = None) -> BoundResult:
+def _bisect_bound(p: SparsePolynomial, budget: int, gamma_hi: float) -> BoundResult:
     """Bracket and bisect gamma below the upper bound gamma_hi."""
     support = _extended_support(p)
     catalog = enumerate_circuits(support)
@@ -479,8 +473,6 @@ def _bisect_bound(p: SparsePolynomial, budget: int, gamma_hi: float, trace: list
             return None
         q = SparsePolynomial(support, {e: c for e, c in shifted.items() if c != 0.0})
         cert = sonc_feasibility(q, catalog, budget=budget)
-        if trace is not None:
-            trace.append((gamma, cert is not None))
         return replace(cert, gamma=gamma) if cert is not None else None
 
     cert = attempt(gamma_hi)

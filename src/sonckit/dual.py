@@ -19,7 +19,8 @@ from one linear map precomputed per circuit (the system is consistent since
 sum_j lambda_j (beta - alpha(j)) = 0 and sum_j lambda_j (b_j - s) = 0).
 
 The test runs vectorized over a catalog, one arity group at a time.  The
-minimax LP solver in `minimax_lp` now serves only the dual SAGE test.
+dual SAGE test has no such closed form: it solves one minimax LP per support
+point, on HiGHS, or by the crossing of lines when the support is univariate.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.optimize import linprog
 
 from .circuits import ArityGroup, Circuit, CircuitCatalog, enumerate_circuits
 from .entropy import DEFAULT_TOL, xlogx_over
-from .minimax_lp import minimax_simplex
 from .polynomials import DualVector, SupportSet
 
 #: |v_beta| at or below this never enters a pairing; v* = 0 certifies.
@@ -70,9 +71,11 @@ def lp_min_infeasibility(rows: Sequence[tuple[Sequence[float], float]]) -> tuple
     """min over tau of max_j (b_j - a_j . tau), plus an attaining tau; the
     LP behind the dual SAGE test.
 
-    The epigraph form is always feasible; -inf means every row can be
-    satisfied with arbitrarily large slack, and the returned tau already
-    clears them all by at least 1.
+    One variable solves in closed form (`_minimax_line`); more go to HiGHS
+    as the epigraph LP  min t  s.t.  b_j - a_j . tau <= t,  tau and t free.
+    That LP is always feasible; -inf means every row can be satisfied with
+    arbitrarily large slack, and the returned tau, from a second solve with
+    t >= -1, already clears them all by at least 1.
     """
     if not rows:
         raise ValueError("need at least one row")
@@ -81,7 +84,17 @@ def lp_min_infeasibility(rows: Sequence[tuple[Sequence[float], float]]) -> tuple
         raise ValueError("rows have mismatched dimensions")
     if n == 1:
         return _minimax_line([(float(a[0]), float(b)) for a, b in rows])
-    return minimax_simplex([[float(x) for x in a] for a, _ in rows], [float(b) for _, b in rows])
+    a_ub = np.hstack([-np.array([a for a, _ in rows], dtype=float), -np.ones((len(rows), 1))])
+    b_ub = -np.array([b for _, b in rows], dtype=float)
+    cost = np.eye(n + 1)[n]
+    lp = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=(None, None), method="highs")
+    value = lp.fun
+    if lp.status == 3:  # unbounded below
+        lp = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * n + [(-1.0, None)], method="highs")
+        value = -math.inf
+    if lp.status != 0:
+        raise RuntimeError(f"HiGHS failed on the epigraph LP: {lp.message}")
+    return float(value), tuple(lp.x[:n].tolist())
 
 
 def _minimax_line(rows: list[tuple[float, float]]) -> tuple[float, tuple[float, ...]]:

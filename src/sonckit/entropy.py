@@ -20,8 +20,6 @@ from .circuits import Circuit
 #: Default absolute tolerance on a cone inequality after log-domain rescaling.
 DEFAULT_TOL = 1e-9
 
-ConePoint3 = tuple[float, float, float]
-
 
 def xlogx_over(y: float, lam: float) -> float:
     """y * log(y / lam) with the extended conventions; y, lam >= 0."""

@@ -33,6 +33,20 @@ def motzkin():
     return parse_polynomial(MOTZKIN_TEXT)
 
 
+def _record_oracle(monkeypatch) -> list:
+    """Wrap bounds.sonc_feasibility so that every call appends (q, certified)."""
+    calls = []
+    real = bounds.sonc_feasibility
+
+    def recording(q, *args, **kwargs):
+        cert = real(q, *args, **kwargs)
+        calls.append((q, cert is not None))
+        return cert
+
+    monkeypatch.setattr(bounds, "sonc_feasibility", recording)
+    return calls
+
+
 def _extended_support_of(A: SupportSet) -> SupportSet:
     return SupportSet(A.n, tuple(set(A.points) | {(0,) * A.n}))
 
@@ -160,11 +174,16 @@ class TestLowerBound:
         assert r.certificate.gamma == r.p_sonc
         assert verify_certificate(p, r.certificate, catalog)
 
-    def test_trace_is_monotone(self):
+    def test_trace_is_monotone(self, monkeypatch):
         # no gamma may certify after a smaller gamma failed
+        calls = _record_oracle(monkeypatch)
         for text in (MOTZKIN_TEXT, "1 + x1^4 - 3*x1^2", "1 + x1^6 - 2*x1^3 + 0.5*x1^2"):
-            trace: list = []
-            sonc_lower_bound(parse_polynomial(text), trace=trace)
+            p = parse_polynomial(text)
+            calls.clear()
+            sonc_lower_bound(p)
+            zero = (0,) * p.n
+            constant = p.coefficients.get(zero, 0.0)
+            trace = [(constant - q.coefficients.get(zero, 0.0), ok) for q, ok in calls]
             failed = [g for g, ok in trace if not ok]
             certified = [g for g, ok in trace if ok]
             if failed and certified:
@@ -375,11 +394,11 @@ class TestNewtonPolytopeShortcut:
     def test_bounded_not_flagged(self, text):
         assert _unbounded_curve(parse_polynomial(text)) is None
 
-    def test_settled_without_oracle_calls(self):
-        trace: list = []
-        r = sonc_lower_bound(parse_polynomial("x1^2*x2 + 1"), trace=trace)
+    def test_settled_without_oracle_calls(self, monkeypatch):
+        calls = _record_oracle(monkeypatch)
+        r = sonc_lower_bound(parse_polynomial("x1^2*x2 + 1"))
         assert r.status is Status.INFEASIBLE_UNBOUNDED and r.p_sonc == -math.inf
-        assert trace == []
+        assert calls == []
 
     def test_multistart_runs_once(self, monkeypatch):
         calls = []

@@ -26,7 +26,6 @@ from sonckit import (
     sonc_dual_membership,
     xlogx_over,
 )
-from sonckit.minimax_lp import minimax_simplex
 
 from _gen import moment_mixture, near_quartic_boundary, random_circuit, random_support
 
@@ -79,21 +78,18 @@ class TestMinimaxLP:
         assert res.status == 0
         return res.fun
 
-    def test_line_path_matches_simplex_and_scipy(self):
+    def test_line_path_matches_scipy(self):
         rng = np.random.default_rng(41)
         for _ in range(300):
             m = int(rng.integers(1, 6))
             rows = [((float(rng.integers(-4, 5)),), float(rng.uniform(-5, 5))) for _ in range(m)]
             t_line, tau_line = lp_min_infeasibility(rows)
-            t_simplex, tau_simplex = minimax_simplex([list(a) for a, _ in rows], [b for _, b in rows])
             oracle = self._scipy_oracle(rows)
             if math.isinf(oracle):
-                assert t_line == -math.inf and t_simplex == -math.inf
+                assert t_line == -math.inf
             else:
                 assert t_line == pytest.approx(oracle, abs=1e-8)
-                assert t_simplex == pytest.approx(oracle, abs=1e-8)
                 assert minimax_value(rows, tau_line) == pytest.approx(t_line, abs=1e-9)
-                assert minimax_value(rows, tau_simplex) == pytest.approx(t_simplex, abs=1e-9)
 
     def test_simplex_matches_scipy_in_higher_dimension(self):
         rng = np.random.default_rng(42)
@@ -488,7 +484,54 @@ class TestPairing:
             done += 1
 
 
+def sage_rows(points, vals, i):
+    """The rows of the dual SAGE LP for index i, or None when a row is +inf."""
+    rows = []
+    for j, (p, vj) in enumerate(zip(points, vals)):
+        if j != i:
+            b = xlogx_over(vals[i], vj)
+            if math.isinf(b):
+                return None
+            rows.append((tuple(float(x - y) for x, y in zip(points[i], p)), b))
+    return rows
+
+
 class TestSageDual:
+    def test_line_path_matches_highs_on_embedded_supports(self):
+        # A univariate support embedded as {(a, 0)} gives every LP a second
+        # tau coordinate with zero coefficients: the same value, solved on
+        # HiGHS instead of by the crossing of lines.
+        rng = np.random.default_rng(55)
+        verdicts = dict.fromkeys((True, False), 0)
+        unbounded = 0
+        for _ in range(60):
+            line = random_support(rng, 1, max_points=6, max_entry=8)
+            plane = SupportSet.of([(a, 0) for (a,) in line.points], n=2)
+            x = 10.0 ** rng.uniform(-0.5, 0.5)
+            moments = [x ** a for (a,) in line.points]
+            perturbed = [m * rng.uniform(0.8, 1.6) if a % 2 else m for (a,), m in zip(line.points, moments)]
+            zeroed = [0.0 if rng.uniform() < 0.3 else m for m in moments]
+            for vals in (moments, perturbed, zeroed):
+                member = sage_dual_membership(line, DualVector(line, dict(zip(line.points, vals))))
+                assert sage_dual_membership(plane, DualVector(plane, dict(zip(plane.points, vals)))) == member
+                verdicts[member] += 1
+                for i in range(len(vals)):
+                    rows = sage_rows(line.points, vals, i)
+                    if not rows:  # a +inf row, or a single point
+                        continue
+                    t_line, _ = lp_min_infeasibility(rows)
+                    plane_rows = [((a[0], 0.0), b) for a, b in rows]
+                    t_plane, tau_plane = lp_min_infeasibility(plane_rows)
+                    if t_line == -math.inf:
+                        unbounded += 1
+                        assert t_plane == -math.inf
+                        assert minimax_value(plane_rows, tau_plane) <= -1.0 + 1e-9
+                    else:
+                        scale = max(1.0, max(abs(b) for _, b in rows))
+                        assert t_plane == pytest.approx(t_line, abs=1e-8 * scale)
+                        assert minimax_value(plane_rows, tau_plane) == pytest.approx(t_plane, abs=1e-8 * scale)
+        assert min(verdicts.values()) >= 40 and unbounded >= 100, (verdicts, unbounded)
+
     def test_all_ones(self):
         v = dv4([1, 1, 1, 1, 1])
         assert sage_dual_membership(A4, v)
