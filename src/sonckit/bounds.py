@@ -16,6 +16,13 @@ seed it, and a recovered point z with matching moments certifies optimality.
 Both programs first look at the Newton polytope: a polynomial with an odd or
 negative nonzero vertex is unbounded below, which settles the primal, and a
 point on the curve exposing that vertex seeds the dual instead.
+
+Values, gradients and moment vectors come from the polynomial module, whose
+arithmetic never raises on overflow.  The multistart descent reads a
+non-finite value as 1e300 and a non-finite gradient entry as 0; a start,
+curve or recovered point whose moment vector leaves the float range is
+skipped on the ValueError that DualVector raises.  Forming the curve point
+x(t) itself is the one place an OverflowError is caught.
 """
 
 from __future__ import annotations
@@ -315,52 +322,34 @@ def sonc_feasibility(
     return cert if verify_certificate(p, cert, catalog) else None
 
 
-def _safe_eval(p: SparsePolynomial):
+def _descent_functions(p: SparsePolynomial):
+    """p and its gradient as BFGS sees them: a non-finite value reads as
+    1e300 and a non-finite gradient entry as 0."""
+
     def f(x) -> float:
-        try:
-            val = p.evaluate(x)
-        except OverflowError:
-            return 1e300
+        val = p.evaluate(x)
         return val if math.isfinite(val) else 1e300
 
-    return f
-
-
-def _poly_gradient(p: SparsePolynomial, x) -> np.ndarray:
-    g = np.zeros(p.n)
-    for exp, coef in p.coefficients.items():
-        for i, e in enumerate(exp):
-            if not e:
-                continue
-            term = coef * e
-            for j, ej in enumerate(exp):
-                pw = ej - 1 if j == i else ej
-                if pw:
-                    term *= x[j] ** pw
-            g[i] += term
-    return g
-
-
-def _safe_grad(p: SparsePolynomial):
     def g(x) -> np.ndarray:
-        try:
-            out = _poly_gradient(p, x)
-        except OverflowError:
-            return np.zeros(p.n)
+        out = np.array(p.gradient(x))
         return np.where(np.isfinite(out), out, 0.0)
 
-    return g
+    return f, g
 
 
-def _local_minima(p: SparsePolynomial, seed: int, starts: int = 12) -> list[tuple[float, tuple[float, ...]]]:
+#: Random starts of the multistart descent, besides 0 and +-1.
+_RANDOM_STARTS = 12
+
+
+def _local_minima(p: SparsePolynomial, seed: int) -> list[tuple[float, tuple[float, ...]]]:
     """Deterministic multistart descent; (value, point) pairs sorted by value."""
     n = p.n
     if n == 0:
         return [(p.evaluate(()), ())]
     rng = np.random.default_rng(seed)
     inits = [np.zeros(n), np.ones(n), -np.ones(n)]
-    inits += list(rng.uniform(-3.0, 3.0, size=(starts, n)))
-    f, g = _safe_eval(p), _safe_grad(p)
+    inits += list(rng.uniform(-3.0, 3.0, size=(_RANDOM_STARTS, n)))
+    f, g = _descent_functions(p)
     found: list[tuple[float, tuple[float, ...]]] = []
     # Descent on an unbounded polynomial runs off to huge iterates; the
     # resulting overflow warnings are expected noise, not errors.
@@ -368,12 +357,8 @@ def _local_minima(p: SparsePolynomial, seed: int, starts: int = 12) -> list[tupl
         warnings.simplefilter("ignore", RuntimeWarning)
         for x0 in inits:
             res = sciopt.minimize(f, x0, jac=g, method="BFGS", options={"maxiter": 200})
-            val = f(res.x)
-            if math.isfinite(val):
-                found.append((float(val), tuple(float(v) for v in res.x)))
-            start_val = f(x0)
-            if math.isfinite(start_val):
-                found.append((float(start_val), tuple(float(v) for v in x0)))
+            found.append((f(res.x), tuple(float(v) for v in res.x)))
+            found.append((f(x0), tuple(float(v) for v in x0)))
     found.sort(key=lambda t: t[0])
     return found
 
@@ -428,11 +413,10 @@ def _curve_point(p: SparsePolynomial, curve: _Curve) -> tuple[float, ...] | None
     w, s = curve
     support = _extended_support(p)
     target = p.coefficients.get((0,) * p.n, 0.0) - _scale(p)
-    f = _safe_eval(p)
     for k in range(65):
         try:
             x = tuple(si * 2.0 ** (k * wi) for si, wi in zip(s, w))
-            if f(x) < target:
+            if p.evaluate(x) < target:
                 moment_vector(x, support)
                 return x
         except (ValueError, OverflowError):  # x or a moment beyond the float range
@@ -502,9 +486,11 @@ def _bisect_bound(p: SparsePolynomial, budget: int, gamma_hi: float) -> BoundRes
     return BoundResult(lo, None, cert, None, None, Status.CERTIFIED)
 
 
-def dual_program_solve(
-    p: SparsePolynomial, seed: int = 0, budget: int = 40
-) -> tuple[float, DualVector]:
+#: Step attempts of the dual descent after its best verified start.
+_DUAL_STEPS = 40
+
+
+def dual_program_solve(p: SparsePolynomial, seed: int = 0) -> tuple[float, DualVector]:
     """Minimize the coefficient pairing over the dual cone, with the constant
     coordinate normalized to 1.
 
@@ -513,11 +499,11 @@ def dual_program_solve(
     minimizers of p.  Each is verified by the membership oracle.  A
     projected step-shrinking descent along -c then tries to improve while
     keeping verified membership.  Deterministic for a fixed seed."""
-    return _dual_solve(p, seed, budget, _unbounded_curve(p), None)
+    return _dual_solve(p, seed, _unbounded_curve(p), None)
 
 
 def _dual_solve(
-    p: SparsePolynomial, seed: int, budget: int, curve: _Curve | None, minima: list | None
+    p: SparsePolynomial, seed: int, curve: _Curve | None, minima: list | None
 ) -> tuple[float, DualVector]:
     """The dual program from a point on `curve` when there is one, falling
     back to the multistart minima (`minima`, computed here when None)."""
@@ -525,15 +511,15 @@ def _dual_solve(
         x = _curve_point(p, curve)
         if x is not None:
             try:
-                return _dual_descent(p, [x], budget)
+                return _dual_descent(p, [x])
             except DualSolveError:
                 pass
     if minima is None:
         minima = _local_minima(p, seed)
-    return _dual_descent(p, [z for _, z in minima], budget)
+    return _dual_descent(p, [z for _, z in minima])
 
 
-def _dual_descent(p: SparsePolynomial, starts: list, budget: int) -> tuple[float, DualVector]:
+def _dual_descent(p: SparsePolynomial, starts: list) -> tuple[float, DualVector]:
     """Best verified moment vector of the start points, then the descent."""
     support = _extended_support(p)
     catalog = enumerate_circuits(support)
@@ -550,7 +536,7 @@ def _dual_descent(p: SparsePolynomial, starts: list, budget: int) -> tuple[float
     for z in starts:
         try:
             v = moment_vector(z, support)
-        except (ValueError, OverflowError):  # a moment overflowed the float range
+        except ValueError:  # a moment beyond the float range
             continue
         val = objective(v)
         if math.isfinite(val) and feasible(v) and (best_val is None or val < best_val):
@@ -559,7 +545,7 @@ def _dual_descent(p: SparsePolynomial, starts: list, budget: int) -> tuple[float
         raise DualSolveError("no feasible dual iterate found", None, None)
 
     eta = 0.5
-    for _ in range(budget):
+    for _ in range(_DUAL_STEPS):
         if eta <= 1e-9:
             break
         trial_vals = {}
@@ -634,20 +620,13 @@ def recover_optimizer(
         z = list(mags)
         for i, s in zip(sign_coords, pattern):
             z[i] = s * mags[i]
-        if _verify_moments(z, pts, vals, tol):
+        try:
+            m = moment_vector(z, support)
+        except ValueError:  # a moment beyond the float range
+            continue
+        if all(abs(m[pt] - vals[pt]) <= tol * max(1.0, abs(vals[pt])) for pt in pts):
             return tuple(z)
     return None
-
-
-def _verify_moments(z, pts, vals, tol) -> bool:
-    for pt in pts:
-        m = 1.0
-        for zi, e in zip(z, pt):
-            if e:
-                m *= zi ** e
-        if abs(m - vals[pt]) > tol * max(1.0, abs(vals[pt])):
-            return False
-    return True
 
 
 def certify_optimality(p: SparsePolynomial, seed: int = 0, budget: int = 5000) -> BoundResult:
@@ -667,14 +646,14 @@ def certify_optimality(p: SparsePolynomial, seed: int = 0, budget: int = 5000) -
     else:
         minima = _local_minima(p, seed)
         primal = _bisect_bound(p, budget, minima[0][0])
-    value, v = _dual_solve(p, seed, 40, curve, minima)  # dual_program_solve's budget
+    value, v = _dual_solve(p, seed, curve, minima)
     scale = _scale(p)
     support = _extended_support(p)
     z = recover_optimizer(v, support)
     optimal_point = None
     if (
         z is not None
-        and abs(_safe_eval(p)(z) - value) <= 1e-6 * scale
+        and abs(p.evaluate(z) - value) <= 1e-6 * scale
         and math.isfinite(primal.p_sonc)
         and value - primal.p_sonc <= 1e-5 * scale
     ):

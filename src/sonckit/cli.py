@@ -117,7 +117,10 @@ def _cmd_check(args) -> int:
         return 0 if report.member else 1
     if args.kind == "sage-dual":
         v = DualVector.from_json_dict(json.loads(text))
-        member = sage_dual_membership(v.support, v, tol=args.tol)
+        try:
+            member = sage_dual_membership(v.support, v, tol=args.tol)
+        except RuntimeError as exc:  # HiGHS rejected an LP (e.g. entries beyond its range): no verdict
+            raise ValueError(exc) from None
         _emit({"member": member}, args.format)
         return 0 if member else 1
     # quartic-dual

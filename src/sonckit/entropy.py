@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .circuits import Circuit
+from .circuits import Circuit, log_circuit_number
 
 #: Default absolute tolerance on a cone inequality after log-domain rescaling.
 DEFAULT_TOL = 1e-9
@@ -92,17 +92,8 @@ def entropy_minimizer(circuit: Circuit, c: Sequence[float]) -> tuple[tuple[float
     barycentric coordinates, with value -exp(-D(mu, c)), i.e. minus the
     circuit number of c.
     """
-    if len(c) != circuit.k:
-        raise ValueError(f"expected {circuit.k} coefficients, got {len(c)}")
-    mu = [float(m) for m in circuit.barycentric]
-    d = 0.0
-    for ci, mi in zip(c, mu):
-        ci = float(ci)
-        if ci <= 0.0 or not math.isfinite(ci):
-            raise ValueError(f"coefficients must be positive and finite, got {ci}")
-        d += mi * (math.log(mi) - math.log(ci))
-    rho = math.exp(-d)
-    return tuple(rho * mi for mi in mu), -rho
+    rho = math.exp(log_circuit_number(c, circuit))
+    return tuple(rho * float(mi) for mi in circuit.barycentric), -rho
 
 
 def scalar_dual_member(r: float, s: float, t: float, tol: float = DEFAULT_TOL) -> bool:

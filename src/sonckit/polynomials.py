@@ -7,6 +7,12 @@ catalog built on top of a support set.
 
 Dual vectors (one real value per support point) live here too, together
 with the moment vector (x^alpha)_{alpha in A} induced by a point x.
+
+Evaluation, the gradient and moment vectors share one monomial kernel, and
+with it one overflow rule: polynomial arithmetic never raises on overflow (a
+power beyond the float range enters as +-inf, so a value may come back
+non-finite), and a non-finite moment vector is a ValueError, raised by
+DualVector like any other non-finite dual value.
 """
 
 from __future__ import annotations
@@ -131,17 +137,24 @@ class SparsePolynomial:
         return self.coefficients.get(tuple(point), 0.0)
 
     def evaluate(self, x: Sequence[float]) -> float:
-        """Evaluate at a real point, with the convention 0**0 = 1."""
-        if len(x) != self.n:
-            raise ValueError(f"point has dimension {len(x)}, polynomial needs {self.n}")
+        """Evaluate at a real point, with the convention 0**0 = 1; +-inf or
+        nan when a term leaves the float range."""
+        xs = _point(x, self.n)
         total = 0.0
-        for exp, coef in self.coefficients.items():
-            term = coef
-            for xi, e in zip(x, exp):
-                if e:
-                    term *= float(xi) ** e
-            total += term
+        for exp, coef in self.coefficients.items():  # not sum(): its float rounding changed in 3.12
+            total += _monomial(coef, xs, exp)
         return total
+
+    def gradient(self, x: Sequence[float]) -> list[float]:
+        """The partial derivatives at a real point, with 0**0 = 1; entries
+        may be non-finite, as in `evaluate`."""
+        xs = _point(x, self.n)
+        grad = [0.0] * self.n
+        for exp, coef in self.coefficients.items():
+            for i, e in enumerate(exp):
+                if e:
+                    grad[i] += _monomial(coef * e, xs, exp[:i] + (e - 1,) + exp[i + 1 :])
+        return grad
 
     def to_json_dict(self) -> dict:
         return {
@@ -206,22 +219,34 @@ class DualVector:
         return cls(support, dict(zip(pts, map(float, vals))))
 
 
+def _point(x: Sequence[float], n: int) -> list[float]:
+    if len(x) != n:
+        raise ValueError(f"point has dimension {len(x)}, expected {n}")
+    return [float(xi) for xi in x]
+
+
+def _monomial(start: float, x: list[float], exp: Exponent) -> float:
+    """start * prod_i x_i**e_i, multiplied left to right over the e_i != 0
+    (so 0**0 = 1).  A power beyond the float range enters as +-inf: this
+    never raises."""
+    for xi, e in zip(x, exp):
+        if e:
+            try:
+                start *= xi**e
+            except OverflowError:
+                start *= -math.inf if xi < 0.0 and e % 2 else math.inf
+    return start
+
+
 def evaluate(p: SparsePolynomial, x: Sequence[float]) -> float:
     return p.evaluate(x)
 
 
 def moment_vector(x: Sequence[float], support: SupportSet) -> DualVector:
-    """The vector (x^alpha)_{alpha in A}, with 0**0 = 1."""
-    if len(x) != support.n:
-        raise ValueError(f"point has dimension {len(x)}, support needs {support.n}")
-    values: dict[Exponent, float] = {}
-    for exp in support.points:
-        term = 1.0
-        for xi, e in zip(x, exp):
-            if e:
-                term *= float(xi) ** e
-        values[exp] = term
-    return DualVector(support, values)
+    """The vector (x^alpha)_{alpha in A}, with 0**0 = 1; a ValueError when
+    a moment leaves the float range."""
+    xs = _point(x, support.n)
+    return DualVector(support, {exp: _monomial(1.0, xs, exp) for exp in support.points})
 
 
 def parse_polynomial(text: str, n: int | None = None) -> SparsePolynomial:

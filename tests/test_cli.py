@@ -103,6 +103,12 @@ class TestCheck:
         ones = dict(SEP_POINT, values=[1, 1, 1, 1, 1])
         assert run_main(["check", "sage-dual", files("s.json", ones)], capsys)[0] == 0
 
+    def test_sage_dual_lp_rejected_exits_2(self, files, capsys):
+        # HiGHS rejects the LP these entries give; that is no verdict.
+        obj = {"n": 2, "points": [[0, 0], [2, 0], [0, 2], [1, 1]], "values": [1e40, 3e40, 2e40, 1e40]}
+        code, out, err = run_main(["check", "sage-dual", files("v.json", obj)], capsys)
+        assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
+
     def test_garbage_input_exits_2(self, files, capsys):
         code, _, err = run_main(["check", "dual-member", files("g.json", "{not json")], capsys)
         assert code == 2 and err.startswith("error:")
@@ -197,10 +203,19 @@ class TestBound:
         # inf p = -2.5e307 at x1 = 1/2; a certified bound may not exceed it.
         assert blob["p_sonc"] is None or blob["p_sonc"] <= -2.5e307
 
-    @pytest.mark.parametrize("text", ["x1^6 + 1e303*x1^5", "1e308*x1^3"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x1^6 + 1e303*x1^5",
+            "1e308*x1^3",
+            "-0.0*x1^60*x2^7 + 3.5*x2^7 + x1*x2^1000 - 7*x1^1000*x2^60 - 0.0*x1^60*x2^5",
+        ],
+    )
     def test_huge_coefficients_answer_dual_only(self, files, capsys, text):
         # Valid input: the bracket search stops where the shifted constant
-        # leaves the float range, and 1e308*x1^3 is settled at its Newton polytope.
+        # leaves the float range, 1e308*x1^3 is settled at its Newton polytope,
+        # and optimal-point recovery skips a candidate whose moments at the
+        # zero terms' exponents leave the float range.
         code, out, err = run_main(["bound", files("h.txt", text)], capsys)
         assert code == 1 and err == ""
 

@@ -134,6 +134,43 @@ class TestEvaluate:
             assert mono.evaluate(x) == direct
 
 
+    def test_overflow_gives_signed_inf(self):
+        # A power beyond the float range enters as +-inf; nothing raises.
+        assert parse_polynomial("x1^3").evaluate((-1e200,)) == -math.inf
+        assert parse_polynomial("1 + x1^4").evaluate((-1e200,)) == math.inf
+        assert math.isnan(parse_polynomial("x1^2 - x2^2").evaluate((1e200, 1e200)))
+
+
+class TestGradient:
+    def test_matches_termwise_numpy_reference(self):
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            n = int(rng.integers(1, 4))
+            p = random_sparse_poly(rng, n, max_terms=6)
+            x = rng.uniform(-2, 2, size=n)
+            want = np.zeros(n)
+            for exp, coef in p.coefficients.items():
+                for i, e in enumerate(exp):
+                    if e:
+                        term = coef * e
+                        for j, ej in enumerate(exp):
+                            pw = ej - 1 if j == i else ej
+                            if pw:
+                                term *= x[j] ** pw
+                        want[i] += term
+            assert p.gradient(x) == want.tolist()
+
+    def test_zero_power_convention(self):
+        assert parse_polynomial("3*x1 + x1*x2^2").gradient((0.0, 0.0)) == [3.0, 0.0]
+
+    def test_overflow_gives_signed_inf(self):
+        assert parse_polynomial("x1^3*x2").gradient((1e200, -1.0)) == [-math.inf, math.inf]
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            parse_polynomial("x1").gradient((1.0, 2.0))
+
+
 class TestMomentVector:
     def test_all_ones(self):
         p = parse_polynomial(MOTZKIN_TEXT)
@@ -163,6 +200,10 @@ class TestMomentVector:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             moment_vector((1.0,), SupportSet.of([(0, 0)]))
+
+    def test_moment_beyond_float_range_is_value_error(self):
+        with pytest.raises(ValueError, match="finite"):
+            moment_vector((1e200,), SupportSet.of([(0,), (2,)]))
 
 
 class TestTypes:

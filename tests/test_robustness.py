@@ -1,0 +1,88 @@
+"""Deterministic fuzzing of the command line on extreme inputs.
+
+Whatever the input, `main` returns 0, 1 or 2 and raises nothing; unless it
+exits 2, stdout is strict JSON (no NaN or Infinity), and on exit 2 it is
+empty, with one `error:` line on stderr instead of a verdict.
+"""
+
+import contextlib
+import io
+import json
+import math
+from unittest import mock
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from sonckit.cli import main
+
+#: Zero terms keep x1^60*x2^7 and x1^60*x2^5 in the support, and the moments
+#: of the recovered point there leave the float range.
+OVERFLOWING_MOMENTS = "-0.0*x1^60*x2^7 + 3.5*x2^7 + x1*x2^1000 - 7*x1^1000*x2^60 - 0.0*x1^60*x2^5"
+
+#: HiGHS rejects the dual SAGE LP built from these entries.
+SAGE_LP_REJECTED = '{"n":2,"points":[[0,0],[2,0],[0,2],[1,1]],"values":[1e40,3e40,2e40,1e40]}'
+
+FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=150)
+
+EXPONENTS = st.sampled_from([0, 1, 2, 3, 4, 5, 6, 7, 60, 999, 1000])
+MAGNITUDES = st.one_of(st.floats(-300.0, 300.0), st.floats(-3.0, 3.0)).map(lambda s: 10.0**s)
+COEFFICIENTS = st.one_of(
+    st.tuples(st.sampled_from([-1.0, 1.0]), MAGNITUDES).map(lambda t: t[0] * t[1]),
+    st.sampled_from([0.0, -0.0]),
+)
+
+
+def _term(first: bool, coef: float, exp: list[int]) -> str:
+    body = "*".join([repr(abs(coef))] + [f"x{i + 1}^{e}" for i, e in enumerate(exp) if e])
+    sign = "-" if math.copysign(1.0, coef) < 0 else ("" if first else "+")
+    return sign + body
+
+
+@st.composite
+def polynomial_texts(draw) -> str:
+    n = draw(st.integers(1, 3))
+    terms = draw(st.lists(st.tuples(COEFFICIENTS, st.lists(EXPONENTS, min_size=n, max_size=n)), min_size=1, max_size=5))
+    return " ".join(_term(i == 0, c, exp) for i, (c, exp) in enumerate(terms))
+
+
+@st.composite
+def dual_vectors(draw) -> str:
+    n = draw(st.integers(1, 3))
+    points = draw(st.lists(st.lists(st.integers(0, 6), min_size=n, max_size=n), min_size=1, max_size=6, unique_by=tuple))
+    signs = st.sampled_from([1.0, -1.0]) if draw(st.booleans()) else st.just(1.0)
+    entries = st.one_of(st.tuples(signs, MAGNITUDES).map(lambda t: t[0] * t[1]), st.just(0.0))
+    values = draw(st.lists(entries, min_size=len(points), max_size=len(points)))
+    return json.dumps({"n": n, "points": points, "values": values})
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-JSON constant {token}")
+
+
+def check_clean_exit(argv: list[str], text: str) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "-"])
+    assert code in (0, 1, 2), (argv, text)
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error:"), (argv, text)
+        assert err.getvalue().count("\n") == 1, (argv, text)
+    else:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+@FUZZ
+@given(polynomial_texts())
+@example(OVERFLOWING_MOMENTS)
+def test_polynomial_commands_exit_cleanly(text):
+    for command in ("bound", "certify", "circuits"):
+        check_clean_exit([command], text)
+
+
+@FUZZ
+@given(dual_vectors())
+@example(SAGE_LP_REJECTED)
+def test_dual_checks_exit_cleanly(text):
+    for kind in ("dual-member", "sage-dual"):
+        check_clean_exit(["check", kind], text)
