@@ -18,20 +18,24 @@ negative nonzero vertex is unbounded below, which settles the primal, and a
 point on the curve exposing that vertex seeds the dual instead.
 
 Values, gradients and moment vectors come from the polynomial module, whose
-arithmetic never raises on overflow.  The multistart descent reads a
-non-finite value as 1e300 and a non-finite gradient entry as 0; a start,
-curve or recovered point whose moment vector leaves the float range is
-skipped on the ValueError that DualVector raises.  Forming the curve point
-x(t) itself is the one place an OverflowError is caught.
+arithmetic never raises or warns on overflow.  The multistart descent runs
+BFGS from all its starts at once, as one (S, n) array on the batch
+value-and-gradient kernel.  It reads a non-finite value as 1e300 and a
+non-finite gradient entry as 0, a start whose search direction leaves the
+float range stops, and the (value, point) pairs it returns are evaluated
+again by SparsePolynomial.evaluate.  A start, curve or recovered point whose
+moment vector leaves the float range is skipped on the ValueError that
+DualVector raises.  Forming the curve point x(t) itself is the one place an
+OverflowError is caught.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 from scipy import optimize as sciopt
@@ -39,7 +43,7 @@ from scipy import optimize as sciopt
 from .circuits import CircuitCatalog, enumerate_circuits, is_even_point
 from .dual import sonc_dual_membership
 from .nonneg import CircuitPolynomial, is_nonneg_circuit
-from .polynomials import DualVector, Exponent, SparsePolynomial, SupportSet, moment_vector
+from .polynomials import DualVector, Exponent, SparsePolynomial, SupportSet, moment_vector, value_and_gradient
 
 #: Membership tolerance used when verifying dual iterates.
 DUAL_FEAS_TOL = 1e-7
@@ -150,6 +154,28 @@ def verify_certificate(p: SparsePolynomial, cert: SoncCertificate, catalog: Circ
     return True
 
 
+def _host_level(consts: list[float], ms: list[float]) -> float:
+    """The root L of need(L) = sum_i exp((L - c_i) / m_i) = 1.
+
+    Newton runs on h(L) = log need(L), which is convex and increasing.  From
+    L = max(c), where h >= 0, its iterates decrease monotonically to the
+    root; it stops once h <= 0 or a step is below 4e-16 max(1, |L|)."""
+    level = max(consts)
+    for _ in range(100):
+        zs = [(level - c0) / m for c0, m in zip(consts, ms)]
+        top = max(zs)
+        es = [math.exp(z - top) for z in zs]
+        total = sum(es)
+        h = top + math.log(total)
+        if h <= 0.0:
+            break
+        step = h * total / sum(e / m for e, m in zip(es, ms))
+        level -= step
+        if step <= 4e-16 * max(1.0, abs(level)):
+            break
+    return level
+
+
 def sonc_feasibility(
     p: SparsePolynomial, catalog: CircuitCatalog, budget: int = 5000
 ) -> SoncCertificate | None:
@@ -161,9 +187,9 @@ def sonc_feasibility(
     vertices and the residual.  The split is tuned by coordinate ascent in
     the log domain on the per-piece slack log Theta - log |delta| (inner
     weights proportional to Theta are the exact block optimum; vertex splits
-    are equalized by bisection).  The result is rounded to exact coverage
-    and re-checked; None means no certificate was found, never that one
-    cannot exist.
+    are equalized by a Newton root, `_host_level`).  The result is rounded
+    to exact coverage and re-checked; None means no certificate was found,
+    never that one cannot exist.
     """
     support = catalog.support
     for exp in p.coefficients:
@@ -239,21 +265,8 @@ def sonc_feasibility(
             m = mu[pi][i]
             consts.append(log_slack(pi) - m * math.log(u[pi][i]))
             ms.append(m)
-
-        def need(level: float) -> float:
-            return sum(math.exp(min((level - c0) / m, 700.0)) for c0, m in zip(consts, ms))
-
-        hi = max(consts)  # need(hi) >= 1 from its own claim
-        lo = min(c0 + m * math.log(1e-12) for c0, m in zip(consts, ms))
-        while need(lo) > 1.0:
-            lo -= 10.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if need(mid) > 1.0:
-                hi = mid
-            else:
-                lo = mid
-        shares = [math.exp(min((lo - c0) / m, 700.0)) for c0, m in zip(consts, ms)]
+        level = _host_level(consts, ms)
+        shares = [math.exp(min((level - c0) / m, 700.0)) for c0, m in zip(consts, ms)]
         s = sum(shares)
         for (pi, i), sh in zip(claims, shares):
             u[pi][i] = max(sh / s, 1e-300)
@@ -322,45 +335,100 @@ def sonc_feasibility(
     return cert if verify_certificate(p, cert, catalog) else None
 
 
-def _descent_functions(p: SparsePolynomial):
-    """p and its gradient as BFGS sees them: a non-finite value reads as
-    1e300 and a non-finite gradient entry as 0."""
-
-    def f(x) -> float:
-        val = p.evaluate(x)
-        return val if math.isfinite(val) else 1e300
-
-    def g(x) -> np.ndarray:
-        out = np.array(p.gradient(x))
-        return np.where(np.isfinite(out), out, 0.0)
-
-    return f, g
-
-
 #: Random starts of the multistart descent, besides 0 and +-1.
 _RANDOM_STARTS = 12
 
 
 def _local_minima(p: SparsePolynomial, seed: int) -> list[tuple[float, tuple[float, ...]]]:
-    """Deterministic multistart descent; (value, point) pairs sorted by value."""
+    """Deterministic multistart descent; (value, point) pairs sorted by value,
+    one for each start and one for the point its descent stopped at."""
     n = p.n
     if n == 0:
         return [(p.evaluate(()), ())]
     rng = np.random.default_rng(seed)
-    inits = [np.zeros(n), np.ones(n), -np.ones(n)]
-    inits += list(rng.uniform(-3.0, 3.0, size=(_RANDOM_STARTS, n)))
-    f, g = _descent_functions(p)
+    fixed = np.array([np.zeros(n), np.ones(n), -np.ones(n)])
+    starts = np.vstack([fixed, rng.uniform(-3.0, 3.0, size=(_RANDOM_STARTS, n))])
     found: list[tuple[float, tuple[float, ...]]] = []
-    # Descent on an unbounded polynomial runs off to huge iterates; the
-    # resulting overflow warnings are expected noise, not errors.
-    with warnings.catch_warnings(), np.errstate(all="ignore"):
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for x0 in inits:
-            res = sciopt.minimize(f, x0, jac=g, method="BFGS", options={"maxiter": 200})
-            found.append((f(res.x), tuple(float(v) for v in res.x)))
-            found.append((f(x0), tuple(float(v) for v in x0)))
+    for end, start in zip(_descend(p, starts), starts):
+        for x in (end, start):
+            val = p.evaluate(x)
+            found.append((val if math.isfinite(val) else 1e300, tuple(float(v) for v in x)))
     found.sort(key=lambda t: t[0])
     return found
+
+
+def _descend(p: SparsePolynomial, x: np.ndarray) -> np.ndarray:
+    """BFGS from every row of x at once; the rows where each descent stopped.
+
+    Each start keeps its own inverse Hessian and takes Armijo backtracking
+    steps (c1 = 1e-4, at most 60 halvings).  While its inverse Hessian is
+    still the identity the first trial step is min(1, 1/||g||_inf) times
+    -g, so no coordinate moves by more than 1; after the first step with
+    s'y > 0 it becomes (s'y / y'y) I (Nocedal-Wright eq. 6.20) before the
+    update, and steps with s'y <= 0 skip the update.  A start stops at
+    ||g||_inf <= 1e-5, a failed line search (which includes a direction
+    beyond the float range), a decrease below 1e-15 max(1, |f|), or 200
+    iterations.  A non-finite value reads as 1e300 and a non-finite
+    gradient entry as 0."""
+
+    def value_grad(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        vals, grads = value_and_gradient(p, pts)
+        return np.where(np.isfinite(vals), vals, 1e300), np.where(np.isfinite(grads), grads, 0.0)
+
+    x = x.copy()
+    count, n = x.shape
+    eye = np.eye(n)
+    f, g = value_grad(x)
+    inv_hess = np.repeat(eye[None], count, axis=0)
+    unscaled = np.ones(count, dtype=bool)
+    active = np.ones(count, dtype=bool)
+    for _ in range(200):
+        active &= np.abs(g).max(axis=1) > 1e-5
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        direction = -np.einsum("sij,sj->si", inv_hess[idx], g[idx])
+        slope = np.einsum("si,si->s", g[idx], direction)
+        step = np.where(unscaled[idx], np.minimum(1.0, 1.0 / np.abs(g[idx]).max(axis=1)), 1.0)
+        new_x, new_f, new_g = x[idx], f[idx], g[idx]
+        accepted = np.zeros(idx.size, dtype=bool)
+        pending = np.flatnonzero((slope < 0.0) & np.isfinite(slope) & np.isfinite(direction).all(axis=1))
+        for _ in range(61):
+            if pending.size == 0:
+                break
+            trial = x[idx[pending]] + step[pending, None] * direction[pending]
+            tf, tg = value_grad(trial)
+            ok = tf <= f[idx[pending]] + 1e-4 * step[pending] * slope[pending]
+            hit = pending[ok]
+            new_x[hit], new_f[hit], new_g[hit] = trial[ok], tf[ok], tg[ok]
+            accepted[hit] = True
+            pending = pending[~ok]
+            step[pending] *= 0.5
+        active[idx[~accepted]] = False
+        moved = idx[accepted]
+        # On extreme inputs the curvature pair and the update can leave the
+        # float range; the next direction is then non-finite and the start
+        # stops (above).
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            s = new_x[accepted] - x[moved]
+            y = new_g[accepted] - g[moved]
+            stalled = f[moved] - new_f[accepted] < 1e-15 * np.maximum(1.0, np.abs(new_f[accepted]))
+            x[moved], f[moved], g[moved] = new_x[accepted], new_f[accepted], new_g[accepted]
+            active[moved[stalled]] = False
+
+            sy = np.einsum("si,si->s", s, y)
+            curved = sy > 0.0
+            s, y, sy, moved = s[curved], y[curved], sy[curved], moved[curved]
+            first = unscaled[moved]
+            inv_hess[moved[first]] = (sy[first] / np.einsum("si,si->s", y[first], y[first]))[:, None, None] * eye
+            unscaled[moved] = False
+            # H <- (I - rho s y') H (I - rho y s') + rho s s', expanded to O(n^2).
+            rho = 1.0 / sy
+            hy = np.einsum("sij,sj->si", inv_hess[moved], y)
+            ss = rho * (1.0 + rho * np.einsum("si,si->s", y, hy))
+            cross = np.einsum("s,si,sj->sij", rho, s, hy)
+            inv_hess[moved] += np.einsum("s,si,sj->sij", ss, s, s) - cross - cross.transpose(0, 2, 1)
+    return x
 
 
 #: Integer weights w and signs s of the curve x(t) = (s_i t^(w_i)), t > 0.
@@ -614,8 +682,6 @@ def recover_optimizer(
     sign_coords = [i for i in range(n) if mags[i] > 0.0 and any(pt[i] % 2 for pt in pts)]
     if len(sign_coords) > 16:
         return None
-    from itertools import product
-
     for pattern in product((1.0, -1.0), repeat=len(sign_coords)):
         z = list(mags)
         for i, s in zip(sign_coords, pattern):

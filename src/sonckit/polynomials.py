@@ -8,8 +8,9 @@ catalog built on top of a support set.
 Dual vectors (one real value per support point) live here too, together
 with the moment vector (x^alpha)_{alpha in A} induced by a point x.
 
-Evaluation, the gradient and moment vectors share one monomial kernel, and
-with it one overflow rule: polynomial arithmetic never raises on overflow (a
+Evaluation and moment vectors share one monomial kernel; values and
+gradients at a batch of points come from a vectorized one.  Both keep one
+overflow rule: polynomial arithmetic never raises or warns on overflow (a
 power beyond the float range enters as +-inf, so a value may come back
 non-finite), and a non-finite moment vector is a ValueError, raised by
 DualVector like any other non-finite dual value.
@@ -20,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 Exponent = tuple[int, ...]
 
@@ -145,17 +148,6 @@ class SparsePolynomial:
             total += _monomial(coef, xs, exp)
         return total
 
-    def gradient(self, x: Sequence[float]) -> list[float]:
-        """The partial derivatives at a real point, with 0**0 = 1; entries
-        may be non-finite, as in `evaluate`."""
-        xs = _point(x, self.n)
-        grad = [0.0] * self.n
-        for exp, coef in self.coefficients.items():
-            for i, e in enumerate(exp):
-                if e:
-                    grad[i] += _monomial(coef * e, xs, exp[:i] + (e - 1,) + exp[i + 1 :])
-        return grad
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
@@ -236,6 +228,32 @@ def _monomial(start: float, x: list[float], exp: Exponent) -> float:
             except OverflowError:
                 start *= -math.inf if xi < 0.0 and e % 2 else math.inf
     return start
+
+
+def value_and_gradient(p: SparsePolynomial, points) -> tuple[np.ndarray, np.ndarray]:
+    """Values, shape (S,), and gradients, shape (S, n), of p at the rows of
+    an (S, n) array, with 0**0 = 1.  Like `evaluate` this never raises or
+    warns on overflow: entries beyond the float range come back +-inf or
+    nan."""
+    xs = np.asarray(points, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != p.n:
+        raise ValueError(f"points have shape {xs.shape}, expected (S, {p.n})")
+    exps = np.array(list(p.coefficients), dtype=np.int64).reshape(-1, p.n)  # (T, n)
+    coefs = np.array(list(p.coefficients.values()), dtype=float)
+    x = xs[:, None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        lowered = x ** np.maximum(exps - 1, 0)  # x_i^(alpha_i - 1), (S, T, n)
+        powers = np.where(exps > 0, lowered * x, 1.0)  # x_i^alpha_i
+        values = powers.prod(axis=2) @ coefs
+        # d/dx_i of c x^alpha is (c alpha_i) x_i^(alpha_i - 1) times the
+        # powers before and after i; the mask keeps a term with alpha_i = 0
+        # at exactly 0 even when those powers overflow.
+        ones = np.ones(powers.shape[:2] + (1,))
+        before = np.cumprod(np.concatenate([ones, powers[:, :, :-1]], axis=2), axis=2)
+        after = np.cumprod(np.concatenate([ones, powers[:, :, :0:-1]], axis=2), axis=2)[:, :, ::-1]
+        partial = before * lowered * after * (coefs[:, None] * exps)
+        grads = np.where(exps > 0, partial, 0.0).sum(axis=1)
+    return values, grads
 
 
 def evaluate(p: SparsePolynomial, x: Sequence[float]) -> float:

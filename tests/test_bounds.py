@@ -1,10 +1,12 @@
 """Feasibility decomposition, lower bounds, dual program, optimality."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from sonckit import (
     CircuitPolynomial,
@@ -24,7 +26,8 @@ from sonckit import (
     verify_certificate,
 )
 from sonckit import bounds
-from sonckit.bounds import DUAL_FEAS_TOL, _unbounded_curve
+from sonckit.bounds import DUAL_FEAS_TOL, _RANDOM_STARTS, _host_level, _local_minima, _unbounded_curve
+from sonckit.polynomials import value_and_gradient
 
 from _gen import MOTZKIN_TEXT, eval_on_points, random_sparse_poly, random_support
 
@@ -426,3 +429,82 @@ class TestNewtonPolytopeShortcut:
         assert r.p_dual == sum(p.coefficients.get(e, 0.0) * r.dual_point[e] for e in support.points)
         # the curve point already lies below p(0) - scale
         assert r.p_dual < p.coefficients.get((0,) * p.n, 0.0) - (1.0 + max(map(abs, p.coefficients.values())))
+
+
+class TestHostLevel:
+    """The Newton root of the host split against the bisection it replaced."""
+
+    @staticmethod
+    def need(level, consts, ms):
+        return sum(math.exp(min((level - c0) / m, 700.0)) for c0, m in zip(consts, ms))
+
+    def bisect(self, consts, ms):
+        hi = max(consts)
+        lo = min(c0 + m * math.log(1e-12) for c0, m in zip(consts, ms))
+        while self.need(lo, consts, ms) > 1.0:
+            lo -= 10.0
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if self.need(mid, consts, ms) > 1.0:
+                hi = mid
+            else:
+                lo = mid
+        return lo
+
+    def shares(self, level, consts, ms):
+        raw = [math.exp(min((level - c0) / m, 700.0)) for c0, m in zip(consts, ms)]
+        return [r / sum(raw) for r in raw]
+
+    def test_matches_bisection(self):
+        rng = np.random.default_rng(71)
+        for _ in range(2000):
+            k = int(rng.integers(1, 9))
+            consts = rng.uniform(-50.0, 50.0, size=k).tolist()
+            # One float step of L moves a share by about ulp(L) / m, so 1e-12
+            # is reachable only for m well above ulp(50) / 1e-12 = 0.007.
+            ms = rng.uniform(0.05, 1.0, size=k).tolist()
+            level = _host_level(consts, ms)
+            assert self.need(level, consts, ms) == pytest.approx(1.0, abs=1e-12)
+            want = self.shares(self.bisect(consts, ms), consts, ms)
+            assert self.shares(level, consts, ms) == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+class TestBatchedDescent:
+    """The batched multistart descent against scipy's BFGS from the same starts."""
+
+    @staticmethod
+    def scipy_best(p, seed=0):
+        rng = np.random.default_rng(seed)
+        starts = [np.zeros(p.n), np.ones(p.n), -np.ones(p.n)]
+        starts += list(rng.uniform(-3.0, 3.0, size=(_RANDOM_STARTS, p.n)))
+
+        def f(x):
+            val = p.evaluate(x)
+            return val if math.isfinite(val) else 1e300
+
+        def g(x):
+            grad = value_and_gradient(p, [x])[1][0]
+            return np.where(np.isfinite(grad), grad, 0.0)
+
+        best = math.inf
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for x0 in starts:
+                res = minimize(f, x0, jac=g, method="BFGS", options={"maxiter": 200})
+                best = min(best, f(res.x), f(x0))
+        return best
+
+    def test_no_worse_than_scipy_bfgs(self):
+        polys = [motzkin(), parse_polynomial("1 + x1^4 - 3*x1^2")]
+        rng = np.random.default_rng(109)  # criterion 9's draw
+        for _ in range(100):
+            p = random_sparse_poly(rng, int(rng.integers(1, 3)), max_degree=6, max_terms=5)
+            if _unbounded_curve(p) is None:
+                polys.append(p)
+        assert len(polys) == 19
+        for p in polys:
+            want = self.scipy_best(p)
+            # 1e-9 of the value too: one stiff input bottoms out near
+            # -3.45e20, where one float step is 65536.
+            tol = 1e-9 * max(1.0 + max(map(abs, p.coefficients.values())), abs(want))
+            assert _local_minima(p, 0)[0][0] <= want + tol, p.coefficients

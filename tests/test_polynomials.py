@@ -16,6 +16,7 @@ from sonckit import (
     parse_polynomial,
     serialize_polynomial,
 )
+from sonckit.polynomials import value_and_gradient
 
 from _gen import MOTZKIN_TEXT, random_sparse_poly
 
@@ -142,33 +143,42 @@ class TestEvaluate:
 
 
 class TestGradient:
+    """The batch value-and-gradient kernel."""
+
     def test_matches_termwise_numpy_reference(self):
+        # The kernel's array powers and product order round differently
+        # from the reference's scalar **, hence relative 1e-12, not equality.
         rng = np.random.default_rng(13)
         for _ in range(200):
             n = int(rng.integers(1, 4))
             p = random_sparse_poly(rng, n, max_terms=6)
-            x = rng.uniform(-2, 2, size=n)
-            want = np.zeros(n)
-            for exp, coef in p.coefficients.items():
-                for i, e in enumerate(exp):
-                    if e:
-                        term = coef * e
-                        for j, ej in enumerate(exp):
-                            pw = ej - 1 if j == i else ej
-                            if pw:
-                                term *= x[j] ** pw
-                        want[i] += term
-            assert p.gradient(x) == want.tolist()
+            xs = rng.uniform(-2, 2, size=(3, n))
+            values, grads = value_and_gradient(p, xs)
+            for x, value, grad in zip(xs, values, grads):
+                want = np.zeros(n)
+                for exp, coef in p.coefficients.items():
+                    for i, e in enumerate(exp):
+                        if e:
+                            term = coef * e
+                            for j, ej in enumerate(exp):
+                                pw = ej - 1 if j == i else ej
+                                if pw:
+                                    term *= x[j] ** pw
+                            want[i] += term
+                assert grad.tolist() == pytest.approx(want.tolist(), rel=1e-12, abs=1e-300)
+                assert value == pytest.approx(p.evaluate(x), rel=1e-12, abs=1e-300)
 
     def test_zero_power_convention(self):
-        assert parse_polynomial("3*x1 + x1*x2^2").gradient((0.0, 0.0)) == [3.0, 0.0]
+        values, grads = value_and_gradient(parse_polynomial("3*x1 + x1*x2^2"), [(0.0, 0.0)])
+        assert values.tolist() == [0.0] and grads.tolist() == [[3.0, 0.0]]
 
     def test_overflow_gives_signed_inf(self):
-        assert parse_polynomial("x1^3*x2").gradient((1e200, -1.0)) == [-math.inf, math.inf]
+        values, grads = value_and_gradient(parse_polynomial("x1^3*x2"), [(1e200, -1.0)])
+        assert values.tolist() == [-math.inf] and grads.tolist() == [[-math.inf, math.inf]]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            parse_polynomial("x1").gradient((1.0, 2.0))
+            value_and_gradient(parse_polynomial("x1"), [(1.0, 2.0)])
 
 
 class TestMomentVector:

@@ -46,6 +46,26 @@ def polynomial_texts(draw) -> str:
     return " ".join(_term(i == 0, c, exp) for i, (c, exp) in enumerate(terms))
 
 
+#: What may stand where a JSON number is expected.
+NON_NUMBERS = st.sampled_from([math.inf, -math.inf, math.nan, None, "x", [1.0]])
+
+
+def _spoil(draw, values: list) -> list:
+    """Half the time, one entry replaced by a non-finite number or a non-number."""
+    if values and draw(st.booleans()):
+        values[draw(st.integers(0, len(values) - 1))] = draw(NON_NUMBERS)
+    return values
+
+
+#: Pieces of polynomial text, valid and not.  Every piece that starts with a
+#: digit also holds a non-digit, so a variable index has at most two digits:
+#: the dimension, and with it the descent, stays small.
+TEXT_PIECES = st.sampled_from(
+    ["x1", "x2", "x", "X2", "x0", "^", "^2", "^-1", "^2.5", "^1000", "^9999999", "*", "**", "+", "-",
+     " ", "2.5", ".", "e", "1e400", "-0.0", "nan", "inf", "(", "x1^2", "+ 1", "- 3*x2^4"]
+)
+
+
 @st.composite
 def dual_vectors(draw) -> str:
     n = draw(st.integers(1, 3))
@@ -54,6 +74,33 @@ def dual_vectors(draw) -> str:
     entries = st.one_of(st.tuples(signs, MAGNITUDES).map(lambda t: t[0] * t[1]), st.just(0.0))
     values = draw(st.lists(entries, min_size=len(points), max_size=len(points)))
     return json.dumps({"n": n, "points": points, "values": values})
+
+
+@st.composite
+def circuit_checks(draw) -> str:
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):  # an even simplex, so many draws are circuits
+        d = draw(st.sampled_from([1, 2, 3, 30, 500]))
+        vertices = [[0] * n] + [[2 * d * (i == j) for j in range(n)] for i in range(n)]
+        beta = draw(st.lists(st.integers(0, 2 * d // n), min_size=n, max_size=n))
+    else:
+        vertices = draw(st.lists(st.lists(st.integers(0, 6), min_size=n, max_size=n), min_size=1, max_size=n + 2))
+        beta = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    k = len(vertices) + draw(st.sampled_from([0, 0, 0, 0, 0, 0, -1, 1]))
+    c = draw(st.lists(MAGNITUDES, min_size=k, max_size=k))
+    *c, delta = _spoil(draw, [*c, draw(COEFFICIENTS)])
+    return json.dumps({"vertices": vertices, "beta": beta, "c": c, "delta": delta})
+
+
+@st.composite
+def quartic_vectors(draw) -> str:
+    if draw(st.booleans()):  # a moment vector (t^0, ..., t^4): a member
+        t = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(-70.0, 70.0).map(lambda s: 10.0**s))
+        v = [t**k for k in range(5)]
+    else:
+        v = draw(st.lists(COEFFICIENTS, min_size=5, max_size=5) | st.lists(COEFFICIENTS, max_size=7))
+    v = _spoil(draw, v)
+    return json.dumps({"v": v} if draw(st.booleans()) else v)
 
 
 def _reject_constant(token):
@@ -86,3 +133,22 @@ def test_polynomial_commands_exit_cleanly(text):
 def test_dual_checks_exit_cleanly(text):
     for kind in ("dual-member", "sage-dual"):
         check_clean_exit(["check", kind], text)
+
+
+@FUZZ
+@given(circuit_checks())
+def test_nonneg_circuit_check_exits_cleanly(text):
+    check_clean_exit(["check", "nonneg-circuit"], text)
+
+
+@FUZZ
+@given(quartic_vectors())
+def test_quartic_checks_exit_cleanly(text):
+    check_clean_exit(["check", "quartic-dual"], text)
+    check_clean_exit(["check", "quartic-dual", "--psd"], text)
+
+
+@FUZZ
+@given(st.lists(TEXT_PIECES, min_size=1, max_size=8).map("".join))
+def test_malformed_text_through_bound_exits_cleanly(text):
+    check_clean_exit(["bound"], text)
