@@ -17,11 +17,12 @@ Both programs first look at the Newton polytope: a polynomial with an odd or
 negative nonzero vertex is unbounded below, which settles the primal, and a
 point on the curve exposing that vertex seeds the dual instead.
 
-Values, gradients and moment vectors come from the polynomial module, whose
-arithmetic never raises or warns on overflow.  The multistart descent runs
-BFGS from all its starts at once, as one (S, n) array on the batch
-value-and-gradient kernel.  It reads a non-finite value as 1e300 and a
-non-finite gradient entry as 0, a start whose search direction leaves the
+Values, derivatives and moment vectors come from the polynomial module,
+whose arithmetic never raises or warns on overflow.  The multistart descent
+runs damped Newton from all its starts at once, as one (S, n) array on the
+batch value-gradient-Hessian kernel.  It reads a non-finite value as 1e300
+and a non-finite gradient entry as 0, a row whose Hessian leaves the float
+range takes a gradient step, a start whose search direction leaves the
 float range stops, and the (value, point) pairs it returns are evaluated
 again by SparsePolynomial.evaluate.  A start, curve or recovered point whose
 moment vector leaves the float range is skipped on the ValueError that
@@ -40,10 +41,10 @@ from itertools import product
 import numpy as np
 from scipy import optimize as sciopt
 
-from .circuits import CircuitCatalog, enumerate_circuits, is_even_point
+from .circuits import CircuitCatalog, SupportTooLargeError, enumerate_circuits, is_even_point
 from .dual import sonc_dual_membership
 from .nonneg import CircuitPolynomial, is_nonneg_circuit
-from .polynomials import DualVector, Exponent, SparsePolynomial, SupportSet, moment_vector, value_and_gradient
+from .polynomials import DualVector, Exponent, SparsePolynomial, SupportSet, moment_vector, value_gradient_hessian
 
 #: Membership tolerance used when verifying dual iterates.
 DUAL_FEAS_TOL = 1e-7
@@ -336,7 +337,7 @@ def sonc_feasibility(
 
 
 #: Random starts of the multistart descent, besides 0 and +-1.
-_RANDOM_STARTS = 12
+_RANDOM_STARTS = 20
 
 
 def _local_minima(p: SparsePolynomial, seed: int) -> list[tuple[float, tuple[float, ...]]]:
@@ -358,76 +359,66 @@ def _local_minima(p: SparsePolynomial, seed: int) -> list[tuple[float, tuple[flo
 
 
 def _descend(p: SparsePolynomial, x: np.ndarray) -> np.ndarray:
-    """BFGS from every row of x at once; the rows where each descent stopped.
+    """Damped Newton from every row of x at once; the rows where each
+    descent stopped.
 
-    Each start keeps its own inverse Hessian and takes Armijo backtracking
-    steps (c1 = 1e-4, at most 60 halvings).  While its inverse Hessian is
-    still the identity the first trial step is min(1, 1/||g||_inf) times
-    -g, so no coordinate moves by more than 1; after the first step with
-    s'y > 0 it becomes (s'y / y'y) I (Nocedal-Wright eq. 6.20) before the
-    update, and steps with s'y <= 0 skip the update.  A start stops at
-    ||g||_inf <= 1e-5, a failed line search (which includes a direction
-    beyond the float range), a decrease below 1e-15 max(1, |f|), or 200
-    iterations.  A non-finite value reads as 1e300 and a non-finite
-    gradient entry as 0."""
+    The direction is -V diag(1/lambda') V' g, with lambda' = max(|lambda|,
+    1e-8 max(1, max |lambda|)) over the eigenpairs (lambda, V) of the
+    Hessian, so it always descends (Nocedal-Wright 3.4).  A row whose
+    Hessian has a non-finite entry or one beyond 1e150 takes the gradient
+    step -g / max(1, ||g||_inf) instead.  Steps are Armijo backtracking
+    from 1 (c1 = 1e-4, at most 60 halvings).  A start stops at ||g||_inf <=
+    1e-5, a failed line search (which includes a direction beyond the float
+    range), a decrease below 1e-15 max(1, |f|), or 200 iterations.  A
+    non-finite value reads as 1e300 and a non-finite gradient entry as 0."""
 
-    def value_grad(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        vals, grads = value_and_gradient(p, pts)
-        return np.where(np.isfinite(vals), vals, 1e300), np.where(np.isfinite(grads), grads, 0.0)
+    def derivatives(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        vals, grads, hess = value_gradient_hessian(p, pts)
+        return np.where(np.isfinite(vals), vals, 1e300), np.where(np.isfinite(grads), grads, 0.0), hess
 
     x = x.copy()
-    count, n = x.shape
-    eye = np.eye(n)
-    f, g = value_grad(x)
-    inv_hess = np.repeat(eye[None], count, axis=0)
-    unscaled = np.ones(count, dtype=bool)
-    active = np.ones(count, dtype=bool)
+    f, g, h = derivatives(x)
+    active = np.ones(x.shape[0], dtype=bool)
     for _ in range(200):
         active &= np.abs(g).max(axis=1) > 1e-5
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        direction = -np.einsum("sij,sj->si", inv_hess[idx], g[idx])
-        slope = np.einsum("si,si->s", g[idx], direction)
-        step = np.where(unscaled[idx], np.minimum(1.0, 1.0 / np.abs(g[idx]).max(axis=1)), 1.0)
-        new_x, new_f, new_g = x[idx], f[idx], g[idx]
+        gi, hi = g[idx], h[idx]
+        direction = -gi / np.maximum(1.0, np.abs(gi).max(axis=1))[:, None]
+        # Rows left out: nan or inf entries, or eigenvalues that could leave the float range.
+        tame = (np.abs(hi) <= 1e150).all(axis=(1, 2))
+        step = np.ones(idx.size)
+        new_x, new_f, new_g, new_h = x[idx], f[idx], gi, hi
         accepted = np.zeros(idx.size, dtype=bool)
-        pending = np.flatnonzero((slope < 0.0) & np.isfinite(slope) & np.isfinite(direction).all(axis=1))
-        for _ in range(61):
-            if pending.size == 0:
-                break
-            trial = x[idx[pending]] + step[pending, None] * direction[pending]
-            tf, tg = value_grad(trial)
-            ok = tf <= f[idx[pending]] + 1e-4 * step[pending] * slope[pending]
-            hit = pending[ok]
-            new_x[hit], new_f[hit], new_g[hit] = trial[ok], tf[ok], tg[ok]
-            accepted[hit] = True
-            pending = pending[~ok]
-            step[pending] *= 0.5
+        # On extreme inputs the direction, the Armijo target and the trial
+        # points can leave the float range; such a start fails its line
+        # search and stops.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if tame.any():
+                lam, vec = np.linalg.eigh(hi[tame])
+                floor = 1e-8 * np.maximum(1.0, np.abs(lam).max(axis=1))
+                lam = np.maximum(np.abs(lam), floor[:, None])
+                coords = np.einsum("sji,sj->si", vec, gi[tame]) / lam
+                direction[tame] = -np.einsum("sij,sj->si", vec, coords)
+            slope = np.einsum("si,si->s", gi, direction)
+            pending = np.flatnonzero((slope < 0.0) & np.isfinite(slope) & np.isfinite(direction).all(axis=1))
+            for _ in range(61):
+                if pending.size == 0:
+                    break
+                trial = x[idx[pending]] + step[pending, None] * direction[pending]
+                tf, tg, th = derivatives(trial)
+                ok = tf <= f[idx[pending]] + 1e-4 * step[pending] * slope[pending]
+                hit = pending[ok]
+                new_x[hit], new_f[hit], new_g[hit], new_h[hit] = trial[ok], tf[ok], tg[ok], th[ok]
+                accepted[hit] = True
+                pending = pending[~ok]
+                step[pending] *= 0.5
         active[idx[~accepted]] = False
         moved = idx[accepted]
-        # On extreme inputs the curvature pair and the update can leave the
-        # float range; the next direction is then non-finite and the start
-        # stops (above).
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            s = new_x[accepted] - x[moved]
-            y = new_g[accepted] - g[moved]
-            stalled = f[moved] - new_f[accepted] < 1e-15 * np.maximum(1.0, np.abs(new_f[accepted]))
-            x[moved], f[moved], g[moved] = new_x[accepted], new_f[accepted], new_g[accepted]
-            active[moved[stalled]] = False
-
-            sy = np.einsum("si,si->s", s, y)
-            curved = sy > 0.0
-            s, y, sy, moved = s[curved], y[curved], sy[curved], moved[curved]
-            first = unscaled[moved]
-            inv_hess[moved[first]] = (sy[first] / np.einsum("si,si->s", y[first], y[first]))[:, None, None] * eye
-            unscaled[moved] = False
-            # H <- (I - rho s y') H (I - rho y s') + rho s s', expanded to O(n^2).
-            rho = 1.0 / sy
-            hy = np.einsum("sij,sj->si", inv_hess[moved], y)
-            ss = rho * (1.0 + rho * np.einsum("si,si->s", y, hy))
-            cross = np.einsum("s,si,sj->sij", rho, s, hy)
-            inv_hess[moved] += np.einsum("s,si,sj->sij", ss, s, s) - cross - cross.transpose(0, 2, 1)
+        stalled = f[moved] - new_f[accepted] < 1e-15 * np.maximum(1.0, np.abs(new_f[accepted]))
+        x[moved], f[moved], g[moved], h[moved] = new_x[accepted], new_f[accepted], new_g[accepted], new_h[accepted]
+        active[moved[stalled]] = False
     return x
 
 
@@ -446,12 +437,25 @@ def _unbounded_curve(p: SparsePolynomial) -> _Curve | None:
     this term is negative.  A HiGHS LP with margin 1 (and the least l1 norm,
     so the integer vector stays small) proposes w; its rationalization is
     accepted only when the strict inequalities hold exactly in integers.
+
+    The inner point of a circuit with k >= 2 whose vertices are among the
+    points lies in the relative interior of a simplex of other points, so
+    it is no vertex and its LP is skipped.  By Caratheodory every non-vertex
+    point of a bounded input is such an inner point, so bounded inputs solve
+    no LP.  The circuits come from the catalog the later stages use, and
+    above its even-point cap every candidate gets its LP.
     """
     zero = (0,) * p.n
-    points = sorted(set(p.coefficients) | {zero})
+    keys = set(p.coefficients) | {zero}
+    points = sorted(keys)
+    try:
+        catalog = enumerate_circuits(_extended_support(p))
+        inner = {c.inner for c in catalog.circuits if c.k >= 2 and keys.issuperset(c.vertices)}
+    except SupportTooLargeError:
+        inner = set()
     for alpha in points:
         coef = p.coefficients.get(alpha, 0.0)
-        if alpha == zero or (is_even_point(alpha) and coef > 0.0):
+        if alpha == zero or (is_even_point(alpha) and coef > 0.0) or alpha in inner:
             continue
         diffs = [[a - b for a, b in zip(alpha, beta)] for beta in points if beta != alpha]
         # w = u - v with u, v >= 0; <w, alpha - beta> >= 1 for every beta.
@@ -607,7 +611,7 @@ def _dual_descent(p: SparsePolynomial, starts: list) -> tuple[float, DualVector]
         except ValueError:  # a moment beyond the float range
             continue
         val = objective(v)
-        if math.isfinite(val) and feasible(v) and (best_val is None or val < best_val):
+        if math.isfinite(val) and (best_val is None or val < best_val) and feasible(v):
             best_val, best_v = val, v
     if best_v is None:
         raise DualSolveError("no feasible dual iterate found", None, None)

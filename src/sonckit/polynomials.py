@@ -8,8 +8,9 @@ catalog built on top of a support set.
 Dual vectors (one real value per support point) live here too, together
 with the moment vector (x^alpha)_{alpha in A} induced by a point x.
 
-Evaluation and moment vectors share one monomial kernel; values and
-gradients at a batch of points come from a vectorized one.  Both keep one
+Evaluation and moment vectors share one monomial kernel; values,
+gradients and Hessians at a batch of points come from a vectorized one,
+which sums the monomials of each term's derivatives.  Both keep one
 overflow rule: polynomial arithmetic never raises or warns on overflow (a
 power beyond the float range enters as +-inf, so a value may come back
 non-finite), and a non-finite moment vector is a ValueError, raised by
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -28,6 +30,13 @@ Exponent = tuple[int, ...]
 
 #: Parse-time cap on a single exponent entry.
 MAX_EXPONENT = 1 << 20
+
+#: Parse-time cap on the number of variables.  The dimension is the largest
+#: index in the text, and the multistart descent holds an n x n Hessian per
+#: start (the kernel an n x n block per start and term), so without a cap a
+#: text like ``x1000000`` asks for terabytes.  Sparse SONC inputs have a
+#: handful of variables; 64 keeps that state at a few MB.
+MAX_VARIABLES = 64
 
 
 class ParseError(ValueError):
@@ -136,6 +145,47 @@ class SparsePolynomial:
         support = SupportSet(n, tuple(pts) if pts else ((0,) * n,))
         return cls(support, pts)
 
+    @cached_property
+    def _derivative_terms(self) -> tuple[np.ndarray, ...]:
+        """p, its gradient and its Hessian as weighted sums of monomials,
+        built from each term's own variables: d/dx_i of c x^alpha is
+        (c alpha_i) x^(alpha - e_i), and likewise for second derivatives.
+        Slot 0 is the value, 1 + i the i-th partial and 1 + n + i n + j
+        the (i, j) second partial.  Returns the distinct exponents (U, n)
+        and, per contribution sorted by slot, the monomial it reads and its
+        weight, with the start of each nonempty slot and the slot itself.
+        A derivative with a zero factor gets no contribution, so it stays
+        exactly 0 even where the other powers overflow."""
+        n = self.n
+        index: dict[Exponent, int] = {}
+        rows: list[tuple[int, int, float]] = []  # (slot, monomial, weight)
+
+        def add(slot: int, exp: list[int], w: float) -> None:
+            rows.append((slot, index.setdefault(tuple(exp), len(index)), w))
+
+        for alpha, coef in self.coefficients.items():
+            add(0, list(alpha), coef)
+            for i in range(n):
+                if not alpha[i]:
+                    continue
+                once = list(alpha)
+                once[i] -= 1
+                add(1 + i, once, coef * alpha[i])
+                for j in range(n):
+                    if once[j]:
+                        twice = list(once)
+                        twice[j] -= 1
+                        add(1 + n + i * n + j, twice, coef * (alpha[i] * once[j]))
+        rows.sort(key=lambda r: r[0])  # stable: (i, j) and (j, i) sum alike
+        slots, starts = np.unique(np.array([r[0] for r in rows], dtype=np.intp), return_index=True)
+        return (
+            np.array(list(index), dtype=float).reshape(-1, n),
+            np.array([r[1] for r in rows], dtype=np.intp),
+            np.array([r[2] for r in rows], dtype=float),
+            starts,
+            slots,
+        )
+
     def coefficient(self, point) -> float:
         return self.coefficients.get(tuple(point), 0.0)
 
@@ -157,6 +207,8 @@ class SparsePolynomial:
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "SparsePolynomial":
         n = int(obj["n"])
+        if not 0 <= n <= MAX_VARIABLES:
+            raise ValueError(f"dimension {n} outside 0..{MAX_VARIABLES}")
         terms: dict[Exponent, float] = {}
         for t in obj["terms"]:
             exp = check_exponent(t["exp"])
@@ -230,30 +282,23 @@ def _monomial(start: float, x: list[float], exp: Exponent) -> float:
     return start
 
 
-def value_and_gradient(p: SparsePolynomial, points) -> tuple[np.ndarray, np.ndarray]:
-    """Values, shape (S,), and gradients, shape (S, n), of p at the rows of
-    an (S, n) array, with 0**0 = 1.  Like `evaluate` this never raises or
-    warns on overflow: entries beyond the float range come back +-inf or
-    nan."""
+def value_gradient_hessian(p: SparsePolynomial, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values, shape (S,), gradients, shape (S, n), and Hessians, shape
+    (S, n, n), of p at the rows of an (S, n) array, with 0**0 = 1.  Like
+    `evaluate` this never raises or warns on overflow: entries beyond the
+    float range come back +-inf or nan."""
     xs = np.asarray(points, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != p.n:
-        raise ValueError(f"points have shape {xs.shape}, expected (S, {p.n})")
-    exps = np.array(list(p.coefficients), dtype=np.int64).reshape(-1, p.n)  # (T, n)
-    coefs = np.array(list(p.coefficients.values()), dtype=float)
-    x = xs[:, None, :]
+    n = p.n
+    if xs.ndim != 2 or xs.shape[1] != n:
+        raise ValueError(f"points have shape {xs.shape}, expected (S, {n})")
+    exps, source, weight, starts, slots = p._derivative_terms
+    out = np.zeros((len(xs), 1 + n + n * n))
+    monomials = np.ones((len(xs), len(exps)))
     with np.errstate(over="ignore", invalid="ignore"):
-        lowered = x ** np.maximum(exps - 1, 0)  # x_i^(alpha_i - 1), (S, T, n)
-        powers = np.where(exps > 0, lowered * x, 1.0)  # x_i^alpha_i
-        values = powers.prod(axis=2) @ coefs
-        # d/dx_i of c x^alpha is (c alpha_i) x_i^(alpha_i - 1) times the
-        # powers before and after i; the mask keeps a term with alpha_i = 0
-        # at exactly 0 even when those powers overflow.
-        ones = np.ones(powers.shape[:2] + (1,))
-        before = np.cumprod(np.concatenate([ones, powers[:, :, :-1]], axis=2), axis=2)
-        after = np.cumprod(np.concatenate([ones, powers[:, :, :0:-1]], axis=2), axis=2)[:, :, ::-1]
-        partial = before * lowered * after * (coefs[:, None] * exps)
-        grads = np.where(exps > 0, partial, 0.0).sum(axis=1)
-    return values, grads
+        for k in range(n):  # one variable at a time keeps memory at S x (monomial count)
+            monomials *= xs[:, k, None] ** exps[:, k]
+        out[:, slots] = np.add.reduceat(monomials[:, source] * weight, starts, axis=1)
+    return out[:, 0], out[:, 1 : 1 + n], out[:, 1 + n :].reshape(-1, n, n)
 
 
 def evaluate(p: SparsePolynomial, x: Sequence[float]) -> float:
@@ -274,6 +319,8 @@ def parse_polynomial(text: str, n: int | None = None) -> SparsePolynomial:
     unless `n` is given.  Whitespace is insignificant, '*' between factors is
     optional, and like terms merge additively.  A leading sign is accepted.
     """
+    if n is not None and not 0 <= n <= MAX_VARIABLES:
+        raise ValueError(f"dimension {n} outside 0..{MAX_VARIABLES}")
     s = text
     size = len(s)
     pos = 0
@@ -371,6 +418,8 @@ def parse_polynomial(text: str, n: int | None = None) -> SparsePolynomial:
                 idx = read_index()
                 if idx < 1:
                     raise ParseError("variable indices start at x1", var_pos)
+                if idx > MAX_VARIABLES:
+                    raise ParseError(f"variable x{idx} exceeds the cap x{MAX_VARIABLES}", var_pos)
                 if n is not None and idx > n:
                     raise ParseError(f"variable x{idx} exceeds the declared dimension {n}", var_pos)
                 exp = 1

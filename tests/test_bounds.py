@@ -3,6 +3,7 @@
 import math
 import warnings
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from sonckit import (
     CircuitPolynomial,
     DualVector,
     Status,
+    SparsePolynomial,
     SupportSet,
     certify_optimality,
     dual_program_solve,
@@ -27,7 +29,8 @@ from sonckit import (
 )
 from sonckit import bounds
 from sonckit.bounds import DUAL_FEAS_TOL, _RANDOM_STARTS, _host_level, _local_minima, _unbounded_curve
-from sonckit.polynomials import value_and_gradient
+from sonckit.circuits import SupportTooLargeError
+from sonckit.polynomials import value_gradient_hessian
 
 from _gen import MOTZKIN_TEXT, eval_on_points, random_sparse_poly, random_support
 
@@ -417,7 +420,11 @@ class TestNewtonPolytopeShortcut:
         certify_optimality(motzkin())
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("text", ["x1", "38.18*x2", "x1^2*x2 + 1", "1 - x1^2 + x2^4", "2 - 3*x1^3*x2 + x1^2"])
+    # The last text keeps a zero term's slot at x1^8: the catalog's circuit
+    # ((0,), (8,); 3) must not hide the odd vertex 3.
+    @pytest.mark.parametrize(
+        "text", ["x1", "38.18*x2", "x1^2*x2 + 1", "1 - x1^2 + x2^4", "2 - 3*x1^3*x2 + x1^2", "1 + x1^3 + 0*x1^8"]
+    )
     def test_curve_dual_point(self, text):
         p = parse_polynomial(text)
         assert _unbounded_curve(p) is not None
@@ -429,6 +436,35 @@ class TestNewtonPolytopeShortcut:
         assert r.p_dual == sum(p.coefficients.get(e, 0.0) * r.dual_point[e] for e in support.points)
         # the curve point already lies below p(0) - scale
         assert r.p_dual < p.coefficients.get((0,) * p.n, 0.0) - (1.0 + max(map(abs, p.coefficients.values())))
+
+
+    def test_vertex_filter_skips_lps_and_keeps_curves(self, monkeypatch):
+        lps = []
+        real = bounds.sciopt.linprog
+
+        def counting(*args, **kwargs):
+            lps.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bounds.sciopt, "linprog", counting)
+        polys = _criterion9_polys()
+        curves = []
+        for p in [motzkin(), *polys]:
+            before = len(lps)
+            curves.append(_unbounded_curve(p))
+            if curves[-1] is None:  # bounded: every non-vertex is a circuit's inner point
+                assert len(lps) == before, p.coefficients
+        assert curves[0] is None and sum(c is None for c in curves[1:]) == 17
+
+        def capped(support):
+            raise SupportTooLargeError("over the cap")
+
+        # Over the even-point cap the scan solves every candidate's LP; it
+        # must settle on the same (w, s) wherever a curve exists.
+        monkeypatch.setattr(bounds, "enumerate_circuits", capped)
+        before = len(lps)
+        assert [_unbounded_curve(p) for p in polys] == curves[1:]
+        assert len(lps) > before
 
 
 class TestHostLevel:
@@ -473,17 +509,17 @@ class TestBatchedDescent:
     """The batched multistart descent against scipy's BFGS from the same starts."""
 
     @staticmethod
-    def scipy_best(p, seed=0):
+    def scipy_best(p, seed=0, random_starts=_RANDOM_STARTS):
         rng = np.random.default_rng(seed)
         starts = [np.zeros(p.n), np.ones(p.n), -np.ones(p.n)]
-        starts += list(rng.uniform(-3.0, 3.0, size=(_RANDOM_STARTS, p.n)))
+        starts += list(rng.uniform(-3.0, 3.0, size=(random_starts, p.n)))
 
         def f(x):
             val = p.evaluate(x)
             return val if math.isfinite(val) else 1e300
 
         def g(x):
-            grad = value_and_gradient(p, [x])[1][0]
+            grad = value_gradient_hessian(p, [x])[1][0]
             return np.where(np.isfinite(grad), grad, 0.0)
 
         best = math.inf
@@ -506,5 +542,23 @@ class TestBatchedDescent:
             want = self.scipy_best(p)
             # 1e-9 of the value too: one stiff input bottoms out near
             # -3.45e20, where one float step is 65536.
+            tol = 1e-9 * max(1.0 + max(map(abs, p.coefficients.values())), abs(want))
+            assert _local_minima(p, 0)[0][0] <= want + tol, p.coefficients
+
+    def test_no_worse_than_scipy_bfgs_on_even_simplices(self):
+        # Fresh bounded draws over the even simplex conv{0, 2d e_i}, against
+        # scipy's BFGS from the 15 starts the batched descent used to take.
+        rng = np.random.default_rng(20271)
+        for count in range(60):
+            n, two_d = 1 + count % 3, (4, 6, 8)[count // 3 % 3]
+            terms = {(0,) * n: 10.0 ** rng.uniform(-1, 1)}
+            for j in range(n):
+                terms[tuple(two_d if t == j else 0 for t in range(n))] = 10.0 ** rng.uniform(-1, 1)
+            interior = [a for a in product(range(1, two_d), repeat=n) if sum(a) < two_d]
+            k = min(int(rng.integers(1, n + 4)), len(interior))
+            for idx in rng.choice(len(interior), size=k, replace=False):
+                terms[interior[idx]] = float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(-1, 1)
+            p = SparsePolynomial.from_terms(terms, n=n)
+            want = self.scipy_best(p, random_starts=12)
             tol = 1e-9 * max(1.0 + max(map(abs, p.coefficients.values())), abs(want))
             assert _local_minima(p, 0)[0][0] <= want + tol, p.coefficients

@@ -234,6 +234,12 @@ class TestBound:
         inf_p = big ** (-1.0 / (big - 1.0)) * (1.0 / big - 1.0)
         assert blob["p_sonc"] is None or blob["p_sonc"] <= inf_p + 1e-12
 
+    @pytest.mark.parametrize("text", ["x1000000", '{"n": 1000000, "terms": [{"exp": [1], "coef": 1}]}'])
+    def test_variable_count_beyond_cap_exits_2(self, files, capsys, text):
+        code, out, err = run_main(["bound", files("wide.txt", text)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestCertify:
     def test_motzkin_certified(self, files, capsys):

@@ -16,7 +16,7 @@ from sonckit import (
     parse_polynomial,
     serialize_polynomial,
 )
-from sonckit.polynomials import value_and_gradient
+from sonckit.polynomials import MAX_VARIABLES, value_gradient_hessian
 
 from _gen import MOTZKIN_TEXT, random_sparse_poly
 
@@ -69,6 +69,17 @@ class TestParse:
     def test_dimension_mismatch(self):
         with pytest.raises(ParseError):
             parse_polynomial("x1 + x3", n=2)
+
+    def test_variable_cap(self):
+        assert parse_polynomial(f"x{MAX_VARIABLES}").n == MAX_VARIABLES
+        with pytest.raises(ParseError, match="cap"):
+            parse_polynomial(f"1 + x{MAX_VARIABLES + 1}")
+        with pytest.raises(ValueError):
+            parse_polynomial("x1", n=MAX_VARIABLES + 1)
+        term = {"exp": [0] * MAX_VARIABLES, "coef": 1.0}
+        assert SparsePolynomial.from_json_dict({"n": MAX_VARIABLES, "terms": [term]}).n == MAX_VARIABLES
+        with pytest.raises(ValueError):
+            SparsePolynomial.from_json_dict({"n": MAX_VARIABLES + 1, "terms": [term]})
 
     def test_constant_polynomial_has_dimension_zero(self):
         p = parse_polynomial("7")
@@ -143,7 +154,7 @@ class TestEvaluate:
 
 
 class TestGradient:
-    """The batch value-and-gradient kernel."""
+    """Values and gradients of the batch value-gradient-Hessian kernel."""
 
     def test_matches_termwise_numpy_reference(self):
         # The kernel's array powers and product order round differently
@@ -153,7 +164,7 @@ class TestGradient:
             n = int(rng.integers(1, 4))
             p = random_sparse_poly(rng, n, max_terms=6)
             xs = rng.uniform(-2, 2, size=(3, n))
-            values, grads = value_and_gradient(p, xs)
+            values, grads, _ = value_gradient_hessian(p, xs)
             for x, value, grad in zip(xs, values, grads):
                 want = np.zeros(n)
                 for exp, coef in p.coefficients.items():
@@ -169,16 +180,75 @@ class TestGradient:
                 assert value == pytest.approx(p.evaluate(x), rel=1e-12, abs=1e-300)
 
     def test_zero_power_convention(self):
-        values, grads = value_and_gradient(parse_polynomial("3*x1 + x1*x2^2"), [(0.0, 0.0)])
+        values, grads, _ = value_gradient_hessian(parse_polynomial("3*x1 + x1*x2^2"), [(0.0, 0.0)])
         assert values.tolist() == [0.0] and grads.tolist() == [[3.0, 0.0]]
 
     def test_overflow_gives_signed_inf(self):
-        values, grads = value_and_gradient(parse_polynomial("x1^3*x2"), [(1e200, -1.0)])
+        values, grads, _ = value_gradient_hessian(parse_polynomial("x1^3*x2"), [(1e200, -1.0)])
         assert values.tolist() == [-math.inf] and grads.tolist() == [[-math.inf, math.inf]]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            value_and_gradient(parse_polynomial("x1"), [(1.0, 2.0)])
+            value_gradient_hessian(parse_polynomial("x1"), [(1.0, 2.0)])
+
+
+class TestHessian:
+    """Second derivatives of the batch kernel."""
+
+    @staticmethod
+    def reference(p, x):
+        """Term by term, on Python floats: d^2/dx_i dx_j of c x^alpha."""
+        n = len(x)
+        want = [[0.0] * n for _ in range(n)]
+        for exp, coef in p.coefficients.items():
+            for i in range(n):
+                for j in range(n):
+                    lowered = list(exp)
+                    factor = lowered[i]
+                    lowered[i] -= 1
+                    factor *= lowered[j]
+                    lowered[j] -= 1
+                    if factor == 0:
+                        continue
+                    term = coef * factor
+                    for xk, ek in zip(x, lowered):
+                        if ek:
+                            term *= float(xk) ** ek
+                    want[i][j] += term
+        return want
+
+    def test_matches_termwise_reference(self):
+        # Relative 1e-12 for the same reason as the gradient's reference.
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            n = int(rng.integers(1, 4))
+            p = random_sparse_poly(rng, n, max_terms=6)
+            xs = rng.uniform(-2, 2, size=(3, n))
+            for x, hess in zip(xs, value_gradient_hessian(p, xs)[2]):
+                want = self.reference(p, x)
+                for row, want_row in zip(hess.tolist(), want):
+                    assert row == pytest.approx(want_row, rel=1e-12, abs=1e-300)
+
+    def test_symmetric(self):
+        rng = np.random.default_rng(19)
+        for _ in range(50):
+            n = int(rng.integers(2, 5))
+            p = random_sparse_poly(rng, n, max_terms=8)
+            hess = value_gradient_hessian(p, rng.uniform(-2, 2, size=(4, n)))[2]
+            assert np.array_equal(hess, hess.transpose(0, 2, 1))
+
+    def test_origin_with_exponents_zero_one_two(self):
+        p = parse_polynomial("5 + 3*x1 + 2*x1^2 + 7*x1*x2 + x2^2*x3 + 4*x1^2*x2^2")
+        _, _, hess = value_gradient_hessian(p, [(0.0, 0.0, 0.0)])
+        assert hess.tolist() == [[[4.0, 7.0, 0.0], [7.0, 0.0, 0.0], [0.0, 0.0, 0.0]]]
+
+    def test_overflow_without_warning(self):
+        # Tier-1 turns RuntimeWarning into an error, so a warning fails here.
+        p = parse_polynomial("x1^3*x2 + x2^2 + x1*x3^400")
+        values, grads, hess = value_gradient_hessian(p, [(1e200, -1.0, 0.0), (-1e200, 2.0, 1e10)])
+        assert values[0] == -math.inf and hess[0, 1, 1] == 2.0 and hess[0, 0, 0] == -6e200
+        assert hess[0, 0, 1] == hess[0, 1, 0] == math.inf and hess[0, 2, 2] == 0.0
+        assert hess[1, 2, 2] == -math.inf and hess[1, 0, 2] == hess[1, 2, 0] == math.inf
 
 
 class TestMomentVector:

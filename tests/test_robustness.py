@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sonckit.cli import main
+from sonckit.polynomials import MAX_VARIABLES
 
 #: Zero terms keep x1^60*x2^7 and x1^60*x2^5 in the support, and the moments
 #: of the recovered point there leave the float range.
@@ -33,8 +34,9 @@ COEFFICIENTS = st.one_of(
 )
 
 
-def _term(first: bool, coef: float, exp: list[int]) -> str:
-    body = "*".join([repr(abs(coef))] + [f"x{i + 1}^{e}" for i, e in enumerate(exp) if e])
+def _term(first: bool, coef: float, factors: list[tuple[int, int]]) -> str:
+    """coef times x<index>^<e> over the (index, e) factors, signed."""
+    body = "*".join([repr(abs(coef))] + [f"x{i}^{e}" for i, e in factors])
     sign = "-" if math.copysign(1.0, coef) < 0 else ("" if first else "+")
     return sign + body
 
@@ -43,7 +45,7 @@ def _term(first: bool, coef: float, exp: list[int]) -> str:
 def polynomial_texts(draw) -> str:
     n = draw(st.integers(1, 3))
     terms = draw(st.lists(st.tuples(COEFFICIENTS, st.lists(EXPONENTS, min_size=n, max_size=n)), min_size=1, max_size=5))
-    return " ".join(_term(i == 0, c, exp) for i, (c, exp) in enumerate(terms))
+    return " ".join(_term(i == 0, c, [(j + 1, e) for j, e in enumerate(exp) if e]) for i, (c, exp) in enumerate(terms))
 
 
 #: What may stand where a JSON number is expected.
@@ -72,8 +74,52 @@ def dual_vectors(draw) -> str:
     points = draw(st.lists(st.lists(st.integers(0, 6), min_size=n, max_size=n), min_size=1, max_size=6, unique_by=tuple))
     signs = st.sampled_from([1.0, -1.0]) if draw(st.booleans()) else st.just(1.0)
     entries = st.one_of(st.tuples(signs, MAGNITUDES).map(lambda t: t[0] * t[1]), st.just(0.0))
-    values = draw(st.lists(entries, min_size=len(points), max_size=len(points)))
+    values = _spoil(draw, draw(st.lists(entries, min_size=len(points), max_size=len(points))))
     return json.dumps({"n": n, "points": points, "values": values})
+
+
+#: What may stand where a dimension or an exponent entry is expected.
+BAD_INTEGERS = st.sampled_from([-1, 2.5, "2", None, MAX_VARIABLES + 1])
+
+
+def _spoil_points(draw, points: list[list]) -> None:
+    """Half the time, one point loses its last entry or has one replaced."""
+    if points and draw(st.booleans()):
+        point = points[draw(st.integers(0, len(points) - 1))]
+        if point and draw(st.booleans()):
+            point.pop()
+        elif point:
+            point[0] = draw(BAD_INTEGERS)
+
+
+@st.composite
+def polynomial_jsons(draw) -> str:
+    n = draw(st.integers(1, 3))
+    # Small exponents: the text fuzz covers the numeric extremes, this one the loader.
+    exps = draw(st.lists(st.lists(st.integers(0, 6), min_size=n, max_size=n), min_size=1, max_size=5))
+    coefs = _spoil(draw, [draw(COEFFICIENTS) for _ in exps])
+    _spoil_points(draw, exps)
+    declared = draw(st.one_of(st.just(n), st.just(n), BAD_INTEGERS, st.just(0)))
+    return json.dumps({"n": declared, "terms": [{"exp": e, "coef": c} for e, c in zip(exps, coefs)]})
+
+
+@st.composite
+def support_jsons(draw) -> str:
+    n = draw(st.integers(1, 3))
+    points = draw(st.lists(st.lists(st.integers(0, 6), min_size=n, max_size=n), max_size=8))
+    _spoil_points(draw, points)
+    declared = draw(st.one_of(st.just(n), st.just(n), BAD_INTEGERS))
+    return json.dumps({"n": declared, "points": points})
+
+
+#: Variable indices on both sides of the parse-time cap.
+INDICES = st.sampled_from([1, 2, MAX_VARIABLES - 1, MAX_VARIABLES, MAX_VARIABLES + 1, 10**6])
+
+
+@st.composite
+def wide_texts(draw) -> str:
+    terms = draw(st.lists(st.tuples(COEFFICIENTS, st.lists(st.tuples(INDICES, st.integers(0, 4)), max_size=3)), min_size=1, max_size=3))
+    return " ".join(_term(i == 0, c, factors) for i, (c, factors) in enumerate(terms))
 
 
 @st.composite
@@ -151,4 +197,25 @@ def test_quartic_checks_exit_cleanly(text):
 @FUZZ
 @given(st.lists(TEXT_PIECES, min_size=1, max_size=8).map("".join))
 def test_malformed_text_through_bound_exits_cleanly(text):
+    check_clean_exit(["bound"], text)
+
+
+@FUZZ
+@given(polynomial_jsons())
+def test_polynomial_json_commands_exit_cleanly(text):
+    for command in ("bound", "circuits"):
+        check_clean_exit([command], text)
+
+
+@FUZZ
+@given(support_jsons())
+def test_support_json_through_circuits_exits_cleanly(text):
+    check_clean_exit(["circuits"], text)
+
+
+@FUZZ
+@given(wide_texts())
+@example("x1000000")
+@example(f"1 + x{MAX_VARIABLES}^2 - x1*x{MAX_VARIABLES}")
+def test_variable_indices_around_the_cap_exit_cleanly(text):
     check_clean_exit(["bound"], text)
