@@ -1,39 +1,34 @@
 """Lower bounds for sparse polynomials via sums of nonnegative circuit
 polynomials.
 
-The primal program maximizes gamma subject to p - gamma lying in the cone of
-sums of nonnegative circuit polynomials supported on supp(p) united with the
-constant exponent; it is solved by bisection over a feasibility oracle.  The
-oracle itself is a heuristic coordinate ascent, but every certificate it
-emits is re-verified by an independent checker, so false positives are
-impossible by construction.
+The primal maximizes gamma with p - gamma in the cone of sums of
+nonnegative circuit polynomials supported on supp(p) and the constant
+point.  Its dual has the paper's closed form: minimize the coefficient
+pairing over v with v_0 = 1 and |v_beta| <= prod v_alpha^lambda_alpha for
+each circuit.  One log-barrier path on that dual, by damped Newton over
+the vertex values, gives both: its multipliers, rounded to exact coverage,
+are the certificate pieces, and gamma is what the constant point has left.
+Every certificate is re-checked by an independent verifier, so a false
+positive is impossible by construction.
 
-The dual program minimizes the coefficient pairing over the dual cone with
-the constant coordinate normalized to 1 (the normalization comes from
-dualizing the gamma row of the primal).  Moment vectors of local minimizers
-seed it, and a recovered point z with matching moments certifies optimality.
-
-Both programs first look at the Newton polytope: a polynomial with an odd or
-negative nonzero vertex is unbounded below, which settles the primal, and a
-point on the curve exposing that vertex seeds the dual instead.
+The dual program of `dual_program_solve` searches the full dual cone: moment
+vectors of local minimizers seed it, and a recovered point z with matching
+moments certifies optimality.  Both first look at the Newton polytope: a
+polynomial with an odd or negative nonzero vertex is unbounded below, which
+settles the primal, and a point on the curve exposing that vertex seeds the
+dual instead.
 
 Values, derivatives and moment vectors come from the polynomial module,
-whose arithmetic never raises or warns on overflow.  The multistart descent
-runs damped Newton from all its starts at once, as one (S, n) array on the
-batch value-gradient-Hessian kernel.  It reads a non-finite value as 1e300
-and a non-finite gradient entry as 0, a row whose Hessian leaves the float
-range takes a gradient step, a start whose search direction leaves the
-float range stops, and the (value, point) pairs it returns are evaluated
-again by SparsePolynomial.evaluate.  A start, curve or recovered point whose
-moment vector leaves the float range is skipped on the ValueError that
-DualVector raises.  Forming the curve point x(t) itself is the one place an
-OverflowError is caught.
+whose arithmetic never raises or warns on overflow.  A start, curve or
+recovered point whose moment vector leaves the float range is skipped on
+the ValueError that DualVector raises.  Forming the curve point x(t) itself
+is the one place an OverflowError is caught.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
@@ -155,185 +150,240 @@ def verify_certificate(p: SparsePolynomial, cert: SoncCertificate, catalog: Circ
     return True
 
 
-def _host_level(consts: list[float], ms: list[float]) -> float:
-    """The root L of need(L) = sum_i exp((L - c_i) / m_i) = 1.
-
-    Newton runs on h(L) = log need(L), which is convex and increasing.  From
-    L = max(c), where h >= 0, its iterates decrease monotonically to the
-    root; it stops once h <= 0 or a step is below 4e-16 max(1, |L|)."""
-    level = max(consts)
-    for _ in range(100):
-        zs = [(level - c0) / m for c0, m in zip(consts, ms)]
-        top = max(zs)
-        es = [math.exp(z - top) for z in zs]
-        total = sum(es)
-        h = top + math.log(total)
-        if h <= 0.0:
-            break
-        step = h * total / sum(e / m for e, m in zip(es, ms))
-        level -= step
-        if step <= 4e-16 * max(1.0, abs(level)):
-            break
-    return level
-
-
-def sonc_feasibility(
-    p: SparsePolynomial, catalog: CircuitCatalog, budget: int = 5000
-) -> SoncCertificate | None:
-    """Try to decompose p into nonnegative circuit polynomials plus an even
+def sonc_feasibility(p: SparsePolynomial, catalog: CircuitCatalog) -> SoncCertificate | None:
+    """Decompose p into nonnegative circuit polynomials plus an even
     nonnegative monomial residual, all supported on the catalog.
 
-    Every odd-exponent or negative coefficient must be covered by inner
-    terms of circuits; positive even coefficients are split between circuit
-    vertices and the residual.  The split is tuned by coordinate ascent in
-    the log domain on the per-piece slack log Theta - log |delta| (inner
-    weights proportional to Theta are the exact block optimum; vertex splits
-    are equalized by a Newton root, `_host_level`).  The result is rounded
-    to exact coverage and re-checked; None means no certificate was found,
-    never that one cannot exist.
-    """
-    support = catalog.support
+    p is in the cone when the largest shift at every anchor (`_certify`) is
+    >= 0; None means it is not, up to the solve's gap and the checker."""
     for exp in p.coefficients:
-        if exp not in support:
+        if exp not in catalog.support:
             raise ValueError(f"polynomial exponent {exp} missing from the catalog support")
-    coeff = {exp: p.coefficients.get(exp, 0.0) for exp in support.points}
-    bad = sorted(
-        exp
-        for exp, c in coeff.items()
-        if (not is_even_point(exp) and c != 0.0) or (is_even_point(exp) and c < 0.0)
-    )
-    hosts = {exp for exp, c in coeff.items() if is_even_point(exp) and c > 0.0}
+    return _certify(p, catalog, None)
 
-    if not bad:
-        residual = SparsePolynomial.from_terms(
-            {e: c for e, c in coeff.items() if c > 0.0}, n=p.n
-        )
-        cert = SoncCertificate(0.0, (), residual)
-        return cert if verify_certificate(p, cert, catalog) else None
 
-    groups: dict[Exponent, list[int]] = {exp: [] for exp in bad}
-    usable: list[int] = []
+def _certify(p: SparsePolynomial, catalog: CircuitCatalog, keep: Exponent | None) -> SoncCertificate | None:
+    """The checked certificate of p - gamma x^keep, gamma the largest shift
+    at keep (0 when keep is None); None when some term has no circuit, the
+    path fails or the checker rejects.  Each odd or negative term (a bad
+    point) is covered by circuits with that inner point and vertices among
+    the positive even points and the constant.  Circuits sharing a vertex or
+    an inner point form a component, anchored at its least vertex.  One
+    barrier path finds the largest shift at every anchor; the other shifts
+    (above 1e-12 scale) and unused positive even points form the residual."""
+    zero = (0,) * p.n
+    coeff = {exp: p.coefficients.get(exp, 0.0) for exp in catalog.support.points}
+    hosts = {exp for exp, c in coeff.items() if is_even_point(exp) and (c > 0.0 or exp == zero)}
+    groups: dict[Exponent, list[int]] = {exp: [] for exp, c in coeff.items() if c != 0.0 and exp not in hosts}
     for idx, circuit in enumerate(catalog.circuits):
-        if circuit.k < 2 or circuit.inner not in groups:
-            continue
-        if all(vert in hosts for vert in circuit.vertices):
+        if circuit.k >= 2 and circuit.inner in groups and hosts.issuperset(circuit.vertices):
             groups[circuit.inner].append(idx)
-            usable.append(idx)
     if any(not g for g in groups.values()):
         return None
+    shifts = {zero: coeff[zero]} if zero in coeff else {}
+    residual = {exp: coeff[exp] for exp in hosts if exp != zero}
+    pieces: tuple[CertificatePiece, ...] = ()
+    if groups:
+        bad = sorted(groups)
+        rows = [i for beta in bad for i in groups[beta]]
+        used = sorted({v for i in rows for v in catalog.circuits[i].vertices})
+        pos = {v: j for j, v in enumerate(used)}
+        lam, parent = np.zeros((len(rows), len(used))), list(range(len(used)))
 
-    circuits = [catalog.circuits[i] for i in usable]
-    n_pieces = len(circuits)
-    loc_of = {idx: pi for pi, idx in enumerate(usable)}
-    group_local = {g: [loc_of[i] for i in idxs] for g, idxs in groups.items()}
-    mu = [[float(m) for m in c.barycentric] for c in circuits]
+        def root(j: int) -> int:  # the least vertex of j's component
+            while parent[j] != j:
+                j = parent[j]
+            return j
 
-    host_claims: dict[Exponent, list[tuple[int, int]]] = {}
-    for pi, c in enumerate(circuits):
-        for i, vert in enumerate(c.vertices):
-            host_claims.setdefault(vert, []).append((pi, i))
+        for r, i in enumerate(rows):
+            circuit = catalog.circuits[i]
+            lam[r, [pos[v] for v in circuit.vertices]] = [float(mu) for mu in circuit.barycentric]
+            for v in circuit.vertices:
+                a, b = root(pos[v]), root(pos[catalog.circuits[groups[circuit.inner][0]].vertices[0]])
+                parent[max(a, b)] = min(a, b)
+        fixed = np.array([root(j) == j for j in range(len(used))])
+        grp = np.repeat(np.arange(len(bad)), [len(groups[beta]) for beta in bad])
+        p_bad, p_host = np.array([coeff[beta] for beta in bad]), np.array([coeff[v] for v in used])
+        path = _central_path(lam, grp, p_host, ~fixed, np.abs(p_bad))
+        if path is None:
+            return None
+        cs, deltas = _round_pieces(lam, grp, p_bad, p_host, fixed, *path)
+        taken = cs.sum(axis=0)
+        for j, v in enumerate(used):  # an anchor keeps its shift, a vertex what its pieces leave
+            residual.pop(v, None)
+            if fixed[j]:
+                shifts[v] = coeff[v] - float(taken[j])
+            elif taken[j] < (1.0 - 1e-12) * coeff[v]:
+                residual[v] = coeff[v] - float(taken[j])
+        pieces = tuple(
+            CertificatePiece(i, tuple(float(cs[r, pos[v]]) for v in catalog.circuits[i].vertices), float(deltas[r]))
+            for r, i in enumerate(rows)
+            if deltas[r] != 0.0
+        )
+    gamma = 0.0
+    if keep is not None:  # p_keep - gamma must reproduce the pieces' sum as the checker adds it
+        at_keep = 0.0
+        for q in pieces:
+            at_keep += dict(zip(catalog.circuits[q.circuit_index].vertices, q.c)).get(keep, 0.0)
+        gamma = coeff[keep] - at_keep
+        while coeff[keep] - gamma < at_keep:
+            gamma = math.nextafter(gamma, -math.inf)
+        shifts[keep] = coeff[keep] - gamma - at_keep
+    residual.update({a: shift for a, shift in shifts.items() if shift > 1e-12 * _scale(p)})
+    cert = SoncCertificate(gamma, pieces, SparsePolynomial.from_terms(residual, n=p.n))
+    return cert if math.isfinite(gamma) and verify_certificate(p, cert, catalog) else None
 
-    u = [[1.0 / len(host_claims[vert]) for vert in c.vertices] for c in circuits]
-    w = [0.0] * n_pieces
 
-    def log_theta(pi: int) -> float:
-        acc = 0.0
-        for i, vert in enumerate(circuits[pi].vertices):
-            m = mu[pi][i]
-            acc += m * (math.log(coeff[vert]) + math.log(u[pi][i]) - math.log(m))
-        return acc
+#: Growth of t per stage; the path stops at gap nu / t <= _GAP max(scale,
+#: |objective|).  In the first stage t follows down to _FOLLOW nu / |objective|.
+_T_GROWTH, _GAP, _FOLLOW = 30.0, 1e-8, 100.0
 
-    def log_slack(pi: int) -> float:
-        return log_theta(pi) - math.log(abs(coeff[circuits[pi].inner])) - math.log(w[pi])
 
-    def update_group(g: Exponent) -> None:
-        locs = group_local[g]
-        lts = [log_theta(pi) for pi in locs]
-        mx = max(lts)
-        es = [math.exp(t - mx) for t in lts]
-        s = sum(es)
-        for pi, e in zip(locs, es):
-            w[pi] = max(e / s, 1e-300)
+def _central_path(lam: np.ndarray, grp: np.ndarray, p_host: np.ndarray, free: np.ndarray, p_bad: np.ndarray):
+    """(t, v, G, G - u, G + u) at the end of the central path of the dual,
+    or None when a stage does not settle in 300 steps.  The dual is min
+    sum_a p_a v_a - sum_beta |p_beta| u_beta with v = 1 at the anchors and
+    u_beta <= G_C(v) = prod_a v_a^lambda_a for each circuit C (row C of
+    `lam`, bad point grp[C]); its barrier -sum_C log(G_C^2 - u^2) - sum_free
+    log v_a has parameter nu = 2 #C + #free.  Each u is eliminated exactly,
+    and damped Newton runs on the free v (Schur-complement Hessian, Jacobi
+    scaling, Armijo while the decrement exceeds 1/4).  A stage ends at
+    decrement 1, the last one only when the decrement stops falling."""
+    first, lf = np.flatnonzero(np.diff(grp, prepend=-1)), lam[:, free]
+    nu = 2.0 * len(lam) + float(free.sum())
+    scale = 1.0 + max(float(np.abs(p_host).max()), float(p_bad.max()))
+    diagonal = np.diag_indices(lf.shape[1])
 
-    def update_host(vert: Exponent) -> None:
-        claims = host_claims[vert]
-        if len(claims) == 1:
-            pi, i = claims[0]
-            u[pi][i] = 1.0
-            return
-        consts, ms = [], []
-        for pi, i in claims:
-            m = mu[pi][i]
-            consts.append(log_slack(pi) - m * math.log(u[pi][i]))
-            ms.append(m)
-        level = _host_level(consts, ms)
-        shares = [math.exp(min((level - c0) / m, 700.0)) for c0, m in zip(consts, ms)]
-        s = sum(shares)
-        for (pi, i), sh in zip(claims, shares):
-            u[pi][i] = max(sh / s, 1e-300)
+    # A point is (log G of each bad point's first circuit, log G_C minus that,
+    # v), so a tie between circuits resolves to the precision of the difference.
+    def state(point: tuple, t: float) -> tuple:
+        lg0, r, v = point
+        rmin = np.minimum.reduceat(r, first)
+        gmin = np.exp(lg0 + rmin)
+        d = gmin[grp] * np.expm1(r - rmin[grp])
+        s = _eliminate(gmin, d, first, grp, t * p_bad)
+        low, high = d + s[grp], d + 2.0 * gmin[grp] - s[grp]
+        u = t * p_bad / (2.0 * np.add.reduceat(1.0 / (low * high), first))
+        phi = t * (p_host @ v - p_bad @ u) - np.log(v[free]).sum() - np.log(low).sum() - np.log(high).sum()
+        return point, v, gmin[grp] + d, gmin, low, high, u, phi
 
-    for g in sorted(groups):
-        update_group(g)
-    blocks: list[tuple[str, Exponent]] = [("g", g) for g in sorted(groups)]
-    blocks += [("h", vkey) for vkey in sorted(host_claims)]
-    updates = 0
-    prev = -math.inf
-    while updates < budget:
-        for kind, key in blocks:
-            if kind == "g":
-                update_group(key)
+    def moved(point: tuple, step: np.ndarray) -> tuple:
+        lg0, r, v = point
+        dz, v = np.log1p(step), v.copy()
+        v[free] *= 1.0 + step
+        return lg0 + lf[first] @ dz, r + (lf - lf[first][grp]) @ dz, v
+
+    t, objective, first_stage = nu / scale, 0.0, True
+    current = ((np.zeros(len(first)), np.zeros(len(lam)), np.ones(len(p_host))),)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+        while True:
+            final = nu / t <= _GAP * max(scale, abs(objective))
+            current, last = state(current[0], t), math.inf
+            for _ in range(300):
+                point, v, g, gmin, low, high, u, phi = current
+                a, b = g / low, g / high
+                grad = t * p_host[free] * v[free] - 1.0 - lf.T @ (a + b)
+                ww = a * a + b * b
+                rho, kappa = (a * a - b * b) / ww, gmin[grp] / g
+                # The Schur term of each bad point, as centered rows (no cancellation).
+                zbar = np.add.reduceat((ww * kappa * rho)[:, None] * lf, first) / np.add.reduceat(ww * kappa**2, first)[:, None]
+                rows = np.sqrt(ww)[:, None] * (rho[:, None] * lf - kappa[:, None] * zbar[grp])
+                hess = lf.T @ ((4.0 * a * a * b * b / ww - a - b)[:, None] * lf)
+                hess[diagonal] += 1.0 + lf.T @ (a + b)
+                step = _newton_step(hess, rows, grad)
+                dec = float(-grad @ step) if step is not None else math.nan
+                if not math.isfinite(dec):
+                    return None
+                if dec <= (0.0 if final else 1.0) or dec >= last:
+                    break
+                tau, last = min(1.0, 0.9 / max(float(-step.min()), 1e-300)), (dec if dec <= 0.25 else math.inf)
+                for _ in range(40 if dec > 0.25 else 1):
+                    current = state(moved(point, tau * step), t)
+                    if dec <= 0.25 or current[-1] < phi and current[-1] <= phi - 1e-4 * tau * dec:
+                        break
+                    tau *= 0.5
+                else:  # no decrease above phi's float resolution
+                    current = state(point, t)
+                    break
+                objective = float(p_host @ current[1] - p_bad @ current[6])
+                if first_stage and t * abs(objective) > _FOLLOW * nu:
+                    t = _FOLLOW * nu / abs(objective)
+                    current, last = state(current[0], t), math.inf
             else:
-                update_host(key)
-            updates += 1
-        cur = min(log_slack(pi) for pi in range(n_pieces))
-        if cur >= 1e-10 or cur <= prev + 1e-14:
-            break
-        prev = cur
+                return None
+            objective = float(p_host @ v - p_bad @ u)
+            if not math.isfinite(objective):
+                return None
+            if final or nu / t <= _GAP * max(scale, abs(objective)):
+                return t, v, g, low, high
+            t, first_stage = t * _T_GROWTH, False
 
-    # Round to exact coverage: the last piece of each inner group absorbs the
-    # closure so odd exponents cancel exactly; overdrawn hosts shed the tiny
-    # float excess from their largest claim.
-    piece_delta = [0.0] * n_pieces
-    for g in sorted(groups):
-        locs = group_local[g]
-        wsum = sum(w[pi] for pi in locs)
-        acc = 0.0
-        for pi in locs[:-1]:
-            d = coeff[g] * (w[pi] / wsum)
-            piece_delta[pi] = d
-            acc += d
-        piece_delta[locs[-1]] = coeff[g] - acc
 
-    piece_c = [[0.0] * circuits[pi].k for pi in range(n_pieces)]
-    draw_sum: dict[Exponent, float] = {vert: 0.0 for vert in host_claims}
-    for pi, c in enumerate(circuits):
-        for i, vert in enumerate(c.vertices):
-            amount = coeff[vert] * u[pi][i]
-            piece_c[pi][i] = amount
-            draw_sum[vert] += amount
-    for vert, drawn in draw_sum.items():
-        excess = drawn - coeff[vert]
-        if excess > 0.0:
-            pi, i = max(host_claims[vert], key=lambda t: piece_c[t[0]][t[1]])
-            piece_c[pi][i] -= excess
+def _eliminate(gmin: np.ndarray, d: np.ndarray, first: np.ndarray, grp: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The slack s = min_C G_C - u per bad point at the u that minimizes
+    -a u - sum_C log(G_C^2 - u^2), a = t |p_beta|, given d = G_C - min G:
+    for one circuit s = G (1 + 1/(r + A)) / (1 + r), A = a G, r = sqrt(1 +
+    A^2); for k, Newton from there, clipped to [that, k / a]."""
+    big = a * gmin
+    r = np.hypot(1.0, big)
+    s = lo = gmin * (1.0 + 1.0 / (r + big)) / (1.0 + r)
+    sizes = np.bincount(grp)
+    if sizes.max() > 1:
+        hi = np.maximum(np.minimum(sizes / a, gmin), lo)
+        for _ in range(50):
+            low, high = 1.0 / (d + s[grp]), 1.0 / (d + 2.0 * gmin[grp] - s[grp])
+            new = np.clip(s + (np.add.reduceat(low - high, first) - a) / np.add.reduceat(low**2 + high**2, first), lo, hi)
+            if (np.abs(new - s) <= 1e-15 * s).all():
+                return new
+            s = new
+    return s
 
-    residual_terms = {}
-    for exp, c in coeff.items():
-        if not is_even_point(exp) or c <= 0.0:
-            continue
-        rem = c - draw_sum.get(exp, 0.0)
-        if rem > 0.0:
-            residual_terms[exp] = rem
-    residual = SparsePolynomial.from_terms(residual_terms, n=p.n)
-    cert = SoncCertificate(
-        0.0,
-        tuple(
-            CertificatePiece(usable[pi], tuple(piece_c[pi]), piece_delta[pi])
-            for pi in range(n_pieces)
-        ),
-        residual,
-    )
-    return cert if verify_certificate(p, cert, catalog) else None
+
+def _newton_step(hess: np.ndarray, rows: np.ndarray, grad: np.ndarray) -> np.ndarray | None:
+    """Solve (hess + rows' rows) d = -grad; None when singular.  Rows of
+    norm s > 1 enter an augmented system [[H, R'], [R, -diag(1/s^2)]] with
+    unit rows R instead, which stays well conditioned when s^2 dwarfs H
+    (circuits of one bad point near a tie); H is scaled to a unit diagonal."""
+    norms = np.linalg.norm(rows, axis=1)
+    big = norms > 1.0
+    hess = hess + rows[~big].T @ rows[~big]
+    scale = 1.0 / np.sqrt(np.diag(hess))
+    unit, f = rows[big] / norms[big, None] * scale, len(hess)
+    system = np.zeros((f + len(unit), f + len(unit)))
+    system[:f, :f] = hess * np.outer(scale, scale)
+    system[:f, f:], system[f:, :f], system[f:, f:] = unit.T, unit, -np.diag(norms[big] ** -2.0)
+    try:
+        return np.linalg.solve(system, np.concatenate([-grad * scale, np.zeros(len(unit))]))[:f] * scale
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _round_pieces(lam, grp, p_bad, p_host, fixed, t, v, g, low, high) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex coefficients (circuits x vertices) and deltas of the pieces:
+    y+- = 1 / (t (G -+ u)) give c_a = (y+ + y-) lambda_a G / v_a and |delta|
+    = |y+ - y-|, so Theta = y+ + y- >= |delta|.  p_beta is split in
+    proportion to y+ y-, and each free vertex gives its full coefficient in
+    proportion to c_a.  A piece without an anchor hands a shortfall Theta <
+    |delta| to an anchored piece of its bad point, if any, and each anchored
+    piece sets its anchor coefficient where Theta = |delta|."""
+    first, anchored = np.flatnonzero(np.diff(grp, prepend=-1)), (lam[:, fixed] > 0.0).any(axis=1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+        cs = ((g / low + g / high) / t)[:, None] * lam / v
+        share = np.minimum.reduceat(low * high, first)[grp] / (low * high)
+        deltas = p_bad[grp] * share / np.add.reduceat(share, first)[grp]
+        cs[deltas == 0.0] = 0.0
+        totals = cs.sum(axis=0)
+        cs[:, ~fixed] *= p_host[~fixed] / np.where(totals > 0.0, totals, 1.0)[~fixed]
+        log_theta = np.where((lam > 0.0) & ~fixed, lam * (np.log(cs) - np.log(lam)), 0.0).sum(axis=1)
+        for r in np.flatnonzero(~anchored & (log_theta < np.log(np.abs(deltas)))):
+            takers = np.flatnonzero(anchored & (grp == grp[r]))
+            if takers.size:
+                theta = np.copysign(np.exp(log_theta[r]), deltas[r])
+                deltas[takers[0]] += deltas[r] - theta
+                deltas[r] = theta
+        r, j = np.nonzero((lam > 0.0) & fixed)
+        cs[r, j] = lam[r, j] * np.exp((np.log(np.abs(deltas[r])) - log_theta[r]) / lam[r, j])
+    return np.nan_to_num(cs), deltas
 
 
 #: Random starts of the multistart descent, besides 0 and +-1.
@@ -362,15 +412,13 @@ def _descend(p: SparsePolynomial, x: np.ndarray) -> np.ndarray:
     """Damped Newton from every row of x at once; the rows where each
     descent stopped.
 
-    The direction is -V diag(1/lambda') V' g, with lambda' = max(|lambda|,
-    1e-8 max(1, max |lambda|)) over the eigenpairs (lambda, V) of the
-    Hessian, so it always descends (Nocedal-Wright 3.4).  A row whose
-    Hessian has a non-finite entry or one beyond 1e150 takes the gradient
-    step -g / max(1, ||g||_inf) instead.  Steps are Armijo backtracking
+    The direction is -V diag(1/lambda') V' g over the Hessian's eigenpairs,
+    lambda' = max(|lambda|, 1e-8 max(1, max |lambda|)), so it always
+    descends (Nocedal-Wright 3.4); a row whose Hessian has an entry beyond
+    1e150 or a non-finite one takes -g / max(1, ||g||_inf).  Armijo steps
     from 1 (c1 = 1e-4, at most 60 halvings).  A start stops at ||g||_inf <=
-    1e-5, a failed line search (which includes a direction beyond the float
-    range), a decrease below 1e-15 max(1, |f|), or 200 iterations.  A
-    non-finite value reads as 1e300 and a non-finite gradient entry as 0."""
+    1e-5, a failed line search, a decrease below 1e-15 max(1, |f|), or 200
+    iterations.  A non-finite value reads as 1e300, a gradient entry as 0."""
 
     def derivatives(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         vals, grads, hess = value_gradient_hessian(p, pts)
@@ -433,18 +481,13 @@ def _unbounded_curve(p: SparsePolynomial) -> _Curve | None:
     p is unbounded below when some nonzero vertex alpha of New(p u {0}) is
     odd or carries a negative coefficient: a weight vector w exposing alpha,
     <w, alpha - beta> > 0 for every other point beta, makes c_alpha s^alpha
-    t^<w, alpha> the dominant term along the curve, and s is chosen so that
-    this term is negative.  A HiGHS LP with margin 1 (and the least l1 norm,
-    so the integer vector stays small) proposes w; its rationalization is
-    accepted only when the strict inequalities hold exactly in integers.
-
-    The inner point of a circuit with k >= 2 whose vertices are among the
-    points lies in the relative interior of a simplex of other points, so
-    it is no vertex and its LP is skipped.  By Caratheodory every non-vertex
-    point of a bounded input is such an inner point, so bounded inputs solve
-    no LP.  The circuits come from the catalog the later stages use, and
-    above its even-point cap every candidate gets its LP.
-    """
+    t^<w, alpha> the dominant term along the curve, and s makes it
+    negative.  A HiGHS LP with margin 1 and the least l1 norm proposes w;
+    its rationalization must satisfy the strict inequalities in integers.
+    The inner point of a circuit of the catalog with k >= 2 whose vertices
+    are among the points is no vertex and gets no LP; by Caratheodory that
+    is every non-vertex of a bounded input, so bounded inputs solve no LP.
+    Above the catalog's even-point cap every candidate gets its LP."""
     zero = (0,) * p.n
     keys = set(p.coefficients) | {zero}
     points = sorted(keys)
@@ -500,62 +543,20 @@ def _curve_point(p: SparsePolynomial, curve: _Curve) -> tuple[float, ...] | None
 _UNBOUNDED = BoundResult(-math.inf, None, None, None, None, Status.INFEASIBLE_UNBOUNDED)
 
 
-def sonc_lower_bound(p: SparsePolynomial, budget: int = 5000, seed: int = 0) -> BoundResult:
-    """Largest gamma with p - gamma certified in the cone, by bisection.
+def sonc_lower_bound(p: SparsePolynomial) -> BoundResult:
+    """The largest gamma with p - gamma certified in the cone.
 
     A polynomial with an odd or negative vertex of its Newton polytope (with
-    the origin added) is unbounded below; it is settled there, before any
-    search, as infeasible_unbounded.  Otherwise gamma_hi starts at the best
-    multistart value of p (always an upper bound on the infimum); a feasible
-    lower bracket is found by doubling steps, and failing that the status is
-    infeasible_unbounded."""
-    if _unbounded_curve(p) is not None:
-        return _UNBOUNDED
-    return _bisect_bound(p, budget, _local_minima(p, seed)[0][0])
+    the origin added) is unbounded below and settled there.  Otherwise gamma
+    is the shift at the constant point of one barrier solve (`_certify`); a
+    solve that fails, or fails the checker, answers infeasible_unbounded."""
+    return _UNBOUNDED if _unbounded_curve(p) is not None else _exact_bound(p)
 
 
-def _bisect_bound(p: SparsePolynomial, budget: int, gamma_hi: float) -> BoundResult:
-    """Bracket and bisect gamma below the upper bound gamma_hi."""
-    support = _extended_support(p)
-    catalog = enumerate_circuits(support)
-    scale = _scale(p)
-    zero = (0,) * p.n
-    constant = p.coefficients.get(zero, 0.0)
-
-    def attempt(gamma: float) -> SoncCertificate | None:
-        shifted = dict(p.coefficients)
-        shifted[zero] = constant - gamma
-        if not math.isfinite(shifted[zero]):  # beyond the float range: no certificate
-            return None
-        q = SparsePolynomial(support, {e: c for e, c in shifted.items() if c != 0.0})
-        cert = sonc_feasibility(q, catalog, budget=budget)
-        return replace(cert, gamma=gamma) if cert is not None else None
-
-    cert = attempt(gamma_hi)
-    if cert is not None:
-        return BoundResult(gamma_hi, None, cert, None, None, Status.CERTIFIED)
-    lo = None
-    hi = gamma_hi
-    step = max(1.0, scale)
-    for _ in range(60):
-        g = gamma_hi - step
-        c = attempt(g)
-        if c is not None:
-            lo, cert = g, c
-            break
-        step *= 2.0
-    if lo is None:
-        return _UNBOUNDED
-    for _ in range(100):
-        if hi - lo <= 2e-7 * scale:
-            break
-        mid = 0.5 * (lo + hi)
-        c = attempt(mid)
-        if c is not None:
-            lo, cert = mid, c
-        else:
-            hi = mid
-    return BoundResult(lo, None, cert, None, None, Status.CERTIFIED)
+def _exact_bound(p: SparsePolynomial) -> BoundResult:
+    """The certified bound of a polynomial bounded at its Newton polytope."""
+    cert = _certify(p, enumerate_circuits(_extended_support(p)), (0,) * p.n)
+    return BoundResult(cert.gamma, None, cert, None, None, Status.CERTIFIED) if cert else _UNBOUNDED
 
 
 #: Step attempts of the dual descent after its best verified start.
@@ -566,19 +567,16 @@ def dual_program_solve(p: SparsePolynomial, seed: int = 0) -> tuple[float, DualV
     """Minimize the coefficient pairing over the dual cone, with the constant
     coordinate normalized to 1.
 
-    Moment vectors seed the search: of one point on the exposing curve when
-    p is unbounded at its Newton polytope, else of multistart local
-    minimizers of p.  Each is verified by the membership oracle.  A
-    projected step-shrinking descent along -c then tries to improve while
-    keeping verified membership.  Deterministic for a fixed seed."""
-    return _dual_solve(p, seed, _unbounded_curve(p), None)
+    Moment vectors seed the search, verified by the membership oracle: of
+    one point on the exposing curve when p is unbounded at its Newton
+    polytope, else of multistart local minimizers.  A projected descent
+    along -c then improves while membership holds.  Deterministic per seed."""
+    return _dual_solve(p, seed, _unbounded_curve(p))
 
 
-def _dual_solve(
-    p: SparsePolynomial, seed: int, curve: _Curve | None, minima: list | None
-) -> tuple[float, DualVector]:
+def _dual_solve(p: SparsePolynomial, seed: int, curve: _Curve | None) -> tuple[float, DualVector]:
     """The dual program from a point on `curve` when there is one, falling
-    back to the multistart minima (`minima`, computed here when None)."""
+    back to the multistart minima."""
     if curve is not None:
         x = _curve_point(p, curve)
         if x is not None:
@@ -586,9 +584,7 @@ def _dual_solve(
                 return _dual_descent(p, [x])
             except DualSolveError:
                 pass
-    if minima is None:
-        minima = _local_minima(p, seed)
-    return _dual_descent(p, [z for _, z in minima])
+    return _dual_descent(p, [z for _, z in _local_minima(p, seed)])
 
 
 def _dual_descent(p: SparsePolynomial, starts: list) -> tuple[float, DualVector]:
@@ -699,24 +695,18 @@ def recover_optimizer(
     return None
 
 
-def certify_optimality(p: SparsePolynomial, seed: int = 0, budget: int = 5000) -> BoundResult:
+def certify_optimality(p: SparsePolynomial, seed: int = 0) -> BoundResult:
     """Primal bound, dual solve, and moment recovery of an optimal point.
 
     A polynomial that is unbounded at its Newton polytope is settled there:
-    p_sonc is -inf, and dual_point and p_dual come from one point on the
-    exposing curve, improved by the dual descent.  Otherwise the multistart
-    descent runs once and seeds both the primal bracket and the dual.
-    Optimality is claimed only when a recovered point's value matches the
-    dual objective and the certified primal bound closes the gap, so the
-    sandwich p_sonc <= inf p <= p(z) = p_dual pins the infimum."""
+    p_sonc is -inf, and the dual starts from one point on the exposing
+    curve.  Otherwise the barrier solve gives the primal, and the multistart
+    descent seeds the dual.  Optimality is claimed only when a recovered
+    point's value matches the dual objective and the certified bound closes
+    the gap, so p_sonc <= inf p <= p(z) = p_dual pins the infimum."""
     curve = _unbounded_curve(p)
-    if curve is not None:
-        minima = None
-        primal = _UNBOUNDED
-    else:
-        minima = _local_minima(p, seed)
-        primal = _bisect_bound(p, budget, minima[0][0])
-    value, v = _dual_solve(p, seed, curve, minima)
+    primal = _UNBOUNDED if curve is not None else _exact_bound(p)
+    value, v = _dual_solve(p, seed, curve)
     scale = _scale(p)
     support = _extended_support(p)
     z = recover_optimizer(v, support)

@@ -134,7 +134,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_bound(args, seed: int) -> int:
     p = _load_polynomial(_read(args.input))
-    result = certify_optimality(p, seed=seed, budget=args.budget)
+    result = certify_optimality(p, seed=seed)
     _emit(result.to_json_dict(), args.format)
     return 0 if result.status in (Status.CERTIFIED, Status.OPTIMALITY_CERTIFIED) else 1
 
@@ -142,7 +142,7 @@ def _cmd_bound(args, seed: int) -> int:
 def _cmd_certify(args) -> int:
     p = _load_polynomial(_read(args.input))
     catalog = enumerate_circuits(p.support)
-    cert = sonc_feasibility(p, catalog, budget=args.budget)
+    cert = sonc_feasibility(p, catalog)
     _emit(
         {"certified": cert is not None, "certificate": cert.to_json_dict() if cert else None},
         args.format,
@@ -160,7 +160,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument("--tol", type=float, default=1e-9, help="membership tolerance")
     parser.add_argument("--seed", type=int, default=None, help="rng seed (overrides SONC_SEED)")
-    parser.add_argument("--budget", type=int, default=5000, help="solver iteration cap")
     parser.add_argument("--format", choices=("json", "text"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -28,7 +28,7 @@ from sonckit import (
     verify_certificate,
 )
 from sonckit import bounds
-from sonckit.bounds import DUAL_FEAS_TOL, _RANDOM_STARTS, _host_level, _local_minima, _unbounded_curve
+from sonckit.bounds import DUAL_FEAS_TOL, _RANDOM_STARTS, _local_minima, _unbounded_curve
 from sonckit.circuits import SupportTooLargeError
 from sonckit.polynomials import value_gradient_hessian
 
@@ -39,17 +39,16 @@ def motzkin():
     return parse_polynomial(MOTZKIN_TEXT)
 
 
-def _record_oracle(monkeypatch) -> list:
-    """Wrap bounds.sonc_feasibility so that every call appends (q, certified)."""
+def _record_solves(monkeypatch) -> list:
+    """Wrap bounds._certify, the barrier solve, so that every call appends its polynomial."""
     calls = []
-    real = bounds.sonc_feasibility
+    real = bounds._certify
 
     def recording(q, *args, **kwargs):
-        cert = real(q, *args, **kwargs)
-        calls.append((q, cert is not None))
-        return cert
+        calls.append(q)
+        return real(q, *args, **kwargs)
 
-    monkeypatch.setattr(bounds, "sonc_feasibility", recording)
+    monkeypatch.setattr(bounds, "_certify", recording)
     return calls
 
 
@@ -103,7 +102,7 @@ class TestFeasibility:
 
     def test_recovers_constructed_decompositions(self):
         # instances built as explicit sums of nonneg circuit polynomials with
-        # margin, plus even monomials; the heuristic must certify most
+        # margin, plus even monomials; every one must be certified
         rng = np.random.default_rng(61)
         attempted = produced = 0
         while attempted < 40:
@@ -143,7 +142,7 @@ class TestFeasibility:
             for piece in cert.pieces:
                 cp = CircuitPolynomial(catalog.circuits[piece.circuit_index], piece.c, piece.delta)
                 assert is_nonneg_circuit(cp)[0]
-        assert produced >= 0.7 * attempted
+        assert produced == attempted
 
 
 def _extended(p):
@@ -180,20 +179,21 @@ class TestLowerBound:
         assert r.certificate.gamma == r.p_sonc
         assert verify_certificate(p, r.certificate, catalog)
 
-    def test_trace_is_monotone(self, monkeypatch):
-        # no gamma may certify after a smaller gamma failed
-        calls = _record_oracle(monkeypatch)
+    def test_trace_is_monotone(self):
+        # p - gamma is certified exactly up to the reported bound: every
+        # gamma below it certifies, every gamma above it fails
         for text in (MOTZKIN_TEXT, "1 + x1^4 - 3*x1^2", "1 + x1^6 - 2*x1^3 + 0.5*x1^2"):
             p = parse_polynomial(text)
-            calls.clear()
-            sonc_lower_bound(p)
+            bound = sonc_lower_bound(p).p_sonc
+            catalog = enumerate_circuits(_extended(p))
             zero = (0,) * p.n
-            constant = p.coefficients.get(zero, 0.0)
-            trace = [(constant - q.coefficients.get(zero, 0.0), ok) for q, ok in calls]
-            failed = [g for g, ok in trace if not ok]
-            certified = [g for g, ok in trace if ok]
-            if failed and certified:
-                assert max(certified) < min(failed)
+            trace = []
+            for gamma in bound + np.array([-1.0, -1e-2, -1e-4, 1e-4, 1e-2, 1.0]):
+                coeffs = dict(p.coefficients)
+                coeffs[zero] = coeffs.get(zero, 0.0) - gamma
+                q = type(p)(catalog.support, {e: c for e, c in coeffs.items() if c != 0.0})
+                trace.append(sonc_feasibility(q, catalog) is not None)
+            assert trace == [True] * 3 + [False] * 3, text
 
     def test_feasible_gamma_set_is_a_ray(self):
         p = parse_polynomial("1 + x1^4 - 3*x1^2")
@@ -208,6 +208,66 @@ class TestLowerBound:
         assert flags == sorted(flags, reverse=True)
         switch = flags.index(False)
         assert np.linspace(-3.0, 0.5, 36)[switch] >= -1.25 - 1e-9
+
+
+def _even_simplex_terms(rng) -> dict:
+    """A positive constant and x^2d, 2d in 4..12, with 1-3 interior terms:
+    odd ones of either sign, even ones negative."""
+    two_d = 2 * int(rng.integers(2, 7))
+    terms = {(0,): 10.0 ** rng.uniform(-1, 1), (two_d,): 10.0 ** rng.uniform(-1, 1)}
+    for a in rng.choice(np.arange(1, two_d), size=int(rng.integers(1, 4)), replace=False):
+        mag = 10.0 ** rng.uniform(-1, 1)
+        terms[(int(a),)] = -mag if a % 2 == 0 else float(rng.choice([-1.0, 1.0])) * mag
+    return terms
+
+
+def _simplex_sonc_value(terms: dict) -> float:
+    """min over t >= 0 of c_0 + c_2d t^2d - sum |c_i| t^(a_i), the SONC value
+    of a univariate even-simplex polynomial, from the real roots of the
+    derivative."""
+    top = max(e for (e,) in terms)
+    inner = [(e, abs(c)) for (e,), c in terms.items() if 0 < e < top]
+    deriv = np.zeros(top)  # coefficients of t^(top-1), ..., t^0
+    deriv[0] = top * terms[(top,)]
+    for a, c in inner:
+        deriv[top - a] -= a * c
+    roots = [r.real for r in np.roots(deriv) if abs(r.imag) <= 1e-9 * max(1.0, abs(r)) and r.real > 0.0]
+    return min(terms[(0,)] + terms[(top,)] * t**top - sum(c * t**a for a, c in inner) for t in [0.0, *roots])
+
+
+#: Inputs whose bound the bisection over coordinate ascent left far from
+#: the SONC value: (coefficients, p_sonc, relative tolerance, status).
+GAP_INPUTS = [
+    ({(0,): 4.3275484811873905, (5,): -1.2741572245398474, (7,): -4.972587301179067, (8,): 1.7906591442303808},
+     -422.80092, 1e-8, Status.OPTIMALITY_CERTIFIED),
+    ({(3,): 1.4098224022779333, (4,): -10.263221598388144, (6,): 0.033370062625645305},
+     -147986.162, 1e-8, Status.OPTIMALITY_CERTIFIED),
+    ({(1,): 1.2093659962943597, (5,): 227.75520882698635, (6,): 8.956241577311502},
+     -1.6222714e8, 1e-7, Status.OPTIMALITY_CERTIFIED),
+    # Bottoms out near x = -8046; the bisection certified no bound at all.
+    ({(3,): 7.164935125015811, (5,): 61.58628418644621, (6,): 0.00638155336655631}, -3.4532e20, 1e-4, Status.CERTIFIED),
+]
+
+
+class TestExactBound:
+    def test_matches_univariate_oracle(self):
+        rng = np.random.default_rng(20290)
+        for _ in range(200):
+            terms = _even_simplex_terms(rng)
+            r = sonc_lower_bound(SparsePolynomial.from_terms(terms, n=1))
+            want = _simplex_sonc_value(terms)
+            scale = 1.0 + max(map(abs, terms.values()))
+            assert abs(r.p_sonc - want) <= 1e-6 * max(scale, abs(want)), terms
+
+    @pytest.mark.parametrize("terms, want, rel, status", GAP_INPUTS)
+    def test_closes_the_gap(self, terms, want, rel, status):
+        p = SparsePolynomial.from_terms(terms, n=1)
+        r = certify_optimality(p)
+        assert r.p_sonc == pytest.approx(want, rel=rel)
+        assert r.status is status
+        assert verify_certificate(p, r.certificate, enumerate_circuits(_extended(p)))
+        scale = 1.0 + max(map(abs, terms.values()))
+        assert r.p_sonc <= r.p_dual + 1e-6 * max(scale, abs(r.p_dual))
 
 
 class TestDualProgram:
@@ -401,7 +461,7 @@ class TestNewtonPolytopeShortcut:
         assert _unbounded_curve(parse_polynomial(text)) is None
 
     def test_settled_without_oracle_calls(self, monkeypatch):
-        calls = _record_oracle(monkeypatch)
+        calls = _record_solves(monkeypatch)
         r = sonc_lower_bound(parse_polynomial("x1^2*x2 + 1"))
         assert r.status is Status.INFEASIBLE_UNBOUNDED and r.p_sonc == -math.inf
         assert calls == []
@@ -465,44 +525,6 @@ class TestNewtonPolytopeShortcut:
         before = len(lps)
         assert [_unbounded_curve(p) for p in polys] == curves[1:]
         assert len(lps) > before
-
-
-class TestHostLevel:
-    """The Newton root of the host split against the bisection it replaced."""
-
-    @staticmethod
-    def need(level, consts, ms):
-        return sum(math.exp(min((level - c0) / m, 700.0)) for c0, m in zip(consts, ms))
-
-    def bisect(self, consts, ms):
-        hi = max(consts)
-        lo = min(c0 + m * math.log(1e-12) for c0, m in zip(consts, ms))
-        while self.need(lo, consts, ms) > 1.0:
-            lo -= 10.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if self.need(mid, consts, ms) > 1.0:
-                hi = mid
-            else:
-                lo = mid
-        return lo
-
-    def shares(self, level, consts, ms):
-        raw = [math.exp(min((level - c0) / m, 700.0)) for c0, m in zip(consts, ms)]
-        return [r / sum(raw) for r in raw]
-
-    def test_matches_bisection(self):
-        rng = np.random.default_rng(71)
-        for _ in range(2000):
-            k = int(rng.integers(1, 9))
-            consts = rng.uniform(-50.0, 50.0, size=k).tolist()
-            # One float step of L moves a share by about ulp(L) / m, so 1e-12
-            # is reachable only for m well above ulp(50) / 1e-12 = 0.007.
-            ms = rng.uniform(0.05, 1.0, size=k).tolist()
-            level = _host_level(consts, ms)
-            assert self.need(level, consts, ms) == pytest.approx(1.0, abs=1e-12)
-            want = self.shares(self.bisect(consts, ms), consts, ms)
-            assert self.shares(level, consts, ms) == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
 class TestBatchedDescent:

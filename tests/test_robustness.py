@@ -1,4 +1,5 @@
-"""Deterministic fuzzing of the command line on extreme inputs.
+"""Deterministic fuzzing of the command line on extreme inputs, and of the
+exact bound on bounded polynomials.
 
 Whatever the input, `main` returns 0, 1 or 2 and raises nothing; unless it
 exits 2, stdout is strict JSON (no NaN or Infinity), and on exit 2 it is
@@ -9,13 +10,19 @@ import contextlib
 import io
 import json
 import math
+from itertools import product
 from unittest import mock
 
-from hypothesis import example, given, settings
+import numpy as np
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from sonckit import SparsePolynomial, enumerate_circuits, sonc_lower_bound, verify_certificate
+from sonckit.bounds import _extended_support, _local_minima, _unbounded_curve
 from sonckit.cli import main
 from sonckit.polynomials import MAX_VARIABLES
+
+from _gen import eval_on_points
 
 #: Zero terms keep x1^60*x2^7 and x1^60*x2^5 in the support, and the moments
 #: of the recovered point there leave the float range.
@@ -219,3 +226,64 @@ def test_support_json_through_circuits_exits_cleanly(text):
 @example(f"1 + x{MAX_VARIABLES}^2 - x1*x{MAX_VARIABLES}")
 def test_variable_indices_around_the_cap_exit_cleanly(text):
     check_clean_exit(["bound"], text)
+
+
+MAGNITUDES_3 = st.floats(-3.0, 3.0).map(lambda s: 10.0**s)
+SIGNED_3 = st.tuples(st.sampled_from([-1.0, 1.0]), MAGNITUDES_3).map(lambda t: t[0] * t[1])
+
+
+@st.composite
+def even_simplex_polynomials(draw) -> SparsePolynomial:
+    """Positive constant and x_i^2d terms (n <= 3, 2d <= 12) plus up to n + 5
+    interior points of the simplex with signed coefficients: always bounded."""
+    n = draw(st.integers(1, 3))
+    two_d = 2 * draw(st.integers(n, 6))
+    terms = {v: draw(MAGNITUDES_3) for v in [(0,) * n] + [tuple(two_d * (i == j) for j in range(n)) for i in range(n)]}
+    interior = [a for a in product(range(1, two_d), repeat=n) if sum(a) < two_d]
+    for a in draw(st.lists(st.sampled_from(interior), max_size=n + 5, unique=True)):
+        terms[a] = draw(SIGNED_3)
+    return SparsePolynomial.from_terms(terms, n=n)
+
+
+@st.composite
+def sparse_polynomials(draw) -> SparsePolynomial:
+    """n <= 3, degree <= 8, at most 7 terms; half of them even with a
+    positive coefficient, so that more draws are bounded."""
+    n = draw(st.integers(1, 3))
+    exps = st.lists(st.integers(0, 8), min_size=n, max_size=n).map(lambda e: tuple(x * 8 // max(8, sum(e)) for x in e))
+    even = exps.map(lambda e: tuple(2 * (x // 2) for x in e))
+    term = st.one_of(st.tuples(exps, SIGNED_3), st.tuples(even, MAGNITUDES_3))
+    return SparsePolynomial.from_terms(dict(draw(st.lists(term, min_size=1, max_size=7))), n=n)
+
+
+def check_exact_bound(p: SparsePolynomial) -> None:
+    """The certificate verifies, p_sonc lies below every sampled value and
+    the multistart minimum, and x_1 -> -1.25 x_1, which leaves the SONC
+    value unchanged, moves the bound by no more than the solve's tolerance.
+    Tolerances are relative to max(scale, |value|): a tight bound near
+    -2.4e11 sits 6e-4 above the computed minimum, p's own rounding there."""
+    r = sonc_lower_bound(p)
+    if r.certificate is None:
+        return
+    assert verify_certificate(p, r.certificate, enumerate_circuits(_extended_support(p)))
+    scale = 1.0 + max(map(abs, p.coefficients.values()))
+    xs = np.random.default_rng(0).uniform(-3.0, 3.0, size=(2000, p.n))
+    low = min(float(eval_on_points(p, xs).min()), _local_minima(p, 0)[0][0])
+    assert r.p_sonc <= low + 1e-6 * max(scale, abs(low))
+    q = SparsePolynomial.from_terms({e: c * (-1.25) ** e[0] for e, c in p.coefficients.items()}, n=p.n)
+    tol = 1e-6 * max(scale, 1.0 + max(map(abs, q.coefficients.values())), abs(r.p_sonc))
+    assert abs(sonc_lower_bound(q).p_sonc - r.p_sonc) <= tol
+
+
+@FUZZ
+@given(even_simplex_polynomials())
+def test_exact_bound_on_even_simplices(p):
+    assert sonc_lower_bound(p).certificate is not None
+    check_exact_bound(p)
+
+
+@settings(FUZZ, suppress_health_check=[HealthCheck.filter_too_much])
+@given(sparse_polynomials())
+def test_exact_bound_on_bounded_sparse_polynomials(p):
+    assume(_unbounded_curve(p) is None)
+    check_exact_bound(p)
