@@ -11,12 +11,14 @@ are the certificate pieces, and gamma is what the constant point has left.
 Every certificate is re-checked by an independent verifier, so a false
 positive is impossible by construction.
 
-The dual program of `dual_program_solve` searches the full dual cone: moment
-vectors of local minimizers seed it, and a recovered point z with matching
-moments certifies optimality.  Both first look at the Newton polytope: a
-polynomial with an odd or negative nonzero vertex is unbounded below, which
-settles the primal, and a point on the curve exposing that vertex seeds the
-dual instead.
+Every moment vector (z^alpha) of a point z is a member of that dual cone,
+and its pairing with the coefficients is p(z).  `dual_program_solve` returns
+the least such value over candidate points whose moment vector passes the
+membership oracle, so p_dual >= inf p >= p_sonc by construction, and a point
+recovered from it certifies optimality when the two meet.  Both first look
+at the Newton polytope: a polynomial with an odd or negative nonzero vertex
+is unbounded below, which settles the primal, and a point on the curve
+exposing that vertex is the dual candidate instead of local minimizers.
 
 Values, derivatives and moment vectors come from the polynomial module,
 whose arithmetic never raises or warns on overflow.  A start, curve or
@@ -41,7 +43,7 @@ from .dual import sonc_dual_membership
 from .nonneg import CircuitPolynomial, is_nonneg_circuit
 from .polynomials import DualVector, Exponent, SparsePolynomial, SupportSet, moment_vector, value_gradient_hessian
 
-#: Membership tolerance used when verifying dual iterates.
+#: Membership tolerance used when verifying dual candidates.
 DUAL_FEAS_TOL = 1e-7
 
 
@@ -50,16 +52,6 @@ class Status(str, Enum):
     DUAL_ONLY = "dual_only"
     OPTIMALITY_CERTIFIED = "optimality_certified"
     INFEASIBLE_UNBOUNDED = "infeasible_unbounded"
-
-
-class DualSolveError(RuntimeError):
-    """Dual solver produced no verified feasible point; carries the best
-    unverified iterate when one exists."""
-
-    def __init__(self, message: str, value: float | None, point: DualVector | None) -> None:
-        super().__init__(message)
-        self.value = value
-        self.point = point
 
 
 @dataclass(frozen=True)
@@ -559,79 +551,45 @@ def _exact_bound(p: SparsePolynomial) -> BoundResult:
     return BoundResult(cert.gamma, None, cert, None, None, Status.CERTIFIED) if cert else _UNBOUNDED
 
 
-#: Step attempts of the dual descent after its best verified start.
-_DUAL_STEPS = 40
-
-
 def dual_program_solve(p: SparsePolynomial, seed: int = 0) -> tuple[float, DualVector]:
-    """Minimize the coefficient pairing over the dual cone, with the constant
-    coordinate normalized to 1.
+    """Minimize the coefficient pairing over moment vectors (z^alpha) of
+    candidate points z, each a member of the dual cone with constant
+    coordinate 1, so the value is p(z) >= inf p.
 
-    Moment vectors seed the search, verified by the membership oracle: of
-    one point on the exposing curve when p is unbounded at its Newton
-    polytope, else of multistart local minimizers.  A projected descent
-    along -c then improves while membership holds.  Deterministic per seed."""
+    The candidates are one point on the exposing curve when p is unbounded
+    at its Newton polytope, else the multistart local minimizers and their
+    starts.  The best one that passes the membership oracle is returned.
+    Deterministic per seed."""
     return _dual_solve(p, seed, _unbounded_curve(p))
 
 
 def _dual_solve(p: SparsePolynomial, seed: int, curve: _Curve | None) -> tuple[float, DualVector]:
-    """The dual program from a point on `curve` when there is one, falling
-    back to the multistart minima."""
-    if curve is not None:
-        x = _curve_point(p, curve)
-        if x is not None:
-            try:
-                return _dual_descent(p, [x])
-            except DualSolveError:
-                pass
-    return _dual_descent(p, [z for _, z in _local_minima(p, seed)])
+    """The dual program at a point on `curve` when there is one and it
+    verifies, else at the multistart minima.  The latter always answer:
+    they include the origin, whose moment vector e_0 is a member."""
+    x = _curve_point(p, curve) if curve is not None else None
+    found = _best_moment(p, [x]) if x is not None else None
+    return found or _best_moment(p, [z for _, z in _local_minima(p, seed)])
 
 
-def _dual_descent(p: SparsePolynomial, starts: list) -> tuple[float, DualVector]:
-    """Best verified moment vector of the start points, then the descent."""
+def _best_moment(p: SparsePolynomial, points: list) -> tuple[float, DualVector] | None:
+    """(p(z), moment vector of z) at the point z of least value whose moment
+    vector passes the membership oracle; None when none does."""
     support = _extended_support(p)
-    catalog = enumerate_circuits(support)
-    c_vec = {exp: p.coefficients.get(exp, 0.0) for exp in support.points}
-    zero = (0,) * p.n
-
-    def objective(v: DualVector) -> float:
-        return sum(c_vec[exp] * v[exp] for exp in support.points)
-
-    def feasible(v: DualVector) -> bool:
-        return sonc_dual_membership(support, v, tol=DUAL_FEAS_TOL, catalog=catalog).member
-
-    best_val, best_v = None, None
-    for z in starts:
+    best = None
+    for z in points:
         try:
             v = moment_vector(z, support)
         except ValueError:  # a moment beyond the float range
             continue
-        val = objective(v)
-        if math.isfinite(val) and (best_val is None or val < best_val) and feasible(v):
-            best_val, best_v = val, v
-    if best_v is None:
-        raise DualSolveError("no feasible dual iterate found", None, None)
-
-    eta = 0.5
-    for _ in range(_DUAL_STEPS):
-        if eta <= 1e-9:
-            break
-        trial_vals = {}
-        for exp in support.points:
-            x = best_v[exp] - eta * c_vec[exp]
-            if exp == zero:
-                x = 1.0
-            elif is_even_point(exp) and x < 0.0:
-                x = 0.0
-            trial_vals[exp] = x
-        trial = DualVector(support, trial_vals)
-        val = objective(trial)
-        if val < best_val - 1e-12 and math.isfinite(val) and feasible(trial):
-            best_val, best_v = val, trial
-            eta *= 1.5
-        else:
-            eta *= 0.5
-    return best_val, best_v
+        val = sum(p.coefficients.get(exp, 0.0) * v[exp] for exp in support.points)
+        if (
+            math.isfinite(val)
+            and (best is None or val < best[0])
+            and sonc_dual_membership(support, v, tol=DUAL_FEAS_TOL).member
+        ):
+            best = val, v
+    return best
 
 
 def recover_optimizer(
@@ -699,11 +657,12 @@ def certify_optimality(p: SparsePolynomial, seed: int = 0) -> BoundResult:
     """Primal bound, dual solve, and moment recovery of an optimal point.
 
     A polynomial that is unbounded at its Newton polytope is settled there:
-    p_sonc is -inf, and the dual starts from one point on the exposing
-    curve.  Otherwise the barrier solve gives the primal, and the multistart
-    descent seeds the dual.  Optimality is claimed only when a recovered
-    point's value matches the dual objective and the certified bound closes
-    the gap, so p_sonc <= inf p <= p(z) = p_dual pins the infimum."""
+    p_sonc is -inf, and the dual point is the moment vector of one point on
+    the exposing curve.  Otherwise the barrier solve gives the primal, and
+    the dual point is that of a multistart point.  Optimality is claimed
+    only when a recovered point's value matches the dual objective and the
+    certified bound closes the gap, so p_sonc <= inf p <= p(z) = p_dual pins
+    the infimum."""
     curve = _unbounded_curve(p)
     primal = _UNBOUNDED if curve is not None else _exact_bound(p)
     value, v = _dual_solve(p, seed, curve)

@@ -267,8 +267,12 @@ class CircuitCatalog:
         return {"circuits": [c.to_json_dict() for c in self.circuits]}
 
 
+#: Even support points beyond which enumeration refuses the support.
+MAX_EVEN_POINTS = 20
+
+
 @lru_cache(maxsize=256)
-def enumerate_circuits(support: SupportSet, max_even_points: int = 20) -> CircuitCatalog:
+def enumerate_circuits(support: SupportSet) -> CircuitCatalog:
     """Every circuit with vertices and inner point drawn from the support.
 
     Affinely independent even vertex sets are grown one even point at a
@@ -280,10 +284,8 @@ def enumerate_circuits(support: SupportSet, max_even_points: int = 20) -> Circui
     """
     points = support.points
     even = [i for i, p in enumerate(points) if is_even_point(p)]
-    if len(even) > max_even_points:
-        raise SupportTooLargeError(
-            f"{len(even)} even points exceed the enumeration cap {max_even_points}"
-        )
+    if len(even) > MAX_EVEN_POINTS:
+        raise SupportTooLargeError(f"{len(even)} even points exceed the enumeration cap {MAX_EVEN_POINTS}")
     found: list[Circuit] = [Circuit.make((points[i],), points[i]) for i in even]
 
     def grow(start: int, chosen: tuple[Exponent, ...]) -> None:

@@ -23,6 +23,7 @@ from . import __version__
 from .bounds import Status, certify_optimality, sonc_feasibility
 from .circuits import Circuit, SupportTooLargeError, enumerate_circuits, log_circuit_number
 from .dual import psd_dual_quartic, quartic_dual_membership, sage_dual_membership, sonc_dual_membership
+from .entropy import DEFAULT_TOL
 from .nonneg import CircuitPolynomial, is_nonneg_circuit
 from .polynomials import DualVector, ParseError, SparsePolynomial, SupportSet, parse_polynomial
 
@@ -158,7 +159,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--version", action="version", version=f"sonckit {__version__} (schema {SCHEMA_VERSION})"
     )
-    parser.add_argument("--tol", type=float, default=1e-9, help="membership tolerance")
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL, help="membership tolerance")
     parser.add_argument("--seed", type=int, default=None, help="rng seed (overrides SONC_SEED)")
     parser.add_argument("--format", choices=("json", "text"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from .circuits import ArityGroup, Circuit, CircuitCatalog, enumerate_circuits
+from .circuits import ArityGroup, Circuit, enumerate_circuits
 from .entropy import DEFAULT_TOL, xlogx_over
 from .polynomials import DualVector, SupportSet
 
@@ -214,7 +214,6 @@ def sonc_dual_membership(
     support: SupportSet,
     v: DualVector,
     tol: float = DEFAULT_TOL,
-    catalog: CircuitCatalog | None = None,
 ) -> MembershipReport:
     """Full dual-cone membership over a support.
 
@@ -226,10 +225,7 @@ def sonc_dual_membership(
     """
     if v.support != support:
         raise ValueError("dual vector is not indexed by the given support")
-    if catalog is None:
-        catalog = enumerate_circuits(support)
-    elif catalog.support != support:
-        raise ValueError("catalog was built for a different support")
+    catalog = enumerate_circuits(support)
     vals = np.array(v.as_tuple(), dtype=float)
     passed = []
     for group in catalog.arity_groups:

@@ -267,7 +267,7 @@ class TestExactBound:
         assert r.status is status
         assert verify_certificate(p, r.certificate, enumerate_circuits(_extended(p)))
         scale = 1.0 + max(map(abs, terms.values()))
-        assert r.p_sonc <= r.p_dual + 1e-6 * max(scale, abs(r.p_dual))
+        assert r.p_sonc <= r.p_dual + 1e-12 * max(scale, abs(r.p_dual))
 
 
 class TestDualProgram:
@@ -371,6 +371,15 @@ class TestCertifyOptimality:
             r = certify_optimality(p)
             if math.isfinite(r.p_sonc):
                 assert r.p_sonc <= r.p_dual + 1e-5 * scale
+
+    def test_weak_duality_to_rounding_on_criterion_9(self):
+        # p_dual is p at an explicit point, so it can undercut the certified
+        # bound by no more than the rounding of the two sums.
+        for p in [motzkin(), parse_polynomial("1 + x1^4 - 3*x1^2"), *_criterion9_polys()]:
+            r = certify_optimality(p)
+            if math.isfinite(r.p_sonc):
+                scale = 1.0 + max(abs(c) for c in p.coefficients.values())
+                assert r.p_sonc <= r.p_dual + 1e-12 * max(scale, abs(r.p_dual)), p.coefficients
 
     def test_optimality_claims_survive_random_search(self):
         rng = np.random.default_rng(66)

@@ -186,7 +186,7 @@ class TestEnumeration:
     def test_cap_on_even_points(self):
         A = SupportSet.of([(2 * i,) for i in range(21)])
         with pytest.raises(SupportTooLargeError):
-            enumerate_circuits(A, max_even_points=20)
+            enumerate_circuits(A)
 
     def test_matches_brute_force_on_random_supports(self):
         rng = np.random.default_rng(12)

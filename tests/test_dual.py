@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from sonckit import (
@@ -26,6 +28,7 @@ from sonckit import (
     sonc_dual_membership,
     xlogx_over,
 )
+from sonckit.circuits import MAX_EVEN_POINTS
 
 from _gen import moment_mixture, near_quartic_boundary, random_circuit, random_support
 
@@ -459,6 +462,17 @@ class TestMomentFeasibility:
                 continue
             assert sonc_dual_membership(A, v, tol=1e-7).member
             accepted += 1
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(st.integers(1, 3).flatmap(lambda n: st.lists(st.tuples(*[st.integers(0, 8)] * n), min_size=1, max_size=12)))
+    def test_origin_is_a_member_exactly(self, points):
+        # e_0 = (0^alpha), the moment vector of the origin, is what lets the
+        # dual program always answer: its multistart includes the origin.
+        n = len(points[0])
+        A = SupportSet(n, tuple(set(points) | {(0,) * n}))
+        assume(sum(all(e % 2 == 0 for e in pt) for pt in A.points) <= MAX_EVEN_POINTS)
+        v = moment_vector((0.0,) * n, A)
+        assert sonc_dual_membership(A, v, tol=0.0).member
 
 
 class TestPairing:
