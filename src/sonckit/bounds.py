@@ -12,17 +12,20 @@ Every certificate is re-checked by an independent verifier, so a false
 positive is impossible by construction.
 
 Every moment vector (z^alpha) of a point z is a member of that dual cone,
-and its pairing with the coefficients is p(z).  `dual_program_solve` returns
-the least such value over candidate points whose moment vector passes the
-membership oracle, so p_dual >= inf p >= p_sonc by construction, and a point
-recovered from it certifies optimality when the two meet.  Both first look
-at the Newton polytope: a polynomial with an odd or negative nonzero vertex
-is unbounded below, which settles the primal, and a point on the curve
-exposing that vertex is the dual candidate instead of local minimizers.
+and its pairing with the coefficients is p(z).  The dual point is the least
+such value over candidate points whose moment vector passes the membership
+oracle, so p_dual >= inf p >= p_sonc by construction, and its z certifies
+optimality when the two meet.  When the bound is exact the paper's optimum
+is such a point evaluation, and the barrier ends near it: the candidates
+are the origin and z read off the barrier's vertex values, polished once.
+Both sides first look at the Newton polytope: a polynomial with an odd or
+negative nonzero vertex is unbounded below, which settles the primal, and a
+point on the curve exposing that vertex is the dual candidate.  A multistart
+descent proposes candidates only when neither gives a verified point.
 
 Values, derivatives and moment vectors come from the polynomial module,
 whose arithmetic never raises or warns on overflow.  A start, curve or
-recovered point whose moment vector leaves the float range is skipped on
+barrier point whose moment vector leaves the float range is skipped on
 the ValueError that DualVector raises.  Forming the curve point x(t) itself
 is the one place an OverflowError is caught.
 """
@@ -151,18 +154,22 @@ def sonc_feasibility(p: SparsePolynomial, catalog: CircuitCatalog) -> SoncCertif
     for exp in p.coefficients:
         if exp not in catalog.support:
             raise ValueError(f"polynomial exponent {exp} missing from the catalog support")
-    return _certify(p, catalog, None)
+    return _certify(p, catalog, None)[0]
 
 
-def _certify(p: SparsePolynomial, catalog: CircuitCatalog, keep: Exponent | None) -> SoncCertificate | None:
+def _certify(
+    p: SparsePolynomial, catalog: CircuitCatalog, keep: Exponent | None
+) -> tuple[SoncCertificate | None, dict[Exponent, float]]:
     """The checked certificate of p - gamma x^keep, gamma the largest shift
-    at keep (0 when keep is None); None when some term has no circuit, the
-    path fails or the checker rejects.  Each odd or negative term (a bad
-    point) is covered by circuits with that inner point and vertices among
-    the positive even points and the constant.  Circuits sharing a vertex or
-    an inner point form a component, anchored at its least vertex.  One
-    barrier path finds the largest shift at every anchor; the other shifts
-    (above 1e-12 scale) and unused positive even points form the residual."""
+    at keep (0 when keep is None), and the barrier's value at each circuit
+    vertex; (None, {}) when some term has no circuit, the path fails or the
+    checker rejects.  Each odd or negative term (a bad point) is covered by
+    circuits with that inner point and vertices among the positive even
+    points and the constant.  Circuits sharing a vertex or an inner point
+    form a component, anchored at its least vertex.  One barrier path finds
+    the largest shift at every anchor; the other shifts (above 1e-12 scale)
+    and unused positive even points form the residual.  Without a bad point
+    no path runs and the vertex values are {}."""
     zero = (0,) * p.n
     coeff = {exp: p.coefficients.get(exp, 0.0) for exp in catalog.support.points}
     hosts = {exp for exp, c in coeff.items() if is_even_point(exp) and (c > 0.0 or exp == zero)}
@@ -171,10 +178,11 @@ def _certify(p: SparsePolynomial, catalog: CircuitCatalog, keep: Exponent | None
         if circuit.k >= 2 and circuit.inner in groups and hosts.issuperset(circuit.vertices):
             groups[circuit.inner].append(idx)
     if any(not g for g in groups.values()):
-        return None
+        return None, {}
     shifts = {zero: coeff[zero]} if zero in coeff else {}
     residual = {exp: coeff[exp] for exp in hosts if exp != zero}
     pieces: tuple[CertificatePiece, ...] = ()
+    vertices: dict[Exponent, float] = {}
     if groups:
         bad = sorted(groups)
         rows = [i for beta in bad for i in groups[beta]]
@@ -198,7 +206,8 @@ def _certify(p: SparsePolynomial, catalog: CircuitCatalog, keep: Exponent | None
         p_bad, p_host = np.array([coeff[beta] for beta in bad]), np.array([coeff[v] for v in used])
         path = _central_path(lam, grp, p_host, ~fixed, np.abs(p_bad))
         if path is None:
-            return None
+            return None, {}
+        vertices = dict(zip(used, path[1].tolist()))
         cs, deltas = _round_pieces(lam, grp, p_bad, p_host, fixed, *path)
         taken = cs.sum(axis=0)
         for j, v in enumerate(used):  # an anchor keeps its shift, a vertex what its pieces leave
@@ -223,7 +232,7 @@ def _certify(p: SparsePolynomial, catalog: CircuitCatalog, keep: Exponent | None
         shifts[keep] = coeff[keep] - gamma - at_keep
     residual.update({a: shift for a, shift in shifts.items() if shift > 1e-12 * _scale(p)})
     cert = SoncCertificate(gamma, pieces, SparsePolynomial.from_terms(residual, n=p.n))
-    return cert if math.isfinite(gamma) and verify_certificate(p, cert, catalog) else None
+    return (cert, vertices) if math.isfinite(gamma) and verify_certificate(p, cert, catalog) else (None, {})
 
 
 #: Growth of t per stage; the path stops at gap nu / t <= _GAP max(scale,
@@ -542,39 +551,41 @@ def sonc_lower_bound(p: SparsePolynomial) -> BoundResult:
     the origin added) is unbounded below and settled there.  Otherwise gamma
     is the shift at the constant point of one barrier solve (`_certify`); a
     solve that fails, or fails the checker, answers infeasible_unbounded."""
-    return _UNBOUNDED if _unbounded_curve(p) is not None else _exact_bound(p)
+    return _UNBOUNDED if _unbounded_curve(p) is not None else _exact_bound(p)[0]
 
 
-def _exact_bound(p: SparsePolynomial) -> BoundResult:
-    """The certified bound of a polynomial bounded at its Newton polytope."""
-    cert = _certify(p, enumerate_circuits(_extended_support(p)), (0,) * p.n)
-    return BoundResult(cert.gamma, None, cert, None, None, Status.CERTIFIED) if cert else _UNBOUNDED
+def _exact_bound(p: SparsePolynomial) -> tuple[BoundResult, dict[Exponent, float]]:
+    """The certified bound of a polynomial bounded at its Newton polytope,
+    and the barrier's vertex values (`_certify`)."""
+    cert, vertices = _certify(p, enumerate_circuits(_extended_support(p)), (0,) * p.n)
+    return (BoundResult(cert.gamma, None, cert, None, None, Status.CERTIFIED) if cert else _UNBOUNDED), vertices
 
 
-def dual_program_solve(p: SparsePolynomial, seed: int = 0) -> tuple[float, DualVector]:
-    """Minimize the coefficient pairing over moment vectors (z^alpha) of
-    candidate points z, each a member of the dual cone with constant
-    coordinate 1, so the value is p(z) >= inf p.
+def _barrier_points(p: SparsePolynomial, vertices: dict[Exponent, float]) -> list[tuple[float, ...]]:
+    """The origin, the point z read off the barrier's vertex values and the
+    point its descent stops at.  log|z| solves log v_alpha = alpha . log|z|
+    over the vertices in least squares, a coordinate no vertex uses is 0,
+    and the signs of the coordinates odd exponents can see are the pattern
+    of least value, tried in full up to 16 of them (else the origin alone)."""
+    origin = (0.0,) * p.n
+    if not vertices:
+        return [origin]
+    exps = np.array(list(vertices), dtype=float)
+    with np.errstate(over="ignore"):
+        mags = np.exp(np.linalg.lstsq(exps, np.log(list(vertices.values())), rcond=None)[0])
+    mags[~exps.any(axis=0)] = 0.0
+    odd = [i for i in range(p.n) if mags[i] > 0.0 and any(exp[i] % 2 for exp in p.coefficients)]
+    if len(odd) > 16:
+        return [origin]
+    zs = np.tile(mags, (2 ** len(odd), 1))
+    zs[:, odd] *= np.array(list(product((1.0, -1.0), repeat=len(odd))))
+    z = min(zs, key=lambda x: np.nan_to_num(p.evaluate(x), nan=math.inf))
+    return [origin, tuple(z.tolist()), tuple(_descend(p, z[None, :])[0].tolist())]
 
-    The candidates are one point on the exposing curve when p is unbounded
-    at its Newton polytope, else the multistart local minimizers and their
-    starts.  The best one that passes the membership oracle is returned.
-    Deterministic per seed."""
-    return _dual_solve(p, seed, _unbounded_curve(p))
 
-
-def _dual_solve(p: SparsePolynomial, seed: int, curve: _Curve | None) -> tuple[float, DualVector]:
-    """The dual program at a point on `curve` when there is one and it
-    verifies, else at the multistart minima.  The latter always answer:
-    they include the origin, whose moment vector e_0 is a member."""
-    x = _curve_point(p, curve) if curve is not None else None
-    found = _best_moment(p, [x]) if x is not None else None
-    return found or _best_moment(p, [z for _, z in _local_minima(p, seed)])
-
-
-def _best_moment(p: SparsePolynomial, points: list) -> tuple[float, DualVector] | None:
-    """(p(z), moment vector of z) at the point z of least value whose moment
-    vector passes the membership oracle; None when none does."""
+def _best_moment(p: SparsePolynomial, points: list) -> tuple[float, DualVector, tuple[float, ...]] | None:
+    """(p(z), moment vector of z, z) at the point z of least value whose
+    moment vector passes the membership oracle; None when none does."""
     support = _extended_support(p)
     best = None
     for z in points:
@@ -588,98 +599,46 @@ def _best_moment(p: SparsePolynomial, points: list) -> tuple[float, DualVector] 
             and (best is None or val < best[0])
             and sonc_dual_membership(support, v, tol=DUAL_FEAS_TOL).member
         ):
-            best = val, v
+            best = val, v, z
     return best
 
 
-def recover_optimizer(
-    v: DualVector, support: SupportSet, tol: float = 1e-6
-) -> tuple[float, ...] | None:
-    """Try to express v as the moment vector (z^alpha) of a point z.
-
-    |z_i| comes from the value at 2*e_i against the constant coordinate when
-    both are present, else from any pair of support points differing only in
-    coordinate i; signs are brute-forced over the coordinates odd exponents
-    can see.  Every support point is verified to relative tolerance before z
-    is accepted; None signals failure."""
-    n = support.n
-    pts = support.points
-    vals = {pt: v[pt] for pt in pts}
-    zero = (0,) * n
-    v0 = vals.get(zero)
-
-    mags: list[float] = []
-    for i in range(n):
-        if all(pt[i] == 0 for pt in pts):
-            mags.append(0.0)
-            continue
-        square = tuple(2 if j == i else 0 for j in range(n))
-        mag: float | None = None
-        if v0 is not None and square in vals and v0 > 1e-12:
-            ratio = vals[square] / v0
-            if ratio < -1e-9:
-                return None
-            mag = math.sqrt(max(ratio, 0.0))
-        else:
-            for pa in pts:
-                for pb in pts:
-                    d = pa[i] - pb[i]
-                    if d <= 0 or any(j != i and pa[j] != pb[j] for j in range(n)):
-                        continue
-                    den = vals[pb]
-                    if abs(den) <= 1e-12:
-                        continue
-                    mag = abs(vals[pa] / den) ** (1.0 / d)
-                    break
-                if mag is not None:
-                    break
-        if mag is None:
-            return None
-        mags.append(mag)
-
-    sign_coords = [i for i in range(n) if mags[i] > 0.0 and any(pt[i] % 2 for pt in pts)]
-    if len(sign_coords) > 16:
-        return None
-    for pattern in product((1.0, -1.0), repeat=len(sign_coords)):
-        z = list(mags)
-        for i, s in zip(sign_coords, pattern):
-            z[i] = s * mags[i]
-        try:
-            m = moment_vector(z, support)
-        except ValueError:  # a moment beyond the float range
-            continue
-        if all(abs(m[pt] - vals[pt]) <= tol * max(1.0, abs(vals[pt])) for pt in pts):
-            return tuple(z)
-    return None
-
-
 def certify_optimality(p: SparsePolynomial, seed: int = 0) -> BoundResult:
-    """Primal bound, dual solve, and moment recovery of an optimal point.
+    """Primal bound, dual point, and an optimal point where the two meet.
 
     A polynomial that is unbounded at its Newton polytope is settled there:
     p_sonc is -inf, and the dual point is the moment vector of one point on
     the exposing curve.  Otherwise the barrier solve gives the primal, and
-    the dual point is that of a multistart point.  Optimality is claimed
-    only when a recovered point's value matches the dual objective and the
-    certified bound closes the gap, so p_sonc <= inf p <= p(z) = p_dual pins
-    the infimum."""
+    the dual point is that of the best barrier point (`_barrier_points`);
+    an input without a bad point has only the origin, where it is exact.
+    Only when the solve gives no certificate, or the curve point fails,
+    does the multistart from `seed` propose the candidates.  The dual point
+    is always the moment vector of an explicit point z, p_dual = p(z).
+    Optimality is claimed when p(z) matches p_dual and the certified bound
+    closes the gap, so p_sonc <= inf p <= p(z) = p_dual pins the infimum."""
     curve = _unbounded_curve(p)
-    primal = _UNBOUNDED if curve is not None else _exact_bound(p)
-    value, v = _dual_solve(p, seed, curve)
-    scale = _scale(p)
-    support = _extended_support(p)
-    z = recover_optimizer(v, support)
-    optimal_point = None
-    if (
-        z is not None
-        and abs(p.evaluate(z) - value) <= 1e-6 * scale
-        and math.isfinite(primal.p_sonc)
-        and value - primal.p_sonc <= 1e-5 * scale
-    ):
-        status = Status.OPTIMALITY_CERTIFIED
-        optimal_point = z
-    elif primal.certificate is not None:
-        status = Status.CERTIFIED
+    if curve is not None:
+        primal, x = _UNBOUNDED, _curve_point(p, curve)
+        candidates = [x] if x is not None else []
     else:
-        status = Status.DUAL_ONLY
-    return BoundResult(primal.p_sonc, value, primal.certificate, v, optimal_point, status)
+        primal, vertices = _exact_bound(p)
+        candidates = _barrier_points(p, vertices) if primal.certificate else []
+    value, v, z = _best_moment(p, candidates) or _best_moment(p, [z for _, z in _local_minima(p, seed)])
+    scale = _scale(p)
+    closed = (
+        math.isfinite(primal.p_sonc)
+        and abs(p.evaluate(z) - value) <= 1e-6 * scale
+        and value - primal.p_sonc <= 1e-5 * scale
+    )
+    status = Status.OPTIMALITY_CERTIFIED if closed else Status.CERTIFIED if primal.certificate else Status.DUAL_ONLY
+    return BoundResult(primal.p_sonc, value, primal.certificate, v, z if closed else None, status)
+
+
+def dual_program_solve(p: SparsePolynomial, seed: int = 0) -> tuple[float, DualVector]:
+    """(p_dual, dual point) of `certify_optimality`: the least coefficient
+    pairing over the moment vectors (z^alpha) of its candidate points that
+    pass the membership oracle.  Each is a member of the dual cone with
+    constant coordinate 1, so the value is p(z) >= inf p.  Deterministic
+    per seed."""
+    r = certify_optimality(p, seed)
+    return r.p_dual, r.dual_point

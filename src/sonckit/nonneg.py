@@ -38,8 +38,11 @@ class CircuitPolynomial:
             raise ValueError(f"expected {self.circuit.k} coefficients, got {len(c)}")
         if any(x <= 0.0 or not math.isfinite(x) for x in c):
             raise ValueError("circuit coefficients must be positive and finite")
+        delta = float(self.delta)
+        if not math.isfinite(delta):
+            raise ValueError("circuit delta must be finite")
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "delta", float(self.delta))
+        object.__setattr__(self, "delta", delta)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from scipy.optimize import minimize
 
 from sonckit import (
     CircuitPolynomial,
-    DualVector,
     Status,
     SparsePolynomial,
     SupportSet,
@@ -21,7 +20,6 @@ from sonckit import (
     is_nonneg_circuit,
     moment_vector,
     parse_polynomial,
-    recover_optimizer,
     sonc_dual_membership,
     sonc_feasibility,
     sonc_lower_bound,
@@ -304,37 +302,36 @@ class TestDualProgram:
             )
 
 
-class TestRecovery:
+class TestBarrierPoints:
+    """The point read off the barrier's vertex values (`_barrier_points`)."""
+
+    @staticmethod
+    def barrier_point(p):
+        points = bounds._barrier_points(p, bounds._exact_bound(p)[1])
+        assert points[0] == (0.0,) * p.n and len(points) == 3
+        return points[1]
+
     def test_quartic_moments(self):
-        A = SupportSet.of([(0,), (2,), (4,)])
-        v = DualVector(A, {(0,): 1.0, (2,): 1.5, (4,): 2.25})
-        z = recover_optimizer(v, A)
-        assert z == pytest.approx((math.sqrt(1.5),), rel=1e-9)
+        z = self.barrier_point(parse_polynomial("1 + x1^4 - 3*x1^2"))
+        assert z == pytest.approx((math.sqrt(1.5),), rel=1e-8)
 
     def test_motzkin_all_ones(self):
-        p = motzkin()
-        v = moment_vector((1.0, 1.0), p.support)
-        assert recover_optimizer(v, p.support) == pytest.approx((1.0, 1.0))
-
-    def test_separating_point_is_not_a_moment_vector(self):
-        A = SupportSet.of([(i,) for i in range(5)])
-        v = DualVector(A, {(i,): x for i, x in enumerate([2.0, 0.0, 1.0, 1.0, 1.0])})
-        assert recover_optimizer(v, A) is None
+        assert self.barrier_point(motzkin()) == pytest.approx((1.0, 1.0), rel=1e-8)
 
     def test_sign_recovery(self):
-        A = SupportSet.of([(0,), (1,), (2,), (3,)])
-        v = moment_vector((-1.5,), A)
-        assert recover_optimizer(v, A) == pytest.approx((-1.5,))
+        # The odd term 2 x^3 is least at x = -1.5, where p is -0.6875.
+        z = self.barrier_point(parse_polynomial("1 + x1^4 + 2*x1^3"))
+        assert z == pytest.approx((-1.5,), rel=1e-8)
 
     def test_prefers_nonnegative_representative(self):
-        A = SupportSet.of([(0,), (2,)])
-        v = moment_vector((-2.0,), A)
-        assert recover_optimizer(v, A) == pytest.approx((2.0,))
+        z = self.barrier_point(parse_polynomial("1 + x1^4 + x2^4 - 2*x1^2 - 2*x2^2"))
+        assert z == pytest.approx((1.0, 1.0), rel=1e-8)
 
     def test_unused_coordinate_defaults_to_zero(self):
-        A = SupportSet.of([(0, 0), (2, 0)])
-        v = moment_vector((3.0, 9.9), A)
-        assert recover_optimizer(v, A) == pytest.approx((3.0, 0.0))
+        # x2 is in no circuit vertex: absent, or only in positive even terms.
+        for p in [parse_polynomial("1 + x1^4 - 3*x1^2", n=2), parse_polynomial("1 + x1^4 - 3*x1^2 + x1^2*x2^2 + x2^4")]:
+            z = self.barrier_point(p)
+            assert z[1] == 0.0 and z[0] == pytest.approx(math.sqrt(1.5), rel=1e-8)
 
 
 class TestCertifyOptimality:
@@ -355,6 +352,27 @@ class TestCertifyOptimality:
         r = certify_optimality(parse_polynomial("1 + x1^2"))
         assert r.status is Status.OPTIMALITY_CERTIFIED
         assert r.optimal_point == pytest.approx((0.0,), abs=1e-7)
+
+    @pytest.mark.parametrize("text", ["3*x1^2*x2^4", "x1^2", "1 + x1^2", "7"])
+    def test_no_bad_point_is_settled_at_the_origin(self, text):
+        # p is its constant plus nonnegative monomials, so p(0) is its minimum.
+        p = parse_polynomial(text)
+        r = certify_optimality(p)
+        assert r.status is Status.OPTIMALITY_CERTIFIED
+        assert r.optimal_point == (0.0,) * p.n
+        assert r.p_dual == r.p_sonc == p.coefficients.get((0,) * p.n, 0.0)
+
+    def test_optimal_point_is_the_dual_points_z(self):
+        claimed = 0
+        for p in [motzkin(), parse_polynomial("1 + x1^4 - 3*x1^2"), *_criterion9_polys()]:
+            r = certify_optimality(p)
+            if r.status is not Status.OPTIMALITY_CERTIFIED:
+                continue
+            claimed += 1
+            support = _extended(p)
+            assert moment_vector(r.optimal_point, support) == r.dual_point
+            assert r.p_dual == sum(p.coefficients.get(e, 0.0) * r.dual_point[e] for e in support.points)
+        assert claimed == 18
 
     def test_unbounded_gives_dual_only(self):
         r = certify_optimality(parse_polynomial("x1"))
@@ -485,9 +503,12 @@ class TestNewtonPolytopeShortcut:
 
         monkeypatch.setattr(bounds, "_local_minima", counting)
         certify_optimality(parse_polynomial("x1"))
-        assert calls == []
         certify_optimality(motzkin())
-        assert len(calls) == 1
+        assert calls == []
+        # Without a certificate the multistart proposes the dual candidates.
+        monkeypatch.setattr(bounds, "_central_path", lambda *args: None)
+        r = certify_optimality(motzkin())
+        assert len(calls) == 1 and r.status is Status.DUAL_ONLY
 
     # The last text keeps a zero term's slot at x1^8: the catalog's circuit
     # ((0,), (8,); 3) must not hide the odd vertex 3.

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import sonckit
 from sonckit.cli import main
 
 from _gen import MOTZKIN_TEXT
@@ -98,6 +99,13 @@ class TestCheck:
         payload["delta"] = -3.01
         code, out, _ = run_main(["check", "nonneg-circuit", files("c2.json", payload)], capsys)
         assert code == 1
+
+    # json reads 1e400 as inf.
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_nonfinite_circuit_delta_exits_2(self, files, capsys, bad):
+        path = files("c.json", '{"vertices": [[0], [4]], "beta": [2], "c": [1, 1], "delta": %s}' % bad)
+        code, out, err = run_main(["check", "nonneg-circuit", path], capsys)
+        assert code == 2 and out == "" and "finite" in err
 
     def test_sage_dual(self, files, capsys):
         ones = dict(SEP_POINT, values=[1, 1, 1, 1, 1])
@@ -214,7 +222,7 @@ class TestBound:
     def test_huge_coefficients_answer_dual_only(self, files, capsys, text):
         # Valid input: the bracket search stops where the shifted constant
         # leaves the float range, 1e308*x1^3 is settled at its Newton polytope,
-        # and optimal-point recovery skips a candidate whose moments at the
+        # and the dual solve skips a candidate whose moments at the
         # zero terms' exponents leave the float range.
         code, out, err = run_main(["bound", files("h.txt", text)], capsys)
         assert code == 1 and err == ""
@@ -287,6 +295,10 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["member"] is True
+
+    def test_exports_resolve(self):
+        missing = [name for name in sonckit.__all__ if not hasattr(sonckit, name)]
+        assert missing == []
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -25,7 +25,7 @@ from sonckit.polynomials import MAX_VARIABLES
 from _gen import eval_on_points
 
 #: Zero terms keep x1^60*x2^7 and x1^60*x2^5 in the support, and the moments
-#: of the recovered point there leave the float range.
+#: of a dual candidate point there leave the float range.
 OVERFLOWING_MOMENTS = "-0.0*x1^60*x2^7 + 3.5*x2^7 + x1*x2^1000 - 7*x1^1000*x2^60 - 0.0*x1^60*x2^5"
 
 #: HiGHS rejects the dual SAGE LP built from these entries.
