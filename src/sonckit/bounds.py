@@ -18,10 +18,13 @@ oracle, so p_dual >= inf p >= p_sonc by construction, and its z certifies
 optimality when the two meet.  When the bound is exact the paper's optimum
 is such a point evaluation, and the barrier ends near it: the candidates
 are the origin and z read off the barrier's vertex values, polished once.
-Both sides first look at the Newton polytope: a polynomial with an odd or
-negative nonzero vertex is unbounded below, which settles the primal, and a
-point on the curve exposing that vertex is the dual candidate.  A multistart
-descent proposes candidates only when neither gives a verified point.
+An odd or negative term that is the inner point of no circuit over the
+positive even points and the constant leaves its dual coordinate free, so
+the bound is -inf; by Caratheodory these are the odd or negative nonzero
+vertices of the Newton polytope.  The primal settles this while grouping
+its circuits, and only then does the dual look for the curve exposing such
+a vertex, whose point is the dual candidate.  A multistart descent proposes
+candidates only when neither gives a verified point.
 
 Values, derivatives and moment vectors come from the polynomial module,
 whose arithmetic never raises or warns on overflow.  A start, curve or
@@ -41,7 +44,7 @@ from itertools import product
 import numpy as np
 from scipy import optimize as sciopt
 
-from .circuits import CircuitCatalog, SupportTooLargeError, enumerate_circuits, is_even_point
+from .circuits import CircuitCatalog, enumerate_circuits, is_even_point
 from .dual import sonc_dual_membership
 from .nonneg import CircuitPolynomial, is_nonneg_circuit
 from .polynomials import DualVector, Exponent, SparsePolynomial, SupportSet, moment_vector, value_gradient_hessian
@@ -162,8 +165,9 @@ def _certify(
 ) -> tuple[SoncCertificate | None, dict[Exponent, float]]:
     """The checked certificate of p - gamma x^keep, gamma the largest shift
     at keep (0 when keep is None), and the barrier's value at each circuit
-    vertex; (None, {}) when some term has no circuit, the path fails or the
-    checker rejects.  Each odd or negative term (a bad point) is covered by
+    vertex; (None, {}) when some term has no circuit (p is unbounded below:
+    the module's one boundedness test), the path fails or the checker
+    rejects.  Each odd or negative term (a bad point) is covered by
     circuits with that inner point and vertices among the positive even
     points and the constant.  Circuits sharing a vertex or an inner point
     form a component, anchored at its least vertex.  One barrier path finds
@@ -477,7 +481,8 @@ _Curve = tuple[tuple[int, ...], tuple[float, ...]]
 
 def _unbounded_curve(p: SparsePolynomial) -> _Curve | None:
     """Integer weights w and signs s with p(s_i t^(w_i)) -> -inf as t -> inf,
-    or None when the Newton polytope test below finds none.
+    or None when the Newton polytope test below finds none.  Called only
+    for an input `_certify` found unbounded, or could not certify.
 
     p is unbounded below when some nonzero vertex alpha of New(p u {0}) is
     odd or carries a negative coefficient: a weight vector w exposing alpha,
@@ -487,16 +492,12 @@ def _unbounded_curve(p: SparsePolynomial) -> _Curve | None:
     its rationalization must satisfy the strict inequalities in integers.
     The inner point of a circuit of the catalog with k >= 2 whose vertices
     are among the points is no vertex and gets no LP; by Caratheodory that
-    is every non-vertex of a bounded input, so bounded inputs solve no LP.
-    Above the catalog's even-point cap every candidate gets its LP."""
+    is every non-vertex of a bounded input, so bounded inputs solve no LP."""
     zero = (0,) * p.n
     keys = set(p.coefficients) | {zero}
     points = sorted(keys)
-    try:
-        catalog = enumerate_circuits(_extended_support(p))
-        inner = {c.inner for c in catalog.circuits if c.k >= 2 and keys.issuperset(c.vertices)}
-    except SupportTooLargeError:
-        inner = set()
+    catalog = enumerate_circuits(_extended_support(p))
+    inner = {c.inner for c in catalog.circuits if c.k >= 2 and keys.issuperset(c.vertices)}
     for alpha in points:
         coef = p.coefficients.get(alpha, 0.0)
         if alpha == zero or (is_even_point(alpha) and coef > 0.0) or alpha in inner:
@@ -545,18 +546,15 @@ _UNBOUNDED = BoundResult(-math.inf, None, None, None, None, Status.INFEASIBLE_UN
 
 
 def sonc_lower_bound(p: SparsePolynomial) -> BoundResult:
-    """The largest gamma with p - gamma certified in the cone.
-
-    A polynomial with an odd or negative vertex of its Newton polytope (with
-    the origin added) is unbounded below and settled there.  Otherwise gamma
-    is the shift at the constant point of one barrier solve (`_certify`); a
-    solve that fails, or fails the checker, answers infeasible_unbounded."""
-    return _UNBOUNDED if _unbounded_curve(p) is not None else _exact_bound(p)[0]
+    """The largest gamma with p - gamma certified in the cone: the shift at
+    the constant point of one barrier solve (`_certify`).  An odd or
+    negative term in no circuit, a solve that fails, or one that fails the
+    checker answers infeasible_unbounded.  Solves no LP."""
+    return _exact_bound(p)[0]
 
 
 def _exact_bound(p: SparsePolynomial) -> tuple[BoundResult, dict[Exponent, float]]:
-    """The certified bound of a polynomial bounded at its Newton polytope,
-    and the barrier's vertex values (`_certify`)."""
+    """The certified bound of p and the barrier's vertex values (`_certify`)."""
     cert, vertices = _certify(p, enumerate_circuits(_extended_support(p)), (0,) * p.n)
     return (BoundResult(cert.gamma, None, cert, None, None, Status.CERTIFIED) if cert else _UNBOUNDED), vertices
 
@@ -606,23 +604,23 @@ def _best_moment(p: SparsePolynomial, points: list) -> tuple[float, DualVector, 
 def certify_optimality(p: SparsePolynomial, seed: int = 0) -> BoundResult:
     """Primal bound, dual point, and an optimal point where the two meet.
 
-    A polynomial that is unbounded at its Newton polytope is settled there:
-    p_sonc is -inf, and the dual point is the moment vector of one point on
-    the exposing curve.  Otherwise the barrier solve gives the primal, and
-    the dual point is that of the best barrier point (`_barrier_points`);
-    an input without a bad point has only the origin, where it is exact.
-    Only when the solve gives no certificate, or the curve point fails,
-    does the multistart from `seed` propose the candidates.  The dual point
-    is always the moment vector of an explicit point z, p_dual = p(z).
+    The barrier solve gives the primal, and with a certificate the dual
+    point is that of the best barrier point (`_barrier_points`); an input
+    without a bad point has only the origin, where it is exact.  Without
+    one, p_sonc is -inf, and the dual point is the moment vector of a point
+    on the curve exposing an odd or negative vertex (`_unbounded_curve`).
+    Only when there is no such curve, or its point fails, does the
+    multistart from `seed` propose the candidates.  The dual point is
+    always the moment vector of an explicit point z, p_dual = p(z).
     Optimality is claimed when p(z) matches p_dual and the certified bound
     closes the gap, so p_sonc <= inf p <= p(z) = p_dual pins the infimum."""
-    curve = _unbounded_curve(p)
-    if curve is not None:
-        primal, x = _UNBOUNDED, _curve_point(p, curve)
-        candidates = [x] if x is not None else []
+    primal, vertices = _exact_bound(p)
+    if primal.certificate:
+        candidates = _barrier_points(p, vertices)
     else:
-        primal, vertices = _exact_bound(p)
-        candidates = _barrier_points(p, vertices) if primal.certificate else []
+        curve = _unbounded_curve(p)
+        x = _curve_point(p, curve) if curve is not None else None
+        candidates = [x] if x is not None else []
     value, v, z = _best_moment(p, candidates) or _best_moment(p, [z for _, z in _local_minima(p, seed)])
     scale = _scale(p)
     closed = (
@@ -632,13 +630,3 @@ def certify_optimality(p: SparsePolynomial, seed: int = 0) -> BoundResult:
     )
     status = Status.OPTIMALITY_CERTIFIED if closed else Status.CERTIFIED if primal.certificate else Status.DUAL_ONLY
     return BoundResult(primal.p_sonc, value, primal.certificate, v, z if closed else None, status)
-
-
-def dual_program_solve(p: SparsePolynomial, seed: int = 0) -> tuple[float, DualVector]:
-    """(p_dual, dual point) of `certify_optimality`: the least coefficient
-    pairing over the moment vectors (z^alpha) of its candidate points that
-    pass the membership oracle.  Each is a member of the dual cone with
-    constant coordinate 1, so the value is p(z) >= inf p.  Deterministic
-    per seed."""
-    r = certify_optimality(p, seed)
-    return r.p_dual, r.dual_point

@@ -113,20 +113,11 @@ class Circuit:
     def __post_init__(self) -> None:
         vertices = tuple(check_exponent(v) for v in self.vertices)
         inner = check_exponent(self.inner)
-        k = len(vertices)
-        n = len(inner)
-        if k < 1 or k > n + 1:
-            raise ValueError(f"circuit arity {k} outside 1..n+1 for n={n}")
         if any(not is_even_point(v) for v in vertices):
             raise ValueError("circuit vertices must have all-even exponents")
         mu = tuple(Fraction(m) for m in self.barycentric)
-        if len(mu) != k or any(m <= 0 for m in mu) or sum(mu) != 1:
-            raise ValueError("barycentric coordinates must be positive and sum to 1")
-        for t in range(n):
-            if sum(m * v[t] for m, v in zip(mu, vertices)) != inner[t]:
-                raise ValueError("barycentric coordinates do not reproduce the inner point")
-        if k == 1 and inner != vertices[0]:
-            raise ValueError("a single-vertex circuit must have inner == vertex")
+        if list(mu) != barycentric_coordinates(vertices, inner):
+            raise ValueError("barycentric coordinates are not the exact positive weights of the inner point")
         if self.beta_even != is_even_point(inner):
             raise ValueError("beta_even flag inconsistent with the inner point")
         object.__setattr__(self, "vertices", vertices)
@@ -146,14 +137,9 @@ class Circuit:
         """Build a circuit, computing exact barycentric coordinates."""
         verts = tuple(sorted(check_exponent(v) for v in vertices))
         beta = check_exponent(inner)
-        if len(verts) == 1:
-            mu: list[Fraction] | None = [Fraction(1)]
-            if beta != verts[0]:
-                raise ValueError("a single-vertex circuit must have inner == vertex")
-        else:
-            mu = barycentric_coordinates(verts, beta)
-            if mu is None:
-                raise ValueError(f"{beta} is not in the relative interior of {verts}")
+        mu = barycentric_coordinates(verts, beta)
+        if mu is None:
+            raise ValueError(f"{beta} is not in the relative interior of {verts}")
         return cls(verts, beta, tuple(mu), is_even_point(beta))
 
     def to_json_dict(self) -> dict:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from typing import Sequence
 
@@ -133,9 +132,9 @@ def _cmd_check(args) -> int:
     return 0 if member else 1
 
 
-def _cmd_bound(args, seed: int) -> int:
+def _cmd_bound(args) -> int:
     p = _load_polynomial(_read(args.input))
-    result = certify_optimality(p, seed=seed)
+    result = certify_optimality(p, seed=args.seed)
     _emit(result.to_json_dict(), args.format)
     return 0 if result.status in (Status.CERTIFIED, Status.OPTIMALITY_CERTIFIED) else 1
 
@@ -160,7 +159,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--version", action="version", version=f"sonckit {__version__} (schema {SCHEMA_VERSION})"
     )
     parser.add_argument("--tol", type=float, default=DEFAULT_TOL, help="membership tolerance")
-    parser.add_argument("--seed", type=int, default=None, help="rng seed (overrides SONC_SEED)")
+    parser.add_argument("--seed", type=int, default=0, help="multistart rng seed")
     parser.add_argument("--format", choices=("json", "text"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -181,14 +180,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if not (args.tol > 0 and math.isfinite(args.tol)):
         parser.error("--tol must be positive and finite")
+    if args.seed < 0:
+        parser.error("--seed must be non-negative")
     try:
-        seed = args.seed if args.seed is not None else int(os.environ.get("SONC_SEED", "0"))
         if args.command == "circuits":
             return _cmd_circuits(args)
         if args.command == "check":
             return _cmd_check(args)
         if args.command == "bound":
-            return _cmd_bound(args, seed)
+            return _cmd_bound(args)
         return _cmd_certify(args)
     except (ParseError, SupportTooLargeError, ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,6 @@ from sonckit import (
     SparsePolynomial,
     SupportSet,
     certify_optimality,
-    dual_program_solve,
     enumerate_circuits,
     is_nonneg_circuit,
     moment_vector,
@@ -38,16 +37,29 @@ def motzkin():
 
 
 def _record_solves(monkeypatch) -> list:
-    """Wrap bounds._certify, the barrier solve, so that every call appends its polynomial."""
+    """Wrap bounds._central_path, the barrier solve, so that every call appends its circuit rows."""
     calls = []
-    real = bounds._certify
+    real = bounds._central_path
 
-    def recording(q, *args, **kwargs):
-        calls.append(q)
-        return real(q, *args, **kwargs)
+    def recording(lam, *args):
+        calls.append(lam)
+        return real(lam, *args)
 
-    monkeypatch.setattr(bounds, "_certify", recording)
+    monkeypatch.setattr(bounds, "_central_path", recording)
     return calls
+
+
+def _record_lps(monkeypatch) -> list:
+    """Wrap bounds.sciopt.linprog so that every call appends its arguments."""
+    lps = []
+    real = bounds.sciopt.linprog
+
+    def counting(*args, **kwargs):
+        lps.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bounds.sciopt, "linprog", counting)
+    return lps
 
 
 def _extended_support_of(A: SupportSet) -> SupportSet:
@@ -269,22 +281,25 @@ class TestExactBound:
 
 
 class TestDualProgram:
+    """The dual value and point of `certify_optimality`."""
+
     def test_quartic(self):
-        p = parse_polynomial("1 + x1^4 - 3*x1^2")
-        value, v = dual_program_solve(p)
+        r = certify_optimality(parse_polynomial("1 + x1^4 - 3*x1^2"))
+        value, v = r.p_dual, r.dual_point
         assert value == pytest.approx(-1.25, abs=1e-5)
         assert v[(0,)] == 1.0
         assert v[(2,)] == pytest.approx(1.5, abs=1e-4)
         assert v[(4,)] == pytest.approx(2.25, abs=1e-4)
 
     def test_motzkin(self):
-        value, v = dual_program_solve(motzkin())
+        r = certify_optimality(motzkin())
+        value, v = r.p_dual, r.dual_point
         assert value == pytest.approx(0.0, abs=1e-5)
         assert v.as_tuple() == pytest.approx((1.0, 1.0, 1.0, 1.0), abs=1e-4)
 
     def test_shifted_quadratic(self):
-        p = parse_polynomial("1 + x1^2")
-        value, v = dual_program_solve(p)
+        r = certify_optimality(parse_polynomial("1 + x1^2"))
+        value, v = r.p_dual, r.dual_point
         assert value == pytest.approx(1.0, abs=1e-6)
         assert v[(2,)] == pytest.approx(0.0, abs=1e-6)
 
@@ -293,7 +308,8 @@ class TestDualProgram:
         for _ in range(20):
             n = int(rng.integers(1, 3))
             p = random_sparse_poly(rng, n, max_degree=6, max_terms=5)
-            value, v = dual_program_solve(p)
+            r = certify_optimality(p)
+            value, v = r.p_dual, r.dual_point
             support = _extended(p)
             assert sonc_dual_membership(support, v, tol=1e-7).member
             assert v[(0,) * n] == 1.0
@@ -441,6 +457,25 @@ def _criterion9_polys():
     return polys
 
 
+def _bound_sonc_polys():
+    """The 18 inputs of the bound-sonc benchmark workload: a positive constant
+    and x_i^2d, 2d in 4, 6, 8, over n = 1..3, plus 1..n+3 interior terms of
+    either sign."""
+    rng = np.random.default_rng(0)
+    polys = []
+    for i in range(18):
+        n, two_d = 1 + i % 3, (4, 6, 8)[i // 3 % 3]
+        terms = {(0,) * n: 10.0 ** rng.uniform(-1, 1)}
+        for j in range(n):
+            terms[tuple(two_d if t == j else 0 for t in range(n))] = 10.0 ** rng.uniform(-1, 1)
+        interior = [a for a in product(range(1, two_d), repeat=n) if sum(a) < two_d]
+        k = int(rng.integers(1, n + 4))
+        for idx in rng.choice(len(interior), size=min(k, len(interior)), replace=False):
+            terms[interior[idx]] = float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(-1, 1)
+        polys.append(SparsePolynomial.from_terms(terms, n=n))
+    return polys
+
+
 def _along_curve(p, w, s):
     """The terms of p(s_i t^(w_i)) as exact (coefficient, exponent of t) pairs."""
     terms = []
@@ -487,6 +522,31 @@ class TestNewtonPolytopeShortcut:
     def test_bounded_not_flagged(self, text):
         assert _unbounded_curve(parse_polynomial(text)) is None
 
+    def test_barrier_runs_exactly_on_bounded_inputs(self, monkeypatch):
+        # One decision: the barrier solves every input with an odd or negative
+        # term and no unbounded curve, and no other.
+        calls = _record_solves(monkeypatch)
+        without_bad_point = 0
+        for p in [motzkin(), parse_polynomial("1 + x1^4 - 3*x1^2"), *_criterion9_polys(), *_bound_sonc_polys()]:
+            bad = any(c < 0.0 or any(e % 2 for e in exp) for exp, c in p.coefficients.items())
+            without_bad_point += not bad
+            for solve in (sonc_lower_bound, certify_optimality):
+                calls.clear()
+                solve(p)
+                assert len(calls) == (bad and _unbounded_curve(p) is None), p.coefficients
+        assert without_bad_point == 5
+
+    def test_lower_bound_solves_no_lp(self, monkeypatch):
+        lps = _record_lps(monkeypatch)
+        polys = [motzkin(), parse_polynomial("1 + x1^4 - 3*x1^2"), *_criterion9_polys(), *_bound_sonc_polys()]
+        for p in polys:
+            sonc_lower_bound(p)
+        assert lps == []
+        # The curve of an unbounded input still costs certify_optimality its LP.
+        for p in polys:
+            certify_optimality(p)
+        assert len(lps) == 95
+
     def test_settled_without_oracle_calls(self, monkeypatch):
         calls = _record_solves(monkeypatch)
         r = sonc_lower_bound(parse_polynomial("x1^2*x2 + 1"))
@@ -529,14 +589,7 @@ class TestNewtonPolytopeShortcut:
 
 
     def test_vertex_filter_skips_lps_and_keeps_curves(self, monkeypatch):
-        lps = []
-        real = bounds.sciopt.linprog
-
-        def counting(*args, **kwargs):
-            lps.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(bounds.sciopt, "linprog", counting)
+        lps = _record_lps(monkeypatch)
         polys = _criterion9_polys()
         curves = []
         for p in [motzkin(), *polys]:
@@ -546,15 +599,14 @@ class TestNewtonPolytopeShortcut:
                 assert len(lps) == before, p.coefficients
         assert curves[0] is None and sum(c is None for c in curves[1:]) == 17
 
-        def capped(support):
-            raise SupportTooLargeError("over the cap")
-
-        # Over the even-point cap the scan solves every candidate's LP; it
-        # must settle on the same (w, s) wherever a curve exists.
-        monkeypatch.setattr(bounds, "enumerate_circuits", capped)
-        before = len(lps)
-        assert [_unbounded_curve(p) for p in polys] == curves[1:]
-        assert len(lps) > before
+    @pytest.mark.parametrize("last", ["+ x1^41", "- x1^3"])
+    def test_above_the_cap_raises(self, last):
+        # 21 even points, one over the cap; x1^41 and -x1^3 are bad points.
+        p = parse_polynomial("1 + " + " + ".join(f"x1^{e}" for e in range(2, 41, 2)) + " " + last)
+        with pytest.raises(SupportTooLargeError):
+            sonc_lower_bound(p)
+        with pytest.raises(SupportTooLargeError):
+            certify_optimality(p)
 
 
 class TestBatchedDescent:

@@ -94,6 +94,14 @@ class TestCircuitType:
         with pytest.raises(ValueError):
             Circuit.make([(0,), (4,)], (0,))
 
+    def test_rejects_dependent_vertices(self):
+        # (5/8, 1/4, 1/8) reproduces (1, 1) and sums to 1, but the vertices are collinear.
+        with pytest.raises(AffinelyDependentError):
+            Circuit(((0, 0), (2, 2), (4, 4)), (1, 1), (Fraction(5, 8), Fraction(1, 4), Fraction(1, 8)), False)
+        blob = {"vertices": [[0, 0], [2, 2], [4, 4]], "beta": [1, 1], "mu": ["5/8", "1/4", "1/8"], "beta_even": False}
+        with pytest.raises(AffinelyDependentError):
+            Circuit.from_json_dict(blob)
+
     def test_json_round_trip(self):
         c = Circuit.make([(0, 0), (2, 4), (4, 2)], (2, 2))
         blob = c.to_json_dict()

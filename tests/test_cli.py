@@ -312,6 +312,28 @@ class TestEntryPoint:
             main(["--tol", "-1", "circuits", "x.json"])
         assert exc.value.code == 2
 
+    # The quartic is settled by the barrier; the second input reaches the multistart.
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1 + x1^4 - 3*x1^2",
+            "-3.983966921073806 - 0.028504524402727265*x1 + 37.54616029719675*x1^4 - 0.001262498285006704*x1^6",
+        ],
+    )
+    def test_negative_seed_rejected(self, files, capsys, text):
+        with pytest.raises(SystemExit) as exc:
+            main(["--seed", "-1", "bound", files("p.txt", text)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--seed must be non-negative" in captured.err
+
+    def test_seed_environment_variable_ignored(self, files, capsys, monkeypatch):
+        argvs = [["circuits", files("a4.json", QUARTIC_SUPPORT)], ["check", "dual-member", files("v.json", SEP_POINT)]]
+        plain = [run_main(argv, capsys) for argv in argvs]
+        monkeypatch.setenv("SONC_SEED", "abc")
+        assert [run_main(argv, capsys) for argv in argvs] == plain
+        assert [code for code, _, _ in plain] == [0, 0]
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
     def test_nonfinite_tol_rejected(self, files, capsys, tol):
         with pytest.raises(SystemExit) as exc:
