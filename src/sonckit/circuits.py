@@ -3,16 +3,16 @@ numbers, and exhaustive catalog enumeration.
 
 A circuit is a set of affinely independent all-even lattice points (the
 vertices) together with one more lattice point lying in the relative
-interior of their convex hull.  Barycentric coordinates come from one
-fraction-free elimination on Python ints per vertex set, so they are exact
-at any exponent size and strict positivity (hence relative-interior
-membership) never depends on a float tolerance.
+interior of their convex hull.  Barycentric coordinates come from a
+fraction-free elimination on Python ints, so they are exact at any exponent
+size and strict positivity (hence relative-interior membership) never
+depends on a float tolerance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
@@ -36,18 +36,19 @@ def is_even_point(point: Sequence[int]) -> bool:
 
 def _affine_coordinates(
     vertices: Sequence[Exponent], targets: Sequence[Sequence[int]]
-) -> tuple[list[bool], dict[int, list[Fraction]]]:
+) -> tuple[list[bool], dict[int, list[int]], int]:
     """Where every target lies relative to affinely independent vertices.
 
     One fraction-free (Bareiss) Gauss-Jordan elimination on Python ints over
     the lifted matrix [1 ... 1; vertices | 1 ... 1; targets], so entries stay
     exact at any exponent size.  The affine weights mu of a target (sum(mu)
-    = 1, sum(mu_i * v_i) = target) are integer numerators over their row's
-    pivot.  Returns, per target, whether it lies outside the affine hull,
-    and the weights of the targets in the relative interior (every mu_i >
-    0), keyed by target position; the signs are read off the integers, so
-    Fractions are built for those targets only.  Raises
-    AffinelyDependentError when some vertex column gets no pivot.
+    = 1, sum(mu_i * v_i) = target) are integer numerators over one common
+    denominator, the last pivot.  Returns, per target, whether it lies
+    outside the affine hull; the numerators of the targets in the relative
+    interior (every mu_i > 0), keyed by target position; and the common
+    denominator.  The signs are read off the integers, so no Fraction is
+    built here.  Raises AffinelyDependentError when some vertex column gets
+    no pivot.
     """
     k = len(vertices)
     rows = [[1] * (k + len(targets)), *map(list, zip(*vertices, *targets))]
@@ -65,13 +66,14 @@ def _affine_coordinates(
                 # Bareiss: every entry is a minor of the input, so prev divides exactly.
                 rows[i] = [(p * x - a * y) // prev for x, y in zip(row, top)]
         prev = p
+    # Each step scales the earlier pivot rows by p / prev, so every diagonal entry ends as prev.
     outside = [any(row[j] for row in rows[k:]) for j in range(k, k + len(targets))]
     interior = {
-        j - k: [Fraction(rows[i][j], rows[i][i]) for i in range(k)]
+        j - k: [rows[i][j] for i in range(k)]
         for j in range(k, k + len(targets))
-        if not outside[j - k] and all(rows[i][j] * rows[i][i] > 0 for i in range(k))
+        if not outside[j - k] and all(rows[i][j] * prev > 0 for i in range(k))
     }
-    return outside, interior
+    return outside, interior, prev
 
 
 def barycentric_coordinates(vertices: Sequence[Exponent], beta: Sequence[int]) -> list[Fraction] | None:
@@ -86,7 +88,8 @@ def barycentric_coordinates(vertices: Sequence[Exponent], beta: Sequence[int]) -
     n = len(vertices[0])
     if any(len(v) != n for v in vertices) or len(beta) != n:
         raise ValueError("dimension mismatch between vertices and inner point")
-    return _affine_coordinates(vertices, [beta])[1].get(0)  # None off the relative interior
+    _, interior, det = _affine_coordinates(vertices, [beta])
+    return [Fraction(x, det) for x in interior[0]] if interior else None
 
 
 def affinely_independent(points: Sequence[Exponent]) -> bool:
@@ -100,29 +103,32 @@ def affinely_independent(points: Sequence[Exponent]) -> bool:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Even, affinely independent vertices with an interior lattice point.
+    """Even, affinely independent vertices with an inner lattice point in
+    the relative interior of their hull.
 
-    By convention a single-vertex circuit has inner == vertex and weight 1.
+    The two determine the rest, which the constructor derives once: the
+    exact positive weights `barycentric`, in the order the vertices are
+    given, and `beta_even`, the parity of the inner point.  A single-vertex
+    circuit has inner == vertex and weight 1.
     """
 
     vertices: tuple[Exponent, ...]
     inner: Exponent
-    barycentric: tuple[Fraction, ...]
-    beta_even: bool
+    barycentric: tuple[Fraction, ...] = field(init=False, compare=False)
+    beta_even: bool = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         vertices = tuple(check_exponent(v) for v in self.vertices)
         inner = check_exponent(self.inner)
         if any(not is_even_point(v) for v in vertices):
             raise ValueError("circuit vertices must have all-even exponents")
-        mu = tuple(Fraction(m) for m in self.barycentric)
-        if list(mu) != barycentric_coordinates(vertices, inner):
-            raise ValueError("barycentric coordinates are not the exact positive weights of the inner point")
-        if self.beta_even != is_even_point(inner):
-            raise ValueError("beta_even flag inconsistent with the inner point")
+        mu = barycentric_coordinates(vertices, inner)
+        if mu is None:
+            raise ValueError(f"{inner} is not in the relative interior of {vertices}")
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "barycentric", mu)
+        object.__setattr__(self, "barycentric", tuple(mu))
+        object.__setattr__(self, "beta_even", is_even_point(inner))
 
     @property
     def k(self) -> int:
@@ -131,16 +137,6 @@ class Circuit:
     @property
     def n(self) -> int:
         return len(self.inner)
-
-    @classmethod
-    def make(cls, vertices: Sequence[Sequence[int]], inner: Sequence[int]) -> "Circuit":
-        """Build a circuit, computing exact barycentric coordinates."""
-        verts = tuple(sorted(check_exponent(v) for v in vertices))
-        beta = check_exponent(inner)
-        mu = barycentric_coordinates(verts, beta)
-        if mu is None:
-            raise ValueError(f"{beta} is not in the relative interior of {verts}")
-        return cls(verts, beta, tuple(mu), is_even_point(beta))
 
     def to_json_dict(self) -> dict:
         return {
@@ -152,12 +148,14 @@ class Circuit:
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "Circuit":
-        return cls(
-            tuple(check_exponent(v) for v in obj["vertices"]),
-            check_exponent(obj["beta"]),
-            tuple(Fraction(m) for m in obj["mu"]),
-            bool(obj["beta_even"]),
-        )
+        """The circuit of `vertices` and `beta`; a blob is outside data, so
+        its `mu` and `beta_even` must be the ones they give."""
+        circuit = cls(obj["vertices"], obj["beta"])
+        if [Fraction(m) for m in obj["mu"]] != list(circuit.barycentric):
+            raise ValueError("mu is not the exact positive weights of beta")
+        if bool(obj["beta_even"]) != circuit.beta_even:
+            raise ValueError("beta_even flag inconsistent with beta")
+        return circuit
 
 
 def log_circuit_number(c: Sequence[float], circuit: Circuit) -> float:
@@ -264,21 +262,20 @@ def enumerate_circuits(support: SupportSet) -> CircuitCatalog:
     Affinely independent even vertex sets are grown one even point at a
     time.  Each vertex set costs one exact integer elimination with every
     support point as a target, and that one result answers both questions:
-    the points with all weights positive are its inner points, and the even
-    points outside its affine hull are the ones that may extend it.
+    the points with all weights positive are its inner points (a single
+    vertex is its own), and the even points outside its affine hull are the
+    ones that may extend it.  Each circuit then derives its own weights.
     Exponential in the even-point count, hence the cap.
     """
     points = support.points
     even = [i for i, p in enumerate(points) if is_even_point(p)]
     if len(even) > MAX_EVEN_POINTS:
         raise SupportTooLargeError(f"{len(even)} even points exceed the enumeration cap {MAX_EVEN_POINTS}")
-    found: list[Circuit] = [Circuit.make((points[i],), points[i]) for i in even]
+    found: list[Circuit] = []
 
     def grow(start: int, chosen: tuple[Exponent, ...]) -> None:
-        outside, interior = _affine_coordinates(chosen, points)
-        if len(chosen) >= 2:
-            for j, mu in interior.items():
-                found.append(Circuit(chosen, points[j], tuple(mu), is_even_point(points[j])))
+        outside, interior, _ = _affine_coordinates(chosen, points)
+        found.extend(Circuit(chosen, points[j]) for j in interior)
         for j in range(start, len(even)):
             if outside[even[j]]:
                 grow(j + 1, chosen + (points[even[j]],))

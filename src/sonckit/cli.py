@@ -73,7 +73,7 @@ def _text_lines(obj, indent: int = 0) -> list[str]:
                 lines.append(f"{pad}{k}: {json.dumps(val)}")
     elif isinstance(obj, list):
         for val in obj:
-            if isinstance(val, (dict, list)):
+            if isinstance(val, (dict, list)) and val:
                 lines.append(f"{pad}-")
                 lines.extend(_text_lines(val, indent + 1))
             else:
@@ -94,7 +94,7 @@ def _cmd_check(args) -> int:
     text = _read(args.input)
     if args.kind == "nonneg-circuit":
         obj = json.loads(text)
-        circuit = Circuit.make(obj["vertices"], obj["beta"])
+        circuit = Circuit(obj["vertices"], obj["beta"])
         cp = CircuitPolynomial(circuit, tuple(float(x) for x in obj["c"]), float(obj["delta"]))
         ok, witness = is_nonneg_circuit(cp)
         try:

@@ -11,7 +11,6 @@ from sonckit import (
     SparsePolynomial,
     SupportSet,
     barycentric_coordinates,
-    is_even_point,
 )
 
 
@@ -42,10 +41,9 @@ def random_circuit(rng: np.random.Generator, n: int | None = None, k: int | None
         target = tuple(int(round(sum(w * v[t] for w, v in zip(weights, verts)))) for t in range(nn))
         if target in verts:
             continue
-        mu = barycentric_coordinates(verts, target)
-        if mu is None:
+        if barycentric_coordinates(verts, target) is None:
             continue
-        return Circuit(verts, target, tuple(mu), is_even_point(target))
+        return Circuit(verts, target)
     raise AssertionError("failed to sample a random circuit")
 
 

@@ -65,8 +65,8 @@ def circuits_1000():
 
 
 def test_criterion_1_circuit_numbers():
-    motzkin = Circuit.make([(0, 0), (2, 4), (4, 2)], (2, 2))
-    quad = Circuit.make([(0,), (2,)], (1,))
+    motzkin = Circuit([(0, 0), (2, 4), (4, 2)], (2, 2))
+    quad = Circuit([(0,), (2,)], (1,))
     t0 = time.perf_counter()
     theta_m = circuit_number((1.0, 1.0, 1.0), motzkin)
     theta_q = circuit_number((1.0, 1.0), quad)

@@ -64,9 +64,10 @@ class TestBarycentric:
     def test_affine_coordinates_split(self):
         # (2,) is interior; the vertex (4,) and (6,) lie on the line, off the
         # open segment; (1, 1) leaves the line.
-        outside, interior = _affine_coordinates([(0, 0), (4, 0)], [(2, 0), (4, 0), (6, 0), (1, 1)])
+        outside, interior, det = _affine_coordinates([(0, 0), (4, 0)], [(2, 0), (4, 0), (6, 0), (1, 1)])
         assert outside == [False, False, False, True]
-        assert interior == {0: [Fraction(1, 2), Fraction(1, 2)]}
+        assert list(interior) == [0]
+        assert [Fraction(x, det) for x in interior[0]] == [Fraction(1, 2), Fraction(1, 2)]
 
     def test_exact_near_exponent_cap(self):
         big = 2**20
@@ -79,31 +80,56 @@ class TestBarycentric:
 
 class TestCircuitType:
     def test_single_vertex_convention(self):
-        c = Circuit.make([(2, 0)], (2, 0))
+        c = Circuit([(2, 0)], (2, 0))
         assert c.k == 1 and c.barycentric == (Fraction(1),) and c.beta_even
 
     def test_single_vertex_requires_matching_inner(self):
         with pytest.raises(ValueError):
-            Circuit.make([(2, 0)], (0, 0))
+            Circuit([(2, 0)], (0, 0))
 
     def test_rejects_odd_vertices(self):
         with pytest.raises(ValueError):
-            Circuit.make([(1,), (2,)], (1,))
+            Circuit([(1,), (2,)], (1,))
 
     def test_rejects_boundary_inner(self):
         with pytest.raises(ValueError):
-            Circuit.make([(0,), (4,)], (0,))
+            Circuit([(0,), (4,)], (0,))
 
     def test_rejects_dependent_vertices(self):
         # (5/8, 1/4, 1/8) reproduces (1, 1) and sums to 1, but the vertices are collinear.
         with pytest.raises(AffinelyDependentError):
-            Circuit(((0, 0), (2, 2), (4, 4)), (1, 1), (Fraction(5, 8), Fraction(1, 4), Fraction(1, 8)), False)
+            Circuit(((0, 0), (2, 2), (4, 4)), (1, 1))
         blob = {"vertices": [[0, 0], [2, 2], [4, 4]], "beta": [1, 1], "mu": ["5/8", "1/4", "1/8"], "beta_even": False}
         with pytest.raises(AffinelyDependentError):
             Circuit.from_json_dict(blob)
 
+    def test_weights_follow_the_given_vertex_order(self):
+        c = Circuit(((4,), (0,)), (1,))
+        assert c.vertices == ((4,), (0,))
+        assert c.barycentric == (Fraction(1, 4), Fraction(3, 4))
+        assert not c.beta_even
+
+    def test_identity_is_vertices_and_inner(self):
+        assert Circuit([[0], [4]], [1]) == Circuit(((0,), (4,)), (1,))
+        assert hash(Circuit([[0], [4]], [1])) == hash(Circuit(((0,), (4,)), (1,)))
+        assert Circuit(((4,), (0,)), (1,)) != Circuit(((0,), (4,)), (1,))
+
+    def test_json_rejects_wrong_weights(self):
+        blob = {"vertices": [[0], [4]], "beta": [1], "mu": ["1/2", "1/2"], "beta_even": False}
+        with pytest.raises(ValueError):
+            Circuit.from_json_dict(blob)
+        assert Circuit.from_json_dict({**blob, "mu": ["3/4", "1/4"]}) == Circuit(((0,), (4,)), (1,))
+
+    def test_json_rejects_flipped_parity(self):
+        blob = Circuit(((0,), (4,)), (1,)).to_json_dict()
+        with pytest.raises(ValueError):
+            Circuit.from_json_dict({**blob, "beta_even": True})
+        even = Circuit(((0,), (4,)), (2,)).to_json_dict()
+        with pytest.raises(ValueError):
+            Circuit.from_json_dict({**even, "beta_even": False})
+
     def test_json_round_trip(self):
-        c = Circuit.make([(0, 0), (2, 4), (4, 2)], (2, 2))
+        c = Circuit([(0, 0), (2, 4), (4, 2)], (2, 2))
         blob = c.to_json_dict()
         assert blob["mu"] == ["1/3", "1/3", "1/3"]
         assert Circuit.from_json_dict(blob) == c
@@ -111,19 +137,19 @@ class TestCircuitType:
 
 class TestCircuitNumber:
     def test_motzkin_is_three(self):
-        c = Circuit.make([(0, 0), (2, 4), (4, 2)], (2, 2))
+        c = Circuit([(0, 0), (2, 4), (4, 2)], (2, 2))
         assert circuit_number((1.0, 1.0, 1.0), c) == pytest.approx(3.0, rel=1e-12)
 
     def test_unit_univariate_quadratic(self):
-        c = Circuit.make([(0,), (2,)], (1,))
+        c = Circuit([(0,), (2,)], (1,))
         assert circuit_number((1.0, 1.0), c) == pytest.approx(2.0, rel=1e-12)
 
     def test_weights_as_coefficients_give_one(self):
-        c = Circuit.make([(0,), (4,)], (1,))
+        c = Circuit([(0,), (4,)], (1,))
         assert circuit_number((0.75, 0.25), c) == pytest.approx(1.0, rel=1e-12)
 
     def test_rejects_nonpositive(self):
-        c = Circuit.make([(0,), (2,)], (1,))
+        c = Circuit([(0,), (2,)], (1,))
         with pytest.raises(ValueError):
             circuit_number((1.0, 0.0), c)
         with pytest.raises(ValueError):
@@ -173,7 +199,7 @@ class TestEnumeration:
         assert higher[0].vertices == ((0, 0), (2, 4), (4, 2))
         assert higher[0].inner == (2, 2)
         assert [c for c in cat.circuits if c.k == 1] == [
-            Circuit.make([v], v) for v in [(0, 0), (2, 2), (2, 4), (4, 2)]
+            Circuit([v], v) for v in [(0, 0), (2, 2), (2, 4), (4, 2)]
         ]
 
     def test_single_point(self):

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -99,6 +100,14 @@ class TestCheck:
         payload["delta"] = -3.01
         code, out, _ = run_main(["check", "nonneg-circuit", files("c2.json", payload)], capsys)
         assert code == 1
+
+    def test_nonneg_circuit_pairs_c_with_the_vertices_as_given(self, files, capsys):
+        # 0.25 x^4 - 0.9 x + 0.75 >= 0.098 everywhere, in either vertex order.
+        for vertices, c in [([[4], [0]], [0.25, 0.75]), ([[0], [4]], [0.75, 0.25])]:
+            payload = {"vertices": vertices, "beta": [1], "c": c, "delta": -0.9}
+            code, out, _ = run_main(["check", "nonneg-circuit", files("c.json", payload)], capsys)
+            blob = json.loads(out)
+            assert code == 0 and blob["nonneg"] is True and blob["theta"] == 1.0, vertices
 
     # json reads 1e400 as inf.
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e400"])
@@ -283,6 +292,20 @@ class TestDeterminism:
         )
         assert code == 0 and "member: true" in out
 
+    def test_text_format_prints_empty_nested_lists(self, files, capsys):
+        code, out, _ = run_main(["--format", "text", "circuits", files("c.txt", "7")], capsys)
+        assert code == 0
+        assert out.splitlines() == [
+            "circuits:",
+            "  -",
+            "    vertices:",
+            "      - []",
+            "    beta: []",
+            "    mu:",
+            '      - "1"',
+            "    beta_even: true",
+        ]
+
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
@@ -295,6 +318,14 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["member"] is True
+
+    def test_readme_quickstart_runs(self):
+        readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+        blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+        assert len(blocks) == 1
+        namespace: dict = {}
+        exec(blocks[0], namespace)
+        assert sonckit.circuit_number((1, 1, 1), namespace["circuit"]) == pytest.approx(3.0, rel=1e-12)
 
     def test_exports_resolve(self):
         missing = [name for name in sonckit.__all__ if not hasattr(sonckit, name)]

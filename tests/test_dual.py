@@ -147,7 +147,7 @@ def lp_first_violated(catalog, v, tol):
 class TestCircuitMembership:
     def setup_method(self):
         self.support = SupportSet.of([(0,), (1,), (2,)])
-        self.circuit = Circuit.make([(0,), (2,)], (1,))
+        self.circuit = Circuit([(0,), (2,)], (1,))
 
     def dv(self, v0, v1, v2):
         return DualVector(self.support, {(0,): v0, (1,): v1, (2,): v2})

@@ -141,25 +141,25 @@ class TestEntropyIffExpcone:
 
 class TestEntropyMinimizer:
     def test_motzkin(self):
-        c = Circuit.make([(0, 0), (2, 4), (4, 2)], (2, 2))
+        c = Circuit([(0, 0), (2, 4), (4, 2)], (2, 2))
         nu, val = entropy_minimizer(c, (1.0, 1.0, 1.0))
         assert nu == pytest.approx((1.0, 1.0, 1.0), rel=1e-12)
         assert val == pytest.approx(-3.0, rel=1e-12)
 
     def test_univariate_quadratic(self):
-        c = Circuit.make([(0,), (2,)], (1,))
+        c = Circuit([(0,), (2,)], (1,))
         nu, val = entropy_minimizer(c, (1.0, 1.0))
         assert nu == pytest.approx((1.0, 1.0), rel=1e-12)
         assert val == pytest.approx(-2.0, rel=1e-12)
 
     def test_coefficients_equal_weights(self):
-        c = Circuit.make([(0,), (4,)], (1,))
+        c = Circuit([(0,), (4,)], (1,))
         nu, val = entropy_minimizer(c, (0.75, 0.25))
         assert nu == pytest.approx((0.75, 0.25), rel=1e-12)
         assert val == pytest.approx(-1.0, rel=1e-12)
 
     def test_rejects_nonpositive(self):
-        c = Circuit.make([(0,), (2,)], (1,))
+        c = Circuit([(0,), (2,)], (1,))
         with pytest.raises(ValueError):
             entropy_minimizer(c, (1.0, 0.0))
 

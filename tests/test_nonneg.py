@@ -22,7 +22,7 @@ from _gen import abs_coefficient_eval, eval_on_points, random_circuit
 
 
 def motzkin_circuit() -> Circuit:
-    return Circuit.make([(0, 0), (2, 4), (4, 2)], (2, 2))
+    return Circuit([(0, 0), (2, 4), (4, 2)], (2, 2))
 
 
 class TestPositiveOrthant:
@@ -46,7 +46,7 @@ class TestPositiveOrthant:
 
 class TestFullSpace:
     def test_odd_inner_two_sided(self):
-        c = Circuit.make([(0,), (2,)], (1,))
+        c = Circuit([(0,), (2,)], (1,))
         assert is_nonneg_circuit(CircuitPolynomial(c, (1.0, 1.0), -2.0))[0]
         assert is_nonneg_circuit(CircuitPolynomial(c, (1.0, 1.0), 2.0))[0]
         assert not is_nonneg_circuit(CircuitPolynomial(c, (1.0, 1.0), -2.01))[0]
@@ -59,7 +59,7 @@ class TestFullSpace:
         assert not is_nonneg_circuit(CircuitPolynomial(motzkin_circuit(), (1.0, 1.0, 1.0), -3.01))[0]
 
     def test_huge_coefficients_decided_in_log_domain(self):
-        c = Circuit.make([(0,), (2,)], (1,))
+        c = Circuit([(0,), (2,)], (1,))
         # Theta = 2e300 is representable: the tolerance edge is kept.
         ok, wit = is_nonneg_circuit(CircuitPolynomial(c, (1e300, 1e300), -2e300))
         assert ok and wit.nu == pytest.approx((1e300, 1e300), rel=1e-12)
@@ -72,7 +72,7 @@ class TestFullSpace:
         assert not is_nonneg_circuit(CircuitPolynomial(c, (1e-300, 1e-300), -1e-8))[0]
 
     def test_single_monomial(self):
-        c = Circuit.make([(2, 0)], (2, 0))
+        c = Circuit([(2, 0)], (2, 0))
         assert is_nonneg_circuit(CircuitPolynomial(c, (1.5,), 0.0))[0]
         assert is_nonneg_circuit(CircuitPolynomial(c, (1.5,), -1.5))[0]
         assert not is_nonneg_circuit(CircuitPolynomial(c, (1.5,), -1.6))[0]
@@ -91,7 +91,7 @@ class TestFullSpace:
             )
 
     def test_rejects_bad_coefficients(self):
-        c = Circuit.make([(0,), (2,)], (1,))
+        c = Circuit([(0,), (2,)], (1,))
         with pytest.raises(ValueError):
             CircuitPolynomial(c, (1.0,), 0.0)
         with pytest.raises(ValueError):

@@ -146,6 +146,18 @@ def circuit_checks(draw) -> str:
 
 
 @st.composite
+def permuted_circuit_checks(draw) -> tuple[str, str]:
+    """A circuit check, and the same check with its vertices listed in
+    another order and its coefficients moved with them."""
+    blob = json.loads(draw(circuit_checks()))
+    order = draw(st.permutations(range(len(blob["vertices"]))))
+    moved = dict(blob, vertices=[blob["vertices"][i] for i in order])
+    if len(blob["c"]) == len(order):
+        moved["c"] = [blob["c"][i] for i in order]
+    return json.dumps(blob), json.dumps(moved)
+
+
+@st.composite
 def quartic_vectors(draw) -> str:
     if draw(st.booleans()):  # a moment vector (t^0, ..., t^4): a member
         t = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(-70.0, 70.0).map(lambda s: 10.0**s))
@@ -160,7 +172,8 @@ def _reject_constant(token):
     raise ValueError(f"non-JSON constant {token}")
 
 
-def check_clean_exit(argv: list[str], text: str) -> None:
+def check_clean_exit(argv: list[str], text: str) -> tuple[int, dict | None]:
+    """The exit code and, unless it is 2, the JSON on stdout."""
     out, err = io.StringIO(), io.StringIO()
     with mock.patch("sys.stdin", io.StringIO(text)), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([*argv, "-"])
@@ -168,8 +181,8 @@ def check_clean_exit(argv: list[str], text: str) -> None:
     if code == 2:
         assert out.getvalue() == "" and err.getvalue().startswith("error:"), (argv, text)
         assert err.getvalue().count("\n") == 1, (argv, text)
-    else:
-        json.loads(out.getvalue(), parse_constant=_reject_constant)
+        return code, None
+    return code, json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
 @FUZZ
@@ -192,6 +205,17 @@ def test_dual_checks_exit_cleanly(text):
 @given(circuit_checks())
 def test_nonneg_circuit_check_exits_cleanly(text):
     check_clean_exit(["check", "nonneg-circuit"], text)
+
+
+@FUZZ
+@given(permuted_circuit_checks())
+def test_nonneg_circuit_verdict_ignores_vertex_order(texts):
+    (code, blob), (moved_code, moved) = (check_clean_exit(["check", "nonneg-circuit"], t) for t in texts)
+    assert code == moved_code, texts
+    if code != 2:
+        theta, moved_theta = blob["theta"], moved["theta"]
+        assert (theta is None) == (moved_theta is None), texts
+        assert theta is None or math.isclose(theta, moved_theta, rel_tol=1e-12, abs_tol=0.0), texts
 
 
 @FUZZ
