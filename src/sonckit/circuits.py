@@ -4,9 +4,13 @@ numbers, and exhaustive catalog enumeration.
 A circuit is a set of affinely independent all-even lattice points (the
 vertices) together with one more lattice point lying in the relative
 interior of their convex hull.  Barycentric coordinates come from a
-fraction-free elimination on Python ints, so they are exact at any exponent
-size and strict positivity (hence relative-interior membership) never
-depends on a float tolerance.
+fraction-free (Bareiss) elimination, so they are exact at any exponent size
+and strict positivity (hence relative-interior membership) never depends on
+a float tolerance.  `_affine_coordinates` is the kernel for a single
+circuit, on Python ints.  Catalog enumeration runs the same elimination
+batched and incrementally over all vertex sets at once, on stacked NumPy
+arrays: in int64 while a batch's entries are below 2**31 in magnitude, so
+that no product in a pivot step can overflow, and on Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -32,6 +36,19 @@ class SupportTooLargeError(ValueError):
 
 def is_even_point(point: Sequence[int]) -> bool:
     return all(e % 2 == 0 for e in point)
+
+
+#: A Bareiss step on entries below this magnitude forms products p*x, a*y
+#: below 2**62, so it cannot overflow int64.  The entries are minors of the
+#: input, so the test is exact where a Hadamard bound would not be.
+_INT64_SAFE = 1 << 31
+
+
+def _exact_array(rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """Nonnegative integer rows as int64 when every entry is below
+    _INT64_SAFE, else as Python ints."""
+    small = max(max(row, default=0) for row in rows) < _INT64_SAFE
+    return np.array(rows, dtype=np.int64 if small else object)
 
 
 def _affine_coordinates(
@@ -200,23 +217,25 @@ class ArityGroup:
         return self.vertices.shape[1]
 
     @classmethod
-    def of(cls, circuits: Sequence[Circuit], index: Sequence[int], position: Mapping[Exponent, int]) -> "ArityGroup":
-        """Group circuits of equal arity; `position` maps a lattice point to
-        its index in the value arrays the tests will read."""
+    def of(cls, circuits: Sequence[Circuit], index: Sequence[int], points: Sequence[Exponent]) -> "ArityGroup":
+        """Group circuits of equal arity; `points` are the lattice points, in
+        the order of the value arrays the tests will read."""
         m, k, n = len(circuits), circuits[0].k, circuits[0].n
-        rows = np.array(
-            [[[b - a for a, b in zip(vert, c.inner)] for vert in c.vertices] for c in circuits], dtype=float
-        ).reshape(m, k, n)
+        position = {p: i for i, p in enumerate(points)}
+        vertices = np.array([[position[a] for a in c.vertices] for c in circuits], dtype=np.intp).reshape(m, k)
+        inner = np.array([position[c.inner] for c in circuits], dtype=np.intp)
         solve = np.zeros((m, n, k))
         if k > 1:
             # The weights are the only dependency among the k rows and they
             # are all positive, so any k - 1 rows are independent and the
             # last one holds whenever the others do.
-            solve[:, :, :-1] = np.linalg.pinv(rows[:, :-1, :])
+            lattice = _exact_array(points).reshape(len(points), n)
+            rows = (lattice[inner, None, :] - lattice[vertices[:, :-1]]).astype(float)
+            solve[:, :, :-1] = np.linalg.pinv(rows)
         return cls(
             index=np.asarray(index, dtype=np.intp),
-            vertices=np.array([[position[a] for a in c.vertices] for c in circuits], dtype=np.intp),
-            inner=np.array([position[c.inner] for c in circuits], dtype=np.intp),
+            vertices=vertices,
+            inner=inner,
             weights=np.array([[float(mu) for mu in c.barycentric] for c in circuits]),
             beta_even=np.array([c.beta_even for c in circuits], dtype=bool),
             solve=solve,
@@ -239,12 +258,12 @@ class CircuitCatalog:
         """The circuits split by arity, in increasing arity; concatenated,
         the groups list the catalog in its canonical order.  Built on first
         use and kept with the catalog, so the enumeration cache serves it."""
-        position = {p: i for i, p in enumerate(self.support.points)}
         by_arity: dict[int, list[int]] = {}
         for i, c in enumerate(self.circuits):
             by_arity.setdefault(c.k, []).append(i)
         return tuple(
-            ArityGroup.of([self.circuits[i] for i in idx], idx, position) for _, idx in sorted(by_arity.items())
+            ArityGroup.of([self.circuits[i] for i in idx], idx, self.support.points)
+            for _, idx in sorted(by_arity.items())
         )
 
     def to_json_dict(self) -> dict:
@@ -254,32 +273,97 @@ class CircuitCatalog:
 #: Even support points beyond which enumeration refuses the support.
 MAX_EVEN_POINTS = 20
 
+#: Entries in one batch of stacked elimination matrices.  Enumeration runs
+#: depth first a batch at a time, so its memory is O(depth * batch).
+_BATCH_ENTRIES = 1 << 18
+
+
+def _pivot_step(mats: np.ndarray, prev: np.ndarray, sets: np.ndarray, cols: np.ndarray, k: int):
+    """Step k of _affine_coordinates' elimination for a batch of children.
+
+    Child t copies the reduced (n+1) x |A| matrix of parent sets[t] and
+    pivots on column cols[t] in the first row at or below k with a nonzero
+    entry there, which then moves to row k.  Returns the children's
+    matrices and pivots.
+    """
+    t = np.arange(len(sets))
+    child = mats[sets]
+    a = child[t, :, cols]
+    row = k + (a[:, k:] != 0).argmax(axis=1)
+    top, p = child[t, row], a[t, row]
+    out = child * p[:, None, None]
+    out -= a[:, :, None] * top[:, None, :]
+    out //= prev[sets, None, None]  # Bareiss: exact, as in _affine_coordinates
+    out[t, row] = out[:, k]  # the swap: row k, reduced, where the pivot row was
+    out[:, k] = top
+    return out, p
+
 
 @lru_cache(maxsize=256)
 def enumerate_circuits(support: SupportSet) -> CircuitCatalog:
     """Every circuit with vertices and inner point drawn from the support.
 
     Affinely independent even vertex sets are grown one even point at a
-    time.  Each vertex set costs one exact integer elimination with every
-    support point as a target, and that one result answers both questions:
-    the points with all weights positive are its inner points (a single
-    vertex is its own), and the even points outside its affine hull are the
-    ones that may extend it.  Each circuit then derives its own weights.
+    time, depth first, by a batched, incremental fraction-free elimination.
+    A k-vertex set holds the (n+1) x |A| matrix [1 ... 1; support points]
+    after k Bareiss pivot steps on its vertices' columns: the numbers that
+    _affine_coordinates, the kernel for a single circuit, reaches with every
+    support point as a target.  A child set takes over its parent's matrix
+    and needs one more step, which all children in a batch take at once on
+    stacked arrays (_pivot_step): in int64 while every entry of the batch is
+    below 2**31 in magnitude, so no product overflows, and on Python ints
+    otherwise.  The reduced matrix answers both questions: the points with
+    all weights positive are the set's inner points, and the even points
+    outside its affine hull are the ones that may extend it.  A batch holds
+    at most _BATCH_ENTRIES entries, so memory grows with the depth, not with
+    the widest level.  Sets are visited in lexicographic order, so the
+    circuits come out in the catalog's order; each derives its own weights.
     Exponential in the even-point count, hence the cap.
     """
     points = support.points
-    even = [i for i, p in enumerate(points) if is_even_point(p)]
+    even = np.array([i for i, p in enumerate(points) if is_even_point(p)], dtype=np.intp)
     if len(even) > MAX_EVEN_POINTS:
         raise SupportTooLargeError(f"{len(even)} even points exceed the enumeration cap {MAX_EVEN_POINTS}")
-    found: list[Circuit] = []
+    lifted = _exact_array([[1] * len(points), *zip(*points)])
+    per_batch = max(1, _BATCH_ENTRIES // lifted.size)
+    found: dict[int, list[tuple[list, list]]] = {}
+    later = np.arange(len(even)) >= np.arange(len(even) + 1)[:, None]  # later[s]: even points from s on
 
-    def grow(start: int, chosen: tuple[Exponent, ...]) -> None:
-        outside, interior, _ = _affine_coordinates(chosen, points)
-        found.extend(Circuit(chosen, points[j]) for j in interior)
-        for j in range(start, len(even)):
-            if outside[even[j]]:
-                grow(j + 1, chosen + (points[even[j]],))
+    def descend(mats: np.ndarray, prev: np.ndarray, chosen: np.ndarray, start: np.ndarray) -> None:
+        """Record the inner points of a batch of k-vertex sets, then extend
+        each set by the even points from start on outside its affine hull."""
+        k = chosen.shape[1]
+        outside = mats[:, k:, :].any(axis=1)
+        # A target's weights are its first k entries over the last pivot.
+        inside = (np.sign(mats[:, :k, :]) == np.sign(prev)[:, None, None]).all(axis=1) & ~outside
+        s, j = inside.nonzero()
+        if len(s):
+            found.setdefault(k, []).append((chosen[s].tolist(), j.tolist()))
+        if k < len(lifted):  # n + 1 vertices span everything
+            extend(mats, prev, chosen, *(outside[:, even] & later[start]).nonzero())
 
-    grow(0, ())
-    found.sort(key=lambda c: (c.k, c.vertices, c.inner))
-    return CircuitCatalog(support, tuple(found))
+    def extend(mats: np.ndarray, prev: np.ndarray, chosen: np.ndarray, sets: np.ndarray, nxt: np.ndarray) -> None:
+        """Add even[nxt[t]] to set sets[t] of the batch, a chunk of children at a time."""
+        if len(sets) and mats.dtype != object and np.abs(mats).max() >= _INT64_SAFE:
+            mats = mats.astype(object)
+        for lo in range(0, len(sets), per_batch):
+            s, e = sets[lo : lo + per_batch], nxt[lo : lo + per_batch]
+            child, pivots = _pivot_step(mats, prev, s, even[e], chosen.shape[1])
+            descend(child, pivots, np.concatenate((chosen[s], even[e, None]), axis=1), e + 1)
+
+    # One vertex: the first step pivots on the row of ones, on 1, so it moves
+    # the vertex to the origin.  The vertex is its own inner point, and every
+    # other point lies outside its affine hull.
+    for lo in range(0, len(even), per_batch):
+        e = np.arange(lo, min(lo + per_batch, len(even)))
+        first = lifted - lifted.T[even[e], :, None]
+        first[:, 0] = 1
+        found.setdefault(1, []).append((even[e, None].tolist(), even[e].tolist()))
+        extend(first, np.ones(len(e), dtype=np.int64), even[e, None], *later[e + 1].nonzero())
+    circuits = [
+        Circuit(tuple(points[i] for i in verts), points[j])
+        for k in sorted(found)
+        for chosen, inner in found[k]
+        for verts, j in zip(chosen, inner)
+    ]
+    return CircuitCatalog(support, tuple(circuits))

@@ -173,7 +173,7 @@ def _test_group(g: ArityGroup, vals: np.ndarray, tol: float):
 
 def _one_circuit(circuit: Circuit, v: DualVector) -> tuple[ArityGroup, np.ndarray]:
     points = (*circuit.vertices, circuit.inner)
-    group = ArityGroup.of([circuit], [-1], {p: i for i, p in enumerate(points)})
+    group = ArityGroup.of([circuit], [-1], points)
     return group, np.array([v[p] for p in points], dtype=float)
 
 

@@ -47,11 +47,19 @@ class ParseError(ValueError):
         self.position = position
 
 
+def _finite_int(value, what: str) -> int:
+    """int(value), where an infinite value is bad input like any other."""
+    try:
+        return int(value)
+    except OverflowError:  # int(inf)
+        raise ValueError(f"{what} must be finite, got {value!r}") from None
+
+
 def check_exponent(point: Sequence[int]) -> Exponent:
-    """Coerce to an int tuple, rejecting negative or fractional entries."""
+    """Coerce to an int tuple, rejecting negative, fractional or non-finite entries."""
     out = []
     for e in point:
-        ie = int(e)
+        ie = _finite_int(e, "exponent entries")
         if ie != e or ie < 0:
             raise ValueError(f"exponent entries must be nonnegative integers, got {tuple(point)!r}")
         out.append(ie)
@@ -104,7 +112,7 @@ class SupportSet:
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "SupportSet":
-        return cls.of(obj["points"], n=int(obj["n"]))
+        return cls.of(obj["points"], n=_finite_int(obj["n"], "dimension"))
 
 
 @dataclass(frozen=True)
@@ -206,7 +214,7 @@ class SparsePolynomial:
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "SparsePolynomial":
-        n = int(obj["n"])
+        n = _finite_int(obj["n"], "dimension")
         if not 0 <= n <= MAX_VARIABLES:
             raise ValueError(f"dimension {n} outside 0..{MAX_VARIABLES}")
         terms: dict[Exponent, float] = {}
@@ -259,7 +267,7 @@ class DualVector:
             raise ValueError("points and values have different lengths")
         if len(set(pts)) != len(pts):
             raise ValueError("duplicate points in dual vector")
-        support = SupportSet.of(pts, n=int(obj["n"]))
+        support = SupportSet.of(pts, n=_finite_int(obj["n"], "dimension"))
         return cls(support, dict(zip(pts, map(float, vals))))
 
 

@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 
 from sonckit import (
+    AffinelyDependentError,
     Circuit,
     SparsePolynomial,
     SupportSet,
@@ -77,6 +78,35 @@ def brute_force_circuits(support: SupportSet) -> set:
                 if np.all(mu > 1e-9):
                     found.add((tuple(sorted(verts)), beta))
     return found
+
+
+def exact_circuits(support: SupportSet) -> list:
+    """Every circuit by exhaustive search in exact arithmetic: each set of
+    even points against each support point, by barycentric_coordinates.
+
+    Returns the (vertices, inner) pairs in the catalog's order: by arity,
+    then vertices, then inner point."""
+    found = []
+    for k in range(1, support.n + 2):
+        for verts in itertools.combinations(support.even_points(), k):
+            try:
+                found += [(verts, beta) for beta in support.points if barycentric_coordinates(verts, beta)]
+            except AffinelyDependentError:
+                continue
+    return found
+
+
+def simplex_with_odd_points(n: int, odd: int, seed: int = 0) -> SupportSet:
+    """The origin, 2 e_i and `odd` distinct random points with an odd entry
+    and entries mostly 0, some 1 or 3: n + 1 affinely independent even
+    points, so every one of the 2^(n+1) - 1 vertex sets gets eliminated."""
+    rng = np.random.default_rng(seed)
+    pts = {(0,) * n} | {tuple(2 * (t == i) for t in range(n)) for i in range(n)}
+    while len(pts) < n + 1 + odd:
+        p = tuple(int(x) for x in rng.choice([0] * 10 + [1, 1, 3], size=n))
+        if any(x % 2 for x in p):
+            pts.add(p)
+    return SupportSet.of(sorted(pts), n=n)
 
 
 def random_sparse_poly(

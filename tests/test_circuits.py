@@ -1,6 +1,7 @@
 """Barycentric coordinates, circuit numbers, and catalog enumeration."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,9 +18,25 @@ from sonckit import (
     enumerate_circuits,
     parse_polynomial,
 )
+from sonckit import circuits as circuits_module
 from sonckit.circuits import _affine_coordinates
 
-from _gen import MOTZKIN_TEXT, brute_force_circuits, random_circuit, random_support
+from _gen import (
+    MOTZKIN_TEXT,
+    brute_force_circuits,
+    exact_circuits,
+    random_circuit,
+    random_support,
+    simplex_with_odd_points,
+)
+
+
+def _pairs(catalog) -> list:
+    return [(c.vertices, c.inner) for c in catalog.circuits]
+
+
+def _dense(n: int, d: int) -> SupportSet:
+    return SupportSet.of([a for a in itertools.product(range(d + 1), repeat=n) if sum(a) <= d], n=n)
 
 
 class TestBarycentric:
@@ -237,9 +254,91 @@ class TestEnumeration:
             evens = [c.inner for c in cat.circuits if c.k == 1]
             assert tuple(evens) == A.even_points()
 
+    def test_zero_dimensional_support(self):
+        assert _pairs(enumerate_circuits(SupportSet.of([()], n=0))) == [(((),), ())]
+
+    def test_matches_exact_oracle_on_random_supports(self):
+        rng = np.random.default_rng(13)
+        for _ in range(60):
+            A = random_support(rng, int(rng.integers(1, 4)))
+            assert _pairs(enumerate_circuits(A)) == exact_circuits(A)
+
+    def test_matches_exact_oracle_on_huge_exponents(self):
+        # Entries near 2**30..2**40: past the int64 guard from the start, or
+        # crossing it once the minors grow.  A unit offset on the first
+        # coordinate of some points breaks the parity and the symmetry.
+        rng = np.random.default_rng(14)
+        for scale in (2**15, 2**30, 2**35, 2**40):
+            for _ in range(12):
+                n = int(rng.integers(1, 4))
+                base = random_support(rng, n, max_points=7, max_entry=6)
+                shift = rng.integers(0, 2, size=len(base))
+                A = SupportSet.of([(p[0] * scale + int(s), *(e * scale for e in p[1:])) for p, s in zip(base, shift)])
+                assert _pairs(enumerate_circuits(A)) == exact_circuits(A)
+        big = 2**40
+        A = SupportSet.of([(0, 0), (big, big - 2), (big - 2, big - 4), (big // 2, big // 2 - 1), (1, 1)])
+        assert _pairs(enumerate_circuits(A)) == exact_circuits(A)
+
+    def test_batches_on_both_sides_of_the_int64_guard(self, monkeypatch):
+        # The vertices are about 2**17 apart: the first two steps run in
+        # int64, and the 2 x 2 minors (about 2**34) send the third to Python ints.
+        s = 2**17
+        A = SupportSet.of([(0, 0, 0), (s, 0, 0), (0, s, 0), (0, 0, s), (2, 2, 2), (1, 3, 5), (s // 2, s // 4, 1)])
+        dtypes = []
+        step = circuits_module._pivot_step
+
+        def recording(mats, *args):
+            dtypes.append(mats.dtype)
+            return step(mats, *args)
+
+        monkeypatch.setattr(circuits_module, "_pivot_step", recording)
+        assert _pairs(enumerate_circuits.__wrapped__(A)) == exact_circuits(A)
+        assert np.dtype(np.int64) in dtypes and np.dtype(object) in dtypes
+
+    def test_memory_stays_bounded_in_high_dimension(self):
+        # 2**13 - 1 vertex sets over 213 points; a level at a time would
+        # hold over a thousand (13 x 213) matrices at once.
+        A = simplex_with_odd_points(12, 200)
+        tracemalloc.start()
+        try:
+            catalog = enumerate_circuits.__wrapped__(A)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20
+        assert [c.inner for c in catalog.circuits if c.k == 1] == list(A.even_points())
+
+    def test_matches_exact_oracle_in_eight_variables(self):
+        A = simplex_with_odd_points(8, 20)
+        assert _pairs(enumerate_circuits(A)) == exact_circuits(A)
+
     def test_catalog_json_shape(self):
         A = SupportSet.of([(i,) for i in range(5)])
         blob = enumerate_circuits(A).to_json_dict()
         assert set(blob) == {"circuits"}
         entry = blob["circuits"][3]  # first k=2 circuit after the three k=1 entries
         assert entry == {"vertices": [[0], [2]], "beta": [1], "mu": ["1/2", "1/2"], "beta_even": False}
+
+
+class TestArityGroups:
+    @pytest.mark.parametrize("n, d", [(2, 6), (3, 4)])
+    def test_arrays_match_a_per_circuit_reference(self, n, d):
+        A = _dense(n, d)
+        catalog = enumerate_circuits(A)
+        position = {p: i for i, p in enumerate(A.points)}
+        groups = catalog.arity_groups
+        assert np.concatenate([g.index for g in groups]).tolist() == list(range(len(catalog)))
+        for g in groups:
+            cs = [catalog.circuits[i] for i in g.index]
+            m, k = len(cs), cs[0].k
+            rows = np.array(
+                [[[b - a for a, b in zip(vert, c.inner)] for vert in c.vertices] for c in cs], dtype=float
+            ).reshape(m, k, n)
+            solve = np.zeros((m, n, k))
+            if k > 1:
+                solve[:, :, :-1] = np.linalg.pinv(rows[:, :-1, :])
+            assert np.array_equal(g.vertices, [[position[a] for a in c.vertices] for c in cs])
+            assert np.array_equal(g.inner, [position[c.inner] for c in cs])
+            assert np.array_equal(g.weights, [[float(mu) for mu in c.barycentric] for c in cs])
+            assert np.array_equal(g.beta_even, [c.beta_even for c in cs])
+            assert np.array_equal(g.solve, solve)

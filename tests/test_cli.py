@@ -175,6 +175,21 @@ class TestCheck:
         code, out, err = run_main(["check", "dual-member", files("v.json", text)], capsys)
         assert code == 2 and out == "" and err.startswith("error:")
 
+    # One file serves all four commands: each reads the keys it needs.
+    @pytest.mark.parametrize("bad", ["Infinity", "1e400"])
+    @pytest.mark.parametrize(
+        "command",
+        [["circuits"], ["check", "dual-member"], ["check", "sage-dual"], ["check", "nonneg-circuit"]],
+        ids=lambda command: command[-1],
+    )
+    def test_nonfinite_exponent_exits_2(self, files, capsys, command, bad):
+        text = (
+            '{"n": 1, "points": [[0], [%s]], "values": [1, 1],'
+            ' "vertices": [[0], [%s]], "beta": [2], "c": [1, 1], "delta": 0}' % (bad, bad)
+        )
+        code, out, err = run_main([*command, files("e.json", text)], capsys)
+        assert code == 2 and out == "" and "finite" in err
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_main(["check", "quartic-dual", "/nonexistent/v.json"], capsys)
         assert code == 2

@@ -86,7 +86,7 @@ def dual_vectors(draw) -> str:
 
 
 #: What may stand where a dimension or an exponent entry is expected.
-BAD_INTEGERS = st.sampled_from([-1, 2.5, "2", None, MAX_VARIABLES + 1])
+BAD_INTEGERS = st.sampled_from([-1, 2.5, "2", None, MAX_VARIABLES + 1, float("inf")])
 
 
 def _spoil_points(draw, points: list[list]) -> None:
