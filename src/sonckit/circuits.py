@@ -11,6 +11,8 @@ circuit, on Python ints.  Catalog enumeration runs the same elimination
 batched and incrementally over all vertex sets at once, on stacked NumPy
 arrays: in int64 while a batch's entries are below 2**31 in magnitude, so
 that no product in a pivot step can overflow, and on Python ints otherwise.
+It writes the catalog as per-arity arrays (`ArityGroup`), the form the dual
+cone test reads; Circuit objects are built only when asked for.
 """
 
 from __future__ import annotations
@@ -42,13 +44,6 @@ def is_even_point(point: Sequence[int]) -> bool:
 #: below 2**62, so it cannot overflow int64.  The entries are minors of the
 #: input, so the test is exact where a Hadamard bound would not be.
 _INT64_SAFE = 1 << 31
-
-
-def _exact_array(rows: Sequence[Sequence[int]]) -> np.ndarray:
-    """Nonnegative integer rows as int64 when every entry is below
-    _INT64_SAFE, else as Python ints."""
-    small = max(max(row, default=0) for row in rows) < _INT64_SAFE
-    return np.array(rows, dtype=np.int64 if small else object)
 
 
 def _affine_coordinates(
@@ -198,7 +193,8 @@ def circuit_number(c: Sequence[float], circuit: Circuit) -> float:
 @dataclass(frozen=True, eq=False)
 class ArityGroup:
     """Circuits of one arity k as arrays, for per-circuit tests vectorized
-    over a catalog: m circuits in canonical order, n variables.
+    over a catalog: m circuits in canonical order, n variables.  The weights
+    are float(mu) of the exact barycentric coordinates mu.
 
     `solve` maps each r with weights . r = 0 to the minimum-norm tau with
     (beta - alpha(j)) . tau = r_j for every j: on such r it acts as the
@@ -217,53 +213,40 @@ class ArityGroup:
         return self.vertices.shape[1]
 
     @classmethod
-    def of(cls, circuits: Sequence[Circuit], index: Sequence[int], points: Sequence[Exponent]) -> "ArityGroup":
-        """Group circuits of equal arity; `points` are the lattice points, in
-        the order of the value arrays the tests will read."""
-        m, k, n = len(circuits), circuits[0].k, circuits[0].n
-        position = {p: i for i, p in enumerate(points)}
-        vertices = np.array([[position[a] for a in c.vertices] for c in circuits], dtype=np.intp).reshape(m, k)
-        inner = np.array([position[c.inner] for c in circuits], dtype=np.intp)
-        solve = np.zeros((m, n, k))
+    def of(cls, index, vertices, inner, weights, beta_even, lattice: np.ndarray) -> "ArityGroup":
+        """The group with these fields and the `solve` they determine;
+        `vertices` and `inner` index the rows of `lattice`, the (|A|, n)
+        integer points in the order of the value arrays the tests read."""
+        m, k = vertices.shape
+        solve = np.zeros((m, lattice.shape[1], k))
         if k > 1:
             # The weights are the only dependency among the k rows and they
             # are all positive, so any k - 1 rows are independent and the
             # last one holds whenever the others do.
-            lattice = _exact_array(points).reshape(len(points), n)
             rows = (lattice[inner, None, :] - lattice[vertices[:, :-1]]).astype(float)
             solve[:, :, :-1] = np.linalg.pinv(rows)
-        return cls(
-            index=np.asarray(index, dtype=np.intp),
-            vertices=vertices,
-            inner=inner,
-            weights=np.array([[float(mu) for mu in c.barycentric] for c in circuits]),
-            beta_even=np.array([c.beta_even for c in circuits], dtype=bool),
-            solve=solve,
-        )
+        return cls(index, vertices, inner, weights, beta_even, solve)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CircuitCatalog:
     """All circuits over a support, deduplicated by vertex set plus inner
-    point and ordered by (arity, vertices, inner)."""
+    point and ordered by (arity, vertices, inner): the arity groups, in
+    increasing arity.  `circuits` builds the Circuit objects on first use."""
 
     support: SupportSet
-    circuits: tuple[Circuit, ...]
+    arity_groups: tuple[ArityGroup, ...]
 
     def __len__(self) -> int:
-        return len(self.circuits)
+        return sum(len(g.index) for g in self.arity_groups)
 
     @cached_property
-    def arity_groups(self) -> tuple[ArityGroup, ...]:
-        """The circuits split by arity, in increasing arity; concatenated,
-        the groups list the catalog in its canonical order.  Built on first
-        use and kept with the catalog, so the enumeration cache serves it."""
-        by_arity: dict[int, list[int]] = {}
-        for i, c in enumerate(self.circuits):
-            by_arity.setdefault(c.k, []).append(i)
+    def circuits(self) -> tuple[Circuit, ...]:
+        points = self.support.points
         return tuple(
-            ArityGroup.of([self.circuits[i] for i in idx], idx, self.support.points)
-            for _, idx in sorted(by_arity.items())
+            Circuit(tuple(points[i] for i in verts), points[j])
+            for g in self.arity_groups
+            for verts, j in zip(g.vertices.tolist(), g.inner.tolist())
         )
 
     def to_json_dict(self) -> dict:
@@ -313,20 +296,24 @@ def enumerate_circuits(support: SupportSet) -> CircuitCatalog:
     stacked arrays (_pivot_step): in int64 while every entry of the batch is
     below 2**31 in magnitude, so no product overflows, and on Python ints
     otherwise.  The reduced matrix answers both questions: the points with
-    all weights positive are the set's inner points, and the even points
-    outside its affine hull are the ones that may extend it.  A batch holds
-    at most _BATCH_ENTRIES entries, so memory grows with the depth, not with
-    the widest level.  Sets are visited in lexicographic order, so the
-    circuits come out in the catalog's order; each derives its own weights.
-    Exponential in the even-point count, hence the cap.
+    all weights positive are the set's inner points, with the weights'
+    numerators in the set's rows and their common denominator the last
+    pivot, and the even points outside its affine hull are the ones that may
+    extend it.  A batch holds at most _BATCH_ENTRIES entries, so memory
+    grows with the depth, not with the widest level.  Sets are visited in
+    lexicographic order, so the circuits come out in the catalog's order,
+    and each arity's become one ArityGroup.  Exponential in the even-point
+    count, hence the cap.
     """
     points = support.points
-    even = np.array([i for i, p in enumerate(points) if is_even_point(p)], dtype=np.intp)
+    parity = np.array([is_even_point(p) for p in points], dtype=bool)
+    even = parity.nonzero()[0]
     if len(even) > MAX_EVEN_POINTS:
         raise SupportTooLargeError(f"{len(even)} even points exceed the enumeration cap {MAX_EVEN_POINTS}")
-    lifted = _exact_array([[1] * len(points), *zip(*points)])
+    rows = [[1] * len(points), *zip(*points)]  # entries >= 0: int64 if all are below _INT64_SAFE
+    lifted = np.array(rows, dtype=np.int64 if max(map(max, rows)) < _INT64_SAFE else object)
     per_batch = max(1, _BATCH_ENTRIES // lifted.size)
-    found: dict[int, list[tuple[list, list]]] = {}
+    found: dict[int, list[tuple[np.ndarray, ...]]] = {}  # per arity: (vertices, inner, weights) batches
     later = np.arange(len(even)) >= np.arange(len(even) + 1)[:, None]  # later[s]: even points from s on
 
     def descend(mats: np.ndarray, prev: np.ndarray, chosen: np.ndarray, start: np.ndarray) -> None:
@@ -338,7 +325,11 @@ def enumerate_circuits(support: SupportSet) -> CircuitCatalog:
         inside = (np.sign(mats[:, :k, :]) == np.sign(prev)[:, None, None]).all(axis=1) & ~outside
         s, j = inside.nonzero()
         if len(s):
-            found.setdefault(k, []).append((chosen[s].tolist(), j.tolist()))
+            # Weights round once, as float(Fraction) does: Python ints divide
+            # correctly rounded; int64 numerators share the sign of the pivot,
+            # a batch entry below 2**31, and sum to it, so are exact as floats.
+            weights = (mats[s, :k, j] / prev[s, None]).astype(float)
+            found.setdefault(k, []).append((chosen[s], j, weights))
         if k < len(lifted):  # n + 1 vertices span everything
             extend(mats, prev, chosen, *(outside[:, even] & later[start]).nonzero())
 
@@ -352,18 +343,19 @@ def enumerate_circuits(support: SupportSet) -> CircuitCatalog:
             descend(child, pivots, np.concatenate((chosen[s], even[e, None]), axis=1), e + 1)
 
     # One vertex: the first step pivots on the row of ones, on 1, so it moves
-    # the vertex to the origin.  The vertex is its own inner point, and every
-    # other point lies outside its affine hull.
+    # the vertex to the origin.  The vertex is its own inner point, with
+    # weight 1, and every other point lies outside its affine hull.
     for lo in range(0, len(even), per_batch):
         e = np.arange(lo, min(lo + per_batch, len(even)))
         first = lifted - lifted.T[even[e], :, None]
         first[:, 0] = 1
-        found.setdefault(1, []).append((even[e, None].tolist(), even[e].tolist()))
+        found.setdefault(1, []).append((even[e, None], even[e], np.ones((len(e), 1))))
         extend(first, np.ones(len(e), dtype=np.int64), even[e, None], *later[e + 1].nonzero())
-    circuits = [
-        Circuit(tuple(points[i] for i in verts), points[j])
-        for k in sorted(found)
-        for chosen, inner in found[k]
-        for verts, j in zip(chosen, inner)
-    ]
-    return CircuitCatalog(support, tuple(circuits))
+    lattice = lifted[1:].T
+    groups, start = [], 0
+    for k in sorted(found):
+        chosen, inner, weights = (np.concatenate(part) for part in zip(*found[k]))
+        index = np.arange(start, start + len(inner))
+        groups.append(ArityGroup.of(index, chosen, inner, weights, parity[inner], lattice))
+        start += len(inner)
+    return CircuitCatalog(support, tuple(groups))

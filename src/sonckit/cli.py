@@ -24,7 +24,7 @@ from .circuits import Circuit, SupportTooLargeError, enumerate_circuits, log_cir
 from .dual import psd_dual_quartic, quartic_dual_membership, sage_dual_membership, sonc_dual_membership
 from .entropy import DEFAULT_TOL
 from .nonneg import CircuitPolynomial, is_nonneg_circuit
-from .polynomials import DualVector, ParseError, SparsePolynomial, SupportSet, parse_polynomial
+from .polynomials import DualVector, ParseError, SparsePolynomial, SupportSet, parse_polynomial, read_number
 
 SCHEMA_VERSION = 1
 
@@ -95,7 +95,8 @@ def _cmd_check(args) -> int:
     if args.kind == "nonneg-circuit":
         obj = json.loads(text)
         circuit = Circuit(obj["vertices"], obj["beta"])
-        cp = CircuitPolynomial(circuit, tuple(float(x) for x in obj["c"]), float(obj["delta"]))
+        c = tuple(read_number(x, "circuit coefficients") for x in obj["c"])
+        cp = CircuitPolynomial(circuit, c, read_number(obj["delta"], "delta"))
         ok, witness = is_nonneg_circuit(cp)
         try:
             theta = math.exp(log_circuit_number(cp.c, circuit))
@@ -127,7 +128,7 @@ def _cmd_check(args) -> int:
     obj = json.loads(text)
     vec = obj["v"] if isinstance(obj, dict) else obj
     test = psd_dual_quartic if args.psd else quartic_dual_membership
-    member = test([float(x) for x in vec], tol=args.tol)
+    member = test([read_number(x, "quartic dual values") for x in vec], tol=args.tol)
     _emit({"member": member, "test": "psd" if args.psd else "circuit"}, args.format)
     return 0 if member else 1
 

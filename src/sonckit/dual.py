@@ -173,7 +173,11 @@ def _test_group(g: ArityGroup, vals: np.ndarray, tol: float):
 
 def _one_circuit(circuit: Circuit, v: DualVector) -> tuple[ArityGroup, np.ndarray]:
     points = (*circuit.vertices, circuit.inner)
-    group = ArityGroup.of([circuit], [-1], points)
+    k = circuit.k
+    weights = np.array([[float(mu) for mu in circuit.barycentric]])
+    lattice = np.array(points, dtype=object).reshape(k + 1, circuit.n)
+    even = np.array([circuit.beta_even])
+    group = ArityGroup.of(np.array([-1]), np.arange(k)[None], np.array([k]), weights, even, lattice)
     return group, np.array([v[p] for p in points], dtype=float)
 
 

@@ -20,6 +20,7 @@ DualVector like any other non-finite dual value.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -47,19 +48,24 @@ class ParseError(ValueError):
         self.position = position
 
 
-def _finite_int(value, what: str) -> int:
-    """int(value), where an infinite value is bad input like any other."""
+def read_number(value, what: str, kind: type = float):
+    """kind(value) for a real number.  A string or a boolean is bad input,
+    not the number float() or int() reads from it ("11" as 11, true as 1),
+    and so is a value beyond kind's range (int(inf), float(10**400))."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"expected a number for {what}, got {value!r}")
     try:
-        return int(value)
-    except OverflowError:  # int(inf)
-        raise ValueError(f"{what} must be finite, got {value!r}") from None
+        return kind(value)
+    except OverflowError:
+        raise ValueError(f"{what} must be finite") from None
 
 
 def check_exponent(point: Sequence[int]) -> Exponent:
-    """Coerce to an int tuple, rejecting negative, fractional or non-finite entries."""
+    """Coerce to an int tuple, rejecting negative, fractional, non-finite or non-numeric entries."""
     out = []
     for e in point:
-        ie = _finite_int(e, "exponent entries")
+        # Ints, nearly every entry, pass as they are.
+        ie = e if type(e) is int else read_number(e, "exponent entries", int)
         if ie != e or ie < 0:
             raise ValueError(f"exponent entries must be nonnegative integers, got {tuple(point)!r}")
         out.append(ie)
@@ -112,7 +118,7 @@ class SupportSet:
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "SupportSet":
-        return cls.of(obj["points"], n=_finite_int(obj["n"], "dimension"))
+        return cls.of(obj["points"], n=read_number(obj["n"], "dimension", int))
 
 
 @dataclass(frozen=True)
@@ -214,7 +220,7 @@ class SparsePolynomial:
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "SparsePolynomial":
-        n = _finite_int(obj["n"], "dimension")
+        n = read_number(obj["n"], "dimension", int)
         if not 0 <= n <= MAX_VARIABLES:
             raise ValueError(f"dimension {n} outside 0..{MAX_VARIABLES}")
         terms: dict[Exponent, float] = {}
@@ -222,7 +228,7 @@ class SparsePolynomial:
             exp = check_exponent(t["exp"])
             if len(exp) != n:
                 raise ValueError(f"term exponent {exp} does not match n={n}")
-            terms[exp] = terms.get(exp, 0.0) + float(t["coef"])
+            terms[exp] = terms.get(exp, 0.0) + read_number(t["coef"], "coefficients")
         return cls.from_terms(terms, n=n)
 
 
@@ -262,13 +268,13 @@ class DualVector:
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "DualVector":
         pts = [check_exponent(p) for p in obj["points"]]
-        vals = list(obj["values"])
+        vals = [read_number(x, "dual values") for x in obj["values"]]
         if len(pts) != len(vals):
             raise ValueError("points and values have different lengths")
         if len(set(pts)) != len(pts):
             raise ValueError("duplicate points in dual vector")
-        support = SupportSet.of(pts, n=_finite_int(obj["n"], "dimension"))
-        return cls(support, dict(zip(pts, map(float, vals))))
+        support = SupportSet.of(pts, n=read_number(obj["n"], "dimension", int))
+        return cls(support, dict(zip(pts, vals)))
 
 
 def _point(x: Sequence[float], n: int) -> list[float]:

@@ -39,6 +39,24 @@ def _dense(n: int, d: int) -> SupportSet:
     return SupportSet.of([a for a in itertools.product(range(d + 1), repeat=n) if sum(a) <= d], n=n)
 
 
+def _huge_exponent_supports() -> list[SupportSet]:
+    """Entries near 2**30..2**40: past the int64 guard from the start, or
+    crossing it once the minors grow.  A unit offset on the first
+    coordinate of some points breaks the parity and the symmetry."""
+    rng = np.random.default_rng(14)
+    supports = []
+    for scale in (2**15, 2**30, 2**35, 2**40):
+        for _ in range(12):
+            n = int(rng.integers(1, 4))
+            base = random_support(rng, n, max_points=7, max_entry=6)
+            shift = rng.integers(0, 2, size=len(base))
+            supports.append(
+                SupportSet.of([(p[0] * scale + int(s), *(e * scale for e in p[1:])) for p, s in zip(base, shift)])
+            )
+    big = 2**40
+    return supports + [SupportSet.of([(0, 0), (big, big - 2), (big - 2, big - 4), (big // 2, big // 2 - 1), (1, 1)])]
+
+
 class TestBarycentric:
     def test_symmetric_triangle(self):
         mu = barycentric_coordinates([(0, 0), (2, 4), (4, 2)], (2, 2))
@@ -264,20 +282,8 @@ class TestEnumeration:
             assert _pairs(enumerate_circuits(A)) == exact_circuits(A)
 
     def test_matches_exact_oracle_on_huge_exponents(self):
-        # Entries near 2**30..2**40: past the int64 guard from the start, or
-        # crossing it once the minors grow.  A unit offset on the first
-        # coordinate of some points breaks the parity and the symmetry.
-        rng = np.random.default_rng(14)
-        for scale in (2**15, 2**30, 2**35, 2**40):
-            for _ in range(12):
-                n = int(rng.integers(1, 4))
-                base = random_support(rng, n, max_points=7, max_entry=6)
-                shift = rng.integers(0, 2, size=len(base))
-                A = SupportSet.of([(p[0] * scale + int(s), *(e * scale for e in p[1:])) for p, s in zip(base, shift)])
-                assert _pairs(enumerate_circuits(A)) == exact_circuits(A)
-        big = 2**40
-        A = SupportSet.of([(0, 0), (big, big - 2), (big - 2, big - 4), (big // 2, big // 2 - 1), (1, 1)])
-        assert _pairs(enumerate_circuits(A)) == exact_circuits(A)
+        for A in _huge_exponent_supports():
+            assert _pairs(enumerate_circuits(A)) == exact_circuits(A)
 
     def test_batches_on_both_sides_of_the_int64_guard(self, monkeypatch):
         # The vertices are about 2**17 apart: the first two steps run in
@@ -320,25 +326,43 @@ class TestEnumeration:
         assert entry == {"vertices": [[0], [2]], "beta": [1], "mu": ["1/2", "1/2"], "beta_even": False}
 
 
+#: Supports whose weights are quotients of integers past 2**53: near 2**61
+#: in the first, and in the second a float division of the elimination's
+#: numerators by its pivot rounds twice and misses the last bit.
+_WEIGHTS_PAST_2_53 = [
+    SupportSet.of([(0, 0), (2**30, 0), (0, 2**30 + 2), (2**29 + 1, 2**29 - 1), (2**30 - 2, 2)]),
+    SupportSet.of([(0, 0), (720255338, 864365306), (24323708, 867519816), (205303722, 259964689)]),
+]
+
+
 class TestArityGroups:
-    @pytest.mark.parametrize("n, d", [(2, 6), (3, 4)])
-    def test_arrays_match_a_per_circuit_reference(self, n, d):
-        A = _dense(n, d)
-        catalog = enumerate_circuits(A)
-        position = {p: i for i, p in enumerate(A.points)}
-        groups = catalog.arity_groups
-        assert np.concatenate([g.index for g in groups]).tolist() == list(range(len(catalog)))
-        for g in groups:
-            cs = [catalog.circuits[i] for i in g.index]
-            m, k = len(cs), cs[0].k
-            rows = np.array(
-                [[[b - a for a, b in zip(vert, c.inner)] for vert in c.vertices] for c in cs], dtype=float
-            ).reshape(m, k, n)
-            solve = np.zeros((m, n, k))
-            if k > 1:
-                solve[:, :, :-1] = np.linalg.pinv(rows[:, :-1, :])
-            assert np.array_equal(g.vertices, [[position[a] for a in c.vertices] for c in cs])
-            assert np.array_equal(g.inner, [position[c.inner] for c in cs])
-            assert np.array_equal(g.weights, [[float(mu) for mu in c.barycentric] for c in cs])
-            assert np.array_equal(g.beta_even, [c.beta_even for c in cs])
-            assert np.array_equal(g.solve, solve)
+    @pytest.mark.parametrize(
+        "supports",
+        [
+            pytest.param([_dense(2, 6)], id="2-6"),
+            pytest.param([_dense(3, 4)], id="3-4"),
+            pytest.param([A for A in _huge_exponent_supports() if A.even_points()], id="huge-exponents"),
+            pytest.param(_WEIGHTS_PAST_2_53, id="weights-past-2^53"),
+        ],
+    )
+    def test_arrays_match_a_per_circuit_reference(self, supports):
+        for A in supports:
+            n = A.n
+            catalog = enumerate_circuits(A)
+            position = {p: i for i, p in enumerate(A.points)}
+            groups = catalog.arity_groups
+            assert np.concatenate([g.index for g in groups]).tolist() == list(range(len(catalog)))
+            for g in groups:
+                cs = [catalog.circuits[i] for i in g.index]
+                m, k = len(cs), cs[0].k
+                rows = np.array(
+                    [[[b - a for a, b in zip(vert, c.inner)] for vert in c.vertices] for c in cs], dtype=float
+                ).reshape(m, k, n)
+                solve = np.zeros((m, n, k))
+                if k > 1:
+                    solve[:, :, :-1] = np.linalg.pinv(rows[:, :-1, :])
+                assert np.array_equal(g.vertices, [[position[a] for a in c.vertices] for c in cs])
+                assert np.array_equal(g.inner, [position[c.inner] for c in cs])
+                assert np.array_equal(g.weights, [[float(mu) for mu in c.barycentric] for c in cs])
+                assert np.array_equal(g.beta_even, [c.beta_even for c in cs])
+                assert np.array_equal(g.solve, solve)

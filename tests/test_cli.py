@@ -15,6 +15,9 @@ from _gen import MOTZKIN_TEXT
 
 SEP_POINT = {"n": 1, "points": [[0], [1], [2], [3], [4]], "values": [2, 0, 1, 1, 1]}
 QUARTIC_SUPPORT = {"n": 1, "points": [[0], [1], [2], [3], [4]]}
+SEGMENT = {"vertices": [[0], [2]], "beta": [1]}
+#: A JSON integer beyond the float range.
+BEYOND_FLOATS = pytest.param("1" + "0" * 400, id="10**400")
 
 
 @pytest.fixture
@@ -109,8 +112,8 @@ class TestCheck:
             blob = json.loads(out)
             assert code == 0 and blob["nonneg"] is True and blob["theta"] == 1.0, vertices
 
-    # json reads 1e400 as inf.
-    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e400"])
+    # json reads 1e400 as inf, and 10**400 as an int beyond the float range.
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e400", BEYOND_FLOATS])
     def test_nonfinite_circuit_delta_exits_2(self, files, capsys, bad):
         path = files("c.json", '{"vertices": [[0], [4]], "beta": [2], "c": [1, 1], "delta": %s}' % bad)
         code, out, err = run_main(["check", "nonneg-circuit", path], capsys)
@@ -130,7 +133,7 @@ class TestCheck:
         code, _, err = run_main(["check", "dual-member", files("g.json", "{not json")], capsys)
         assert code == 2 and err.startswith("error:")
 
-    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", BEYOND_FLOATS])
     @pytest.mark.parametrize("kind", ["dual-member", "sage-dual"])
     def test_nonfinite_dual_vector_exits_2(self, files, capsys, kind, bad):
         path = files("v.json", '{"n": 1, "points": [[0], [1], [2]], "values": [1.0, %s, 1.0]}' % bad)
@@ -189,6 +192,26 @@ class TestCheck:
         )
         code, out, err = run_main([*command, files("e.json", text)], capsys)
         assert code == 2 and out == "" and "finite" in err
+
+    # JSON converts nothing: a digit string or a boolean is no number, and a
+    # string is no array of numbers.
+    @pytest.mark.parametrize(
+        "command, blob",
+        [
+            pytest.param(["check", "nonneg-circuit"], {**SEGMENT, "c": "11", "delta": 0}, id="c"),
+            pytest.param(["check", "nonneg-circuit"], {**SEGMENT, "c": [1, 1], "delta": "-2"}, id="delta"),
+            pytest.param(["check", "quartic-dual"], {"v": "10101"}, id="v"),
+            pytest.param(["check", "quartic-dual"], "10101", id="bare-v"),
+            pytest.param(["check", "dual-member"], {"n": 1, "points": [[0], [1]], "values": "11"}, id="dual-values"),
+            pytest.param(["check", "sage-dual"], {"n": 1, "points": [[0], [1]], "values": "11"}, id="sage-values"),
+            pytest.param(["bound"], {"n": 1, "terms": [{"exp": [0], "coef": "1"}]}, id="coef"),
+            pytest.param(["check", "dual-member"], {"n": 1, "points": [[0], [1]], "values": [True, 1]}, id="true"),
+            pytest.param(["circuits"], {"n": "2", "points": [[0, 0], [2, 0]]}, id="n"),
+        ],
+    )
+    def test_json_strings_and_booleans_exit_2(self, files, capsys, command, blob):
+        code, out, err = run_main([*command, files("j.json", json.dumps(blob))], capsys)
+        assert code == 2 and out == "" and err.startswith("error:")
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_main(["check", "quartic-dual", "/nonexistent/v.json"], capsys)

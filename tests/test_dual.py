@@ -2,6 +2,7 @@
 the per-circuit LP route), SAGE dual, and the closed-form univariate-quartic
 oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -285,6 +286,29 @@ class TestSoncDualMembership:
                     lhs = xlogx_over(w.v_star, max(vec[vert[0]], 0.0))
                     rhs = sum((b - a) * t for b, a, t in zip(circuit.inner, vert, w.tau))
                     assert lhs <= rhs + 1e-9 + 1e-12 * abs(rhs)
+
+    def test_member_report_builds_no_circuits(self, monkeypatch):
+        support = SupportSet.of([a for a in itertools.product(range(7), repeat=2) if sum(a) <= 6])
+        built = []
+        post_init = Circuit.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Circuit, "__post_init__", counting)
+        enumerate_circuits.cache_clear()
+        report = sonc_dual_membership(support, moment_vector((0.7, -1.3), support))
+        catalog = enumerate_circuits(support)
+        assert report.member and len(catalog) == 250
+        assert built == []
+        # A non-member names the first circuit of the catalog that fails on its own.
+        vals = dict(moment_vector((0.7, -1.3), support).values)
+        vals[(2, 2)] *= 1.5
+        v = DualVector(support, vals)
+        report = sonc_dual_membership(support, v)
+        first = next(i for i, c in enumerate(catalog.circuits) if not circuit_dual_membership(c, v)[0])
+        assert report.violated_circuit == catalog.circuits[first]
 
 
 class TestAgainstLPRoute:

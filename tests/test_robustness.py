@@ -56,7 +56,7 @@ def polynomial_texts(draw) -> str:
 
 
 #: What may stand where a JSON number is expected.
-NON_NUMBERS = st.sampled_from([math.inf, -math.inf, math.nan, None, "x", [1.0]])
+NON_NUMBERS = st.sampled_from([math.inf, -math.inf, math.nan, None, "x", "11", True, False, [1.0]])
 
 
 def _spoil(draw, values: list) -> list:
@@ -86,7 +86,7 @@ def dual_vectors(draw) -> str:
 
 
 #: What may stand where a dimension or an exponent entry is expected.
-BAD_INTEGERS = st.sampled_from([-1, 2.5, "2", None, MAX_VARIABLES + 1, float("inf")])
+BAD_INTEGERS = st.sampled_from([-1, 2.5, "2", None, MAX_VARIABLES + 1, float("inf"), True])
 
 
 def _spoil_points(draw, points: list[list]) -> None:
