@@ -11,26 +11,25 @@ are the certificate pieces, and gamma is what the constant point has left.
 Every certificate is re-checked by an independent verifier, so a false
 positive is impossible by construction.
 
-Every moment vector (z^alpha) of a point z is a member of that dual cone,
-and its pairing with the coefficients is p(z).  The dual point is the least
-such value over candidate points whose moment vector passes the membership
-oracle, so p_dual >= inf p >= p_sonc by construction, and its z certifies
-optimality when the two meet.  When the bound is exact the paper's optimum
-is such a point evaluation, and the barrier ends near it: the candidates
-are the origin and z read off the barrier's vertex values, polished once.
-An odd or negative term that is the inner point of no circuit over the
-positive even points and the constant leaves its dual coordinate free, so
-the bound is -inf; by Caratheodory these are the odd or negative nonzero
-vertices of the Newton polytope.  The primal settles this while grouping
-its circuits, and only then does the dual look for the curve exposing such
-a vertex, whose point is the dual candidate.  A multistart descent proposes
-candidates only when neither gives a verified point.
+Every moment vector (z^alpha) of a real point z is a member of that dual
+cone, with equality or slack in every circuit's condition, and its pairing
+with the coefficients is p(z).  The dual point is the least such value over
+explicit candidate points, so p_dual >= inf p >= p_sonc by construction, and
+its z certifies optimality when the two meet.  When the bound is exact the
+paper's optimum is such a point evaluation, and the barrier ends near it:
+the candidates are the origin and z read off the barrier's vertex values,
+polished once.  An odd or negative term that is the inner point of no
+circuit over the positive even points and the constant leaves its dual
+coordinate free, so the bound is -inf; by Caratheodory these are the odd or
+negative nonzero vertices of the Newton polytope.  The primal settles this
+while grouping its circuits, and only then does the dual look for the curve
+exposing such a vertex, whose point joins the origin as a candidate.
 
 Values, derivatives and moment vectors come from the polynomial module,
-whose arithmetic never raises or warns on overflow.  A start, curve or
-barrier point whose moment vector leaves the float range is skipped on
-the ValueError that DualVector raises.  Forming the curve point x(t) itself
-is the one place an OverflowError is caught.
+whose arithmetic never raises or warns on overflow.  A curve or barrier
+point whose moment vector leaves the float range is skipped on the
+ValueError that DualVector raises.  Forming the curve point x(t) itself is
+the one place an OverflowError is caught.
 """
 
 from __future__ import annotations
@@ -45,12 +44,8 @@ import numpy as np
 from scipy import optimize as sciopt
 
 from .circuits import CircuitCatalog, enumerate_circuits, is_even_point
-from .dual import sonc_dual_membership
 from .nonneg import CircuitPolynomial, is_nonneg_circuit
 from .polynomials import DualVector, Exponent, SparsePolynomial, SupportSet, moment_vector, value_gradient_hessian
-
-#: Membership tolerance used when verifying dual candidates.
-DUAL_FEAS_TOL = 1e-7
 
 
 class Status(str, Enum):
@@ -391,87 +386,49 @@ def _round_pieces(lam, grp, p_bad, p_host, fixed, t, v, g, low, high) -> tuple[n
     return np.nan_to_num(cs), deltas
 
 
-#: Random starts of the multistart descent, besides 0 and +-1.
-_RANDOM_STARTS = 20
-
-
-def _local_minima(p: SparsePolynomial, seed: int) -> list[tuple[float, tuple[float, ...]]]:
-    """Deterministic multistart descent; (value, point) pairs sorted by value,
-    one for each start and one for the point its descent stopped at."""
-    n = p.n
-    if n == 0:
-        return [(p.evaluate(()), ())]
-    rng = np.random.default_rng(seed)
-    fixed = np.array([np.zeros(n), np.ones(n), -np.ones(n)])
-    starts = np.vstack([fixed, rng.uniform(-3.0, 3.0, size=(_RANDOM_STARTS, n))])
-    found: list[tuple[float, tuple[float, ...]]] = []
-    for end, start in zip(_descend(p, starts), starts):
-        for x in (end, start):
-            val = p.evaluate(x)
-            found.append((val if math.isfinite(val) else 1e300, tuple(float(v) for v in x)))
-    found.sort(key=lambda t: t[0])
-    return found
-
-
 def _descend(p: SparsePolynomial, x: np.ndarray) -> np.ndarray:
-    """Damped Newton from every row of x at once; the rows where each
-    descent stopped.
+    """Damped Newton from x; the point where the descent stopped.
 
     The direction is -V diag(1/lambda') V' g over the Hessian's eigenpairs,
     lambda' = max(|lambda|, 1e-8 max(1, max |lambda|)), so it always
-    descends (Nocedal-Wright 3.4); a row whose Hessian has an entry beyond
-    1e150 or a non-finite one takes -g / max(1, ||g||_inf).  Armijo steps
-    from 1 (c1 = 1e-4, at most 60 halvings).  A start stops at ||g||_inf <=
-    1e-5, a failed line search, a decrease below 1e-15 max(1, |f|), or 200
+    descends (Nocedal-Wright 3.4); a Hessian with an entry beyond 1e150 or
+    a non-finite one gives -g / max(1, ||g||_inf).  Armijo steps from 1 (c1
+    = 1e-4, at most 60 halvings).  The descent stops at ||g||_inf <= 1e-5, a
+    failed line search, a decrease below 1e-15 max(1, |f|), or 200
     iterations.  A non-finite value reads as 1e300, a gradient entry as 0."""
 
-    def derivatives(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        vals, grads, hess = value_gradient_hessian(p, pts)
-        return np.where(np.isfinite(vals), vals, 1e300), np.where(np.isfinite(grads), grads, 0.0), hess
+    def derivatives(pt: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        (val,), (grad,), (hess,) = value_gradient_hessian(p, pt[None, :])
+        return (val if math.isfinite(val) else 1e300), np.where(np.isfinite(grad), grad, 0.0), hess
 
-    x = x.copy()
     f, g, h = derivatives(x)
-    active = np.ones(x.shape[0], dtype=bool)
     for _ in range(200):
-        active &= np.abs(g).max(axis=1) > 1e-5
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
+        if np.abs(g).max() <= 1e-5:
             break
-        gi, hi = g[idx], h[idx]
-        direction = -gi / np.maximum(1.0, np.abs(gi).max(axis=1))[:, None]
-        # Rows left out: nan or inf entries, or eigenvalues that could leave the float range.
-        tame = (np.abs(hi) <= 1e150).all(axis=(1, 2))
-        step = np.ones(idx.size)
-        new_x, new_f, new_g, new_h = x[idx], f[idx], gi, hi
-        accepted = np.zeros(idx.size, dtype=bool)
+        direction = -g / max(1.0, np.abs(g).max())
         # On extreme inputs the direction, the Armijo target and the trial
-        # points can leave the float range; such a start fails its line
-        # search and stops.
+        # points can leave the float range; the line search then fails.
         with np.errstate(over="ignore", invalid="ignore"):
-            if tame.any():
-                lam, vec = np.linalg.eigh(hi[tame])
-                floor = 1e-8 * np.maximum(1.0, np.abs(lam).max(axis=1))
-                lam = np.maximum(np.abs(lam), floor[:, None])
-                coords = np.einsum("sji,sj->si", vec, gi[tame]) / lam
-                direction[tame] = -np.einsum("sij,sj->si", vec, coords)
-            slope = np.einsum("si,si->s", gi, direction)
-            pending = np.flatnonzero((slope < 0.0) & np.isfinite(slope) & np.isfinite(direction).all(axis=1))
+            if (np.abs(h) <= 1e150).all():  # no nan or inf, no eigenvalue beyond the float range
+                lam, vec = np.linalg.eigh(h)
+                lam = np.maximum(np.abs(lam), 1e-8 * max(1.0, np.abs(lam).max()))
+                direction = -np.einsum("ij,j->i", vec, np.einsum("ji,j->i", vec, g) / lam)
+            slope = float(np.einsum("i,i->", g, direction))
+            if not (slope < 0.0 and math.isfinite(slope) and np.isfinite(direction).all()):
+                break
+            step = 1.0
             for _ in range(61):
-                if pending.size == 0:
-                    break
-                trial = x[idx[pending]] + step[pending, None] * direction[pending]
+                trial = x + step * direction
                 tf, tg, th = derivatives(trial)
-                ok = tf <= f[idx[pending]] + 1e-4 * step[pending] * slope[pending]
-                hit = pending[ok]
-                new_x[hit], new_f[hit], new_g[hit], new_h[hit] = trial[ok], tf[ok], tg[ok], th[ok]
-                accepted[hit] = True
-                pending = pending[~ok]
-                step[pending] *= 0.5
-        active[idx[~accepted]] = False
-        moved = idx[accepted]
-        stalled = f[moved] - new_f[accepted] < 1e-15 * np.maximum(1.0, np.abs(new_f[accepted]))
-        x[moved], f[moved], g[moved], h[moved] = new_x[accepted], new_f[accepted], new_g[accepted], new_h[accepted]
-        active[moved[stalled]] = False
+                if tf <= f + 1e-4 * step * slope:
+                    break
+                step *= 0.5
+            else:
+                break
+        stalled = f - tf < 1e-15 * max(1.0, abs(tf))
+        x, f, g, h = trial, tf, tg, th
+        if stalled:
+            break
     return x
 
 
@@ -561,7 +518,8 @@ def _exact_bound(p: SparsePolynomial) -> tuple[BoundResult, dict[Exponent, float
 
 def _barrier_points(p: SparsePolynomial, vertices: dict[Exponent, float]) -> list[tuple[float, ...]]:
     """The origin, the point z read off the barrier's vertex values and the
-    point its descent stops at.  log|z| solves log v_alpha = alpha . log|z|
+    point its descent stops at; the origin alone without vertex values (no
+    certificate, or no bad point).  log|z| solves log v_alpha = alpha . log|z|
     over the vertices in least squares, a coordinate no vertex uses is 0,
     and the signs of the coordinates odd exponents can see are the pattern
     of least value, tried in full up to 16 of them (else the origin alone)."""
@@ -578,12 +536,13 @@ def _barrier_points(p: SparsePolynomial, vertices: dict[Exponent, float]) -> lis
     zs = np.tile(mags, (2 ** len(odd), 1))
     zs[:, odd] *= np.array(list(product((1.0, -1.0), repeat=len(odd))))
     z = min(zs, key=lambda x: np.nan_to_num(p.evaluate(x), nan=math.inf))
-    return [origin, tuple(z.tolist()), tuple(_descend(p, z[None, :])[0].tolist())]
+    return [origin, tuple(z.tolist()), tuple(_descend(p, z).tolist())]
 
 
-def _best_moment(p: SparsePolynomial, points: list) -> tuple[float, DualVector, tuple[float, ...]] | None:
-    """(p(z), moment vector of z, z) at the point z of least value whose
-    moment vector passes the membership oracle; None when none does."""
+def _best_moment(p: SparsePolynomial, points: list) -> tuple[float, DualVector, tuple[float, ...]]:
+    """(p(z), moment vector of z, z) at the point z of least finite value.
+    A moment vector is a dual member as it is, so no oracle re-tests it;
+    `points` starts with the origin, whose moment vector e_0 always counts."""
     support = _extended_support(p)
     best = None
     for z in points:
@@ -592,11 +551,7 @@ def _best_moment(p: SparsePolynomial, points: list) -> tuple[float, DualVector, 
         except ValueError:  # a moment beyond the float range
             continue
         val = sum(p.coefficients.get(exp, 0.0) * v[exp] for exp in support.points)
-        if (
-            math.isfinite(val)
-            and (best is None or val < best[0])
-            and sonc_dual_membership(support, v, tol=DUAL_FEAS_TOL).member
-        ):
+        if math.isfinite(val) and (best is None or val < best[0]):
             best = val, v, z
     return best
 
@@ -604,24 +559,23 @@ def _best_moment(p: SparsePolynomial, points: list) -> tuple[float, DualVector, 
 def certify_optimality(p: SparsePolynomial, seed: int = 0) -> BoundResult:
     """Primal bound, dual point, and an optimal point where the two meet.
 
-    The barrier solve gives the primal, and with a certificate the dual
-    point is that of the best barrier point (`_barrier_points`); an input
-    without a bad point has only the origin, where it is exact.  Without
-    one, p_sonc is -inf, and the dual point is the moment vector of a point
-    on the curve exposing an odd or negative vertex (`_unbounded_curve`).
-    Only when there is no such curve, or its point fails, does the
-    multistart from `seed` propose the candidates.  The dual point is
-    always the moment vector of an explicit point z, p_dual = p(z).
-    Optimality is claimed when p(z) matches p_dual and the certified bound
-    closes the gap, so p_sonc <= inf p <= p(z) = p_dual pins the infimum."""
+    The barrier solve gives the primal, and the candidates for the dual
+    point are the barrier points (`_barrier_points`), which without a
+    certificate or a bad point are the origin alone.  Without a certificate,
+    p_sonc is -inf and the point on the curve exposing an odd or negative
+    vertex (`_unbounded_curve`) joins them.  The dual point is the moment
+    vector of the candidate z of least value, p_dual = p(z).  Optimality is
+    claimed when p(z) matches p_dual and the certified bound closes the gap,
+    so p_sonc <= inf p <= p(z) = p_dual pins the infimum.  The search is
+    deterministic: `seed` is accepted for callers that still pass it and
+    ignored."""
     primal, vertices = _exact_bound(p)
-    if primal.certificate:
-        candidates = _barrier_points(p, vertices)
-    else:
+    candidates = _barrier_points(p, vertices)
+    if not primal.certificate:
         curve = _unbounded_curve(p)
         x = _curve_point(p, curve) if curve is not None else None
-        candidates = [x] if x is not None else []
-    value, v, z = _best_moment(p, candidates) or _best_moment(p, [z for _, z in _local_minima(p, seed)])
+        candidates += [x] if x is not None else []
+    value, v, z = _best_moment(p, candidates)
     scale = _scale(p)
     closed = (
         math.isfinite(primal.p_sonc)

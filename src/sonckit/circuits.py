@@ -196,8 +196,10 @@ class ArityGroup:
     over a catalog: m circuits in canonical order, n variables.  The weights
     are float(mu) of the exact barycentric coordinates mu.
 
-    `solve` maps each r with weights . r = 0 to the minimum-norm tau with
-    (beta - alpha(j)) . tau = r_j for every j: on such r it acts as the
+    `vertices` and `inner` index the rows of `lattice`, the (|A|, n) integer
+    points in the order of the value arrays the tests read.  `solve`, built
+    on first read, maps each r with weights . r = 0 to the minimum-norm tau
+    with (beta - alpha(j)) . tau = r_j for every j: on such r it acts as the
     pseudo-inverse of the matrix with rows beta - alpha(j).
     """
 
@@ -206,26 +208,23 @@ class ArityGroup:
     inner: np.ndarray  # (m,) index of beta
     weights: np.ndarray  # (m, k) barycentric coordinates as floats
     beta_even: np.ndarray  # (m,) bool
-    solve: np.ndarray  # (m, n, k)
+    lattice: np.ndarray  # (|A|, n) integer points
 
     @property
     def k(self) -> int:
         return self.vertices.shape[1]
 
-    @classmethod
-    def of(cls, index, vertices, inner, weights, beta_even, lattice: np.ndarray) -> "ArityGroup":
-        """The group with these fields and the `solve` they determine;
-        `vertices` and `inner` index the rows of `lattice`, the (|A|, n)
-        integer points in the order of the value arrays the tests read."""
-        m, k = vertices.shape
-        solve = np.zeros((m, lattice.shape[1], k))
+    @cached_property
+    def solve(self) -> np.ndarray:  # (m, n, k)
+        m, k = self.vertices.shape
+        solve = np.zeros((m, self.lattice.shape[1], k))
         if k > 1:
             # The weights are the only dependency among the k rows and they
             # are all positive, so any k - 1 rows are independent and the
             # last one holds whenever the others do.
-            rows = (lattice[inner, None, :] - lattice[vertices[:, :-1]]).astype(float)
+            rows = (self.lattice[self.inner, None, :] - self.lattice[self.vertices[:, :-1]]).astype(float)
             solve[:, :, :-1] = np.linalg.pinv(rows)
-        return cls(index, vertices, inner, weights, beta_even, solve)
+        return solve
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,6 +355,6 @@ def enumerate_circuits(support: SupportSet) -> CircuitCatalog:
     for k in sorted(found):
         chosen, inner, weights = (np.concatenate(part) for part in zip(*found[k]))
         index = np.arange(start, start + len(inner))
-        groups.append(ArityGroup.of(index, chosen, inner, weights, parity[inner], lattice))
+        groups.append(ArityGroup(index, chosen, inner, weights, parity[inner], lattice))
         start += len(inner)
     return CircuitCatalog(support, tuple(groups))

@@ -7,7 +7,7 @@ polynomial itself).
 
 Exit codes carry the verdict: 0 for member/true/certified, 1 for
 non-member/false, 2 for any input or usage error.  Output on stdout is
-deterministic for identical inputs and seed.
+byte-identical for identical input.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_bound(args) -> int:
     p = _load_polynomial(_read(args.input))
-    result = certify_optimality(p, seed=args.seed)
+    result = certify_optimality(p)
     _emit(result.to_json_dict(), args.format)
     return 0 if result.status in (Status.CERTIFIED, Status.OPTIMALITY_CERTIFIED) else 1
 
@@ -160,7 +160,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--version", action="version", version=f"sonckit {__version__} (schema {SCHEMA_VERSION})"
     )
     parser.add_argument("--tol", type=float, default=DEFAULT_TOL, help="membership tolerance")
-    parser.add_argument("--seed", type=int, default=0, help="multistart rng seed")
     parser.add_argument("--format", choices=("json", "text"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -181,8 +180,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if not (args.tol > 0 and math.isfinite(args.tol)):
         parser.error("--tol must be positive and finite")
-    if args.seed < 0:
-        parser.error("--seed must be non-negative")
     try:
         if args.command == "circuits":
             return _cmd_circuits(args)

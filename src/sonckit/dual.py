@@ -13,10 +13,13 @@ and its value is the closed form  s = sum_j lambda_j b_j
 = v* (log v* - sum_j lambda_j log v_alpha(j)).  As s <= 0 exactly when
 v* <= prod_j v_alpha(j)^lambda_j, pinning v* = |v_beta| is optimal: the
 test is the quantifier-free condition |v_beta| <= prod_j v_alpha(j)^lambda_j
-of the dual cone, decided as s <= tol in the log domain.  The witness keeps
+of the dual cone, decided as s <= tol max(1, v*) in the log domain: for
+v* >= 1 that bounds the log slack log v* - sum_j lambda_j log v_alpha(j) by
+tol, so an exact moment vector passes at any scale.  The witness keeps
 v* = |v_beta| and takes the minimum-norm tau with every row at slack -s,
-from one linear map precomputed per circuit (the system is consistent since
-sum_j lambda_j (beta - alpha(j)) = 0 and sum_j lambda_j (b_j - s) = 0).
+from one linear map per circuit, built on first use (the system is
+consistent since sum_j lambda_j (beta - alpha(j)) = 0 and
+sum_j lambda_j (b_j - s) = 0).
 
 The test runs vectorized over a catalog, one arity group at a time.  The
 dual SAGE test has no such closed form: it solves one minimax LP per support
@@ -160,14 +163,16 @@ def _test_group(g: ArityGroup, vals: np.ndarray, tol: float):
     """Decide every circuit (k >= 2) of the group at once.
 
     A circuit fails on a vertex value below -tol, on an even inner point
-    with v_beta below -tol, or on a gap s > tol at v* = |v_beta|.  Returns
-    the failure mask and what `_taus` needs for the witnesses.
+    with v_beta below -tol, or on a gap s > tol max(1, v*) at v* = |v_beta|:
+    relative to v* once v* >= 1, so the gap's own rounding, which grows
+    with v*, never fails a moment vector.  Returns the failure mask and
+    what `_taus` needs for the witnesses.
     """
     v_beta = vals[g.inner]
     v_star = np.abs(v_beta)
     v_star[v_star <= _ZERO_INNER] = 0.0
     s, logs, mean = _gaps(g, vals, v_star)
-    failed = (vals[g.vertices] < -tol).any(axis=1) | (g.beta_even & (v_beta < -tol)) | (s > tol)
+    failed = (vals[g.vertices] < -tol).any(axis=1) | (g.beta_even & (v_beta < -tol)) | (s > tol * np.maximum(1.0, v_star))
     return failed, v_star, logs, mean
 
 
@@ -177,7 +182,7 @@ def _one_circuit(circuit: Circuit, v: DualVector) -> tuple[ArityGroup, np.ndarra
     weights = np.array([[float(mu) for mu in circuit.barycentric]])
     lattice = np.array(points, dtype=object).reshape(k + 1, circuit.n)
     even = np.array([circuit.beta_even])
-    group = ArityGroup.of(np.array([-1]), np.arange(k)[None], np.array([k]), weights, even, lattice)
+    group = ArityGroup(np.array([-1]), np.arange(k)[None], np.array([k]), weights, even, lattice)
     return group, np.array([v[p] for p in points], dtype=float)
 
 
@@ -200,7 +205,8 @@ def circuit_dual_membership(
     v: DualVector,
     tol: float = DEFAULT_TOL,
 ) -> tuple[bool, DualWitness | None]:
-    """Dual-cone test for a single circuit, with a certifying witness."""
+    """Dual-cone test for a single circuit, with a certifying witness; the
+    rule of `sonc_dual_membership` (`_test_group`)."""
     if circuit.k == 1:
         val = v[circuit.vertices[0]]
         if val >= -tol:
@@ -223,7 +229,7 @@ def sonc_dual_membership(
 
     Requires every even-exponent coordinate to be (tol-)nonnegative (the
     single-vertex circuits) and the per-circuit condition for every circuit
-    with k >= 2.  A non-member names the first failing circuit in canonical
+    with k >= 2, with the gap's tolerance relative to v* (`_test_group`).  A non-member names the first failing circuit in canonical
     catalog order; a member carries one witness per circuit with k >= 2, in
     that order.
     """

@@ -33,8 +33,8 @@ Exponent = tuple[int, ...]
 MAX_EXPONENT = 1 << 20
 
 #: Parse-time cap on the number of variables.  The dimension is the largest
-#: index in the text, and the multistart descent holds an n x n Hessian per
-#: start (the kernel an n x n block per start and term), so without a cap a
+#: index in the text, and the descent holds an n x n Hessian (the kernel an
+#: n x n block per point and term), so without a cap a
 #: text like ``x1000000`` asks for terabytes.  Sparse SONC inputs have a
 #: handful of variables; 64 keeps that state at a few MB.
 MAX_VARIABLES = 64

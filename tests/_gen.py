@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -13,6 +14,7 @@ from sonckit import (
     SupportSet,
     barycentric_coordinates,
 )
+from sonckit.bounds import _descend
 
 
 def random_support(rng: np.random.Generator, n: int, max_points: int = 8, max_entry: int = 8) -> SupportSet:
@@ -122,6 +124,24 @@ def random_sparse_poly(
         mag = 10.0 ** rng.uniform(-3, 3)
         terms[exp] = terms.get(exp, 0.0) + float(rng.choice([-1.0, 1.0]) * mag)
     return SparsePolynomial.from_terms(terms, n=n)
+
+
+#: Random starts of the multistart oracle, besides 0 and +-1.
+RANDOM_STARTS = 20
+
+
+def multistart_min(p: SparsePolynomial) -> float:
+    """The least value of p over the starts 0, +-1 and RANDOM_STARTS
+    uniform draws from [-3, 3]^n (rng 0) and the points where
+    `bounds._descend` from each of them stops; a non-finite value reads as
+    1e300."""
+    if p.n == 0:
+        return p.evaluate(())
+    n = p.n
+    draws = np.random.default_rng(0).uniform(-3.0, 3.0, size=(RANDOM_STARTS, n))
+    starts = np.vstack([np.zeros(n), np.ones(n), -np.ones(n), draws])
+    values = [p.evaluate(x) for start in starts for x in (_descend(p, start), start)]
+    return min(val if math.isfinite(val) else 1e300 for val in values)
 
 
 def abs_coefficient_eval(p: SparsePolynomial, x) -> float:

@@ -25,11 +25,15 @@ from sonckit import (
     verify_certificate,
 )
 from sonckit import bounds
-from sonckit.bounds import DUAL_FEAS_TOL, _RANDOM_STARTS, _local_minima, _unbounded_curve
+from sonckit import dual
+from sonckit.bounds import _unbounded_curve
 from sonckit.circuits import SupportTooLargeError
 from sonckit.polynomials import value_gradient_hessian
 
-from _gen import MOTZKIN_TEXT, eval_on_points, random_sparse_poly, random_support
+from _gen import MOTZKIN_TEXT, RANDOM_STARTS, eval_on_points, multistart_min, random_sparse_poly, random_support
+
+#: Membership tolerance for the dual points the bound returns.
+DUAL_FEAS_TOL = 1e-7
 
 
 def motzkin():
@@ -553,22 +557,44 @@ class TestNewtonPolytopeShortcut:
         assert r.status is Status.INFEASIBLE_UNBOUNDED and r.p_sonc == -math.inf
         assert calls == []
 
-    def test_multistart_runs_once(self, monkeypatch):
-        calls = []
-        real = bounds._local_minima
-
-        def counting(p, seed, *args, **kwargs):
-            calls.append(p)
-            return real(p, seed, *args, **kwargs)
-
-        monkeypatch.setattr(bounds, "_local_minima", counting)
-        certify_optimality(parse_polynomial("x1"))
-        certify_optimality(motzkin())
-        assert calls == []
-        # Without a certificate the multistart proposes the dual candidates.
+    def test_failed_barrier_answers_the_origin(self, monkeypatch):
+        # Without a certificate or a curve the origin is the only candidate.
         monkeypatch.setattr(bounds, "_central_path", lambda *args: None)
-        r = certify_optimality(motzkin())
-        assert len(calls) == 1 and r.status is Status.DUAL_ONLY
+        p = motzkin()
+        r = certify_optimality(p)
+        assert r.status is Status.DUAL_ONLY and r.p_sonc == -math.inf
+        assert r.dual_point == moment_vector((0.0, 0.0), _extended(p))
+        assert r.p_dual == p.evaluate((0.0, 0.0)) == 1.0
+
+    def test_bound_calls_no_membership_oracle(self, monkeypatch):
+        calls = []
+
+        def counting(real):
+            def wrapper(*args, **kwargs):
+                calls.append(args)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("sonc_dual_membership", "_test_group"):  # the oracle and the rule it applies
+            monkeypatch.setattr(dual, name, counting(getattr(dual, name)))
+        for p in [motzkin(), parse_polynomial("1 + x1^4 - 3*x1^2"), *_criterion9_polys(), *_bound_sonc_polys()]:
+            certify_optimality(p)
+        assert calls == []
+
+    def test_face_case_takes_the_origin(self):
+        # The bad term x1^3 x2^5 lies inside the edge from x1^8 to x2^8, so the
+        # primal has a circuit and there is no curve, but the edge's circuit
+        # polynomial is negative and the barrier diverges.
+        p = parse_polynomial(
+            "0.17899249700312445*x2^8 + 0.005021853314619841*x1 - 90.09472658570888*x1^3*x2^5 + 276.4450271125257*x1^8"
+        )
+        assert _unbounded_curve(p) is None
+        blob = certify_optimality(p).to_json_dict()
+        assert blob["status"] == "dual_only" and blob["p_sonc"] is None
+        point = blob["dual_point"]
+        pairing = sum(p.coefficients.get(tuple(e), 0.0) * v for e, v in zip(point["points"], point["values"]))
+        assert blob["p_dual"] == pairing == 0.0
 
     # The last text keeps a zero term's slot at x1^8: the catalog's circuit
     # ((0,), (8,); 3) must not hide the odd vertex 3.
@@ -610,10 +636,10 @@ class TestNewtonPolytopeShortcut:
 
 
 class TestBatchedDescent:
-    """The batched multistart descent against scipy's BFGS from the same starts."""
+    """The descent, from the multistart oracle's starts, against scipy's BFGS from the same starts."""
 
     @staticmethod
-    def scipy_best(p, seed=0, random_starts=_RANDOM_STARTS):
+    def scipy_best(p, seed=0, random_starts=RANDOM_STARTS):
         rng = np.random.default_rng(seed)
         starts = [np.zeros(p.n), np.ones(p.n), -np.ones(p.n)]
         starts += list(rng.uniform(-3.0, 3.0, size=(random_starts, p.n)))
@@ -647,7 +673,7 @@ class TestBatchedDescent:
             # 1e-9 of the value too: one stiff input bottoms out near
             # -3.45e20, where one float step is 65536.
             tol = 1e-9 * max(1.0 + max(map(abs, p.coefficients.values())), abs(want))
-            assert _local_minima(p, 0)[0][0] <= want + tol, p.coefficients
+            assert multistart_min(p) <= want + tol, p.coefficients
 
     def test_no_worse_than_scipy_bfgs_on_even_simplices(self):
         # Fresh bounded draws over the even simplex conv{0, 2d e_i}, against
@@ -665,4 +691,4 @@ class TestBatchedDescent:
             p = SparsePolynomial.from_terms(terms, n=n)
             want = self.scipy_best(p, random_starts=12)
             tol = 1e-9 * max(1.0 + max(map(abs, p.coefficients.values())), abs(want))
-            assert _local_minima(p, 0)[0][0] <= want + tol, p.coefficients
+            assert multistart_min(p) <= want + tol, p.coefficients

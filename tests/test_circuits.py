@@ -10,6 +10,7 @@ import pytest
 from sonckit import (
     AffinelyDependentError,
     Circuit,
+    DualVector,
     SupportSet,
     SupportTooLargeError,
     affinely_independent,
@@ -17,6 +18,8 @@ from sonckit import (
     circuit_number,
     enumerate_circuits,
     parse_polynomial,
+    sonc_dual_membership,
+    sonc_lower_bound,
 )
 from sonckit import circuits as circuits_module
 from sonckit.circuits import _affine_coordinates
@@ -366,3 +369,25 @@ class TestArityGroups:
                 assert np.array_equal(g.weights, [[float(mu) for mu in c.barycentric] for c in cs])
                 assert np.array_equal(g.beta_even, [c.beta_even for c in cs])
                 assert np.array_equal(g.solve, solve)
+
+    def test_solve_is_built_on_first_read(self, monkeypatch):
+        # Only a member's witnesses read `solve`: enumeration, the barrier
+        # solve and a non-member report take no pseudo-inverse.
+        calls = []
+        real = np.linalg.pinv
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "pinv", counting)
+        enumerate_circuits.cache_clear()
+        A = _dense(2, 6)
+        v = DualVector(A, {a: 1.0 for a in A.points})
+        assert sonc_lower_bound(parse_polynomial(MOTZKIN_TEXT)).certificate is not None
+        assert not sonc_dual_membership(A, DualVector(A, {**v.values, (1, 1): 2.0})).member
+        assert calls == []
+        assert sonc_dual_membership(A, v).member
+        groups = [g for g in enumerate_circuits(A).arity_groups if g.k > 1]
+        assert len(calls) == len(groups)
+        assert all(g.solve is g.solve for g in groups) and len(calls) == len(groups)

@@ -35,6 +35,14 @@ from _gen import moment_mixture, near_quartic_boundary, random_circuit, random_s
 
 A4 = SupportSet.of([(i,) for i in range(5)])
 
+#: A point coordinate: 0 or +-10^[-3, 3], integer powers drawn as often as the rest.
+COORDINATES = st.one_of(
+    st.just(0.0),
+    st.tuples(st.sampled_from([-1.0, 1.0]), st.one_of(st.integers(-3, 3), st.floats(-3.0, 3.0))).map(
+        lambda t: t[0] * 10.0 ** t[1]
+    ),
+)
+
 
 def dv4(vals) -> DualVector:
     return DualVector(A4, {(i,): float(v) for i, v in enumerate(vals)})
@@ -491,12 +499,29 @@ class TestMomentFeasibility:
     @given(st.integers(1, 3).flatmap(lambda n: st.lists(st.tuples(*[st.integers(0, 8)] * n), min_size=1, max_size=12)))
     def test_origin_is_a_member_exactly(self, points):
         # e_0 = (0^alpha), the moment vector of the origin, is what lets the
-        # dual program always answer: its multistart includes the origin.
+        # bound always answer: the origin is always one of its candidates.
         n = len(points[0])
         A = SupportSet(n, tuple(set(points) | {(0,) * n}))
         assume(sum(all(e % 2 == 0 for e in pt) for pt in A.points) <= MAX_EVEN_POINTS)
         v = moment_vector((0.0,) * n, A)
         assert sonc_dual_membership(A, v, tol=0.0).member
+
+    # 1000 examples: the first 500 hold no vector whose gap's rounding exceeds an absolute 1e-9.
+    @settings(derandomize=True, deadline=None, database=None, max_examples=1000)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.tuples(*[st.integers(0, 8)] * n), min_size=1, max_size=12),
+                st.lists(COORDINATES, min_size=n, max_size=n),
+            )
+        )
+    )
+    def test_moment_vectors_are_members_at_any_scale(self, case):
+        # v* reaches 1e72 here; the gap's tolerance is relative to it.
+        points, x = case
+        A = SupportSet.of(sorted(set(points)), n=len(x))
+        assume(len(A.even_points()) <= MAX_EVEN_POINTS)
+        assert sonc_dual_membership(A, moment_vector(tuple(x), A), tol=1e-9).member
 
 
 class TestPairing:
