@@ -388,13 +388,23 @@ class TestEntryPoint:
             main(["--tol", "-1", "circuits", "x.json"])
         assert exc.value.code == 2
 
-    def test_seed_flag_is_a_usage_error(self, files, capsys):
-        # The bound is deterministic, so there is no seed to set.
-        with pytest.raises(SystemExit) as exc:
-            main(["--seed", "0", "bound", files("p.txt", "1 + x1^4 - 3*x1^2")])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "error" in captured.err
+    # The bound is deterministic, so there is no seed to set: any --seed,
+    # negative or not, is a usage error, whatever the polynomial.
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1 + x1^4 - 3*x1^2",
+            "-3.983966921073806 - 0.028504524402727265*x1 + 37.54616029719675*x1^4 - 0.001262498285006704*x1^6",
+        ],
+    )
+    def test_negative_seed_rejected(self, files, capsys, text):
+        path = files("p.txt", text)
+        for seed in ("-1", "0"):
+            with pytest.raises(SystemExit) as exc:
+                main(["--seed", seed, "bound", path])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "error" in captured.err
 
     def test_seed_environment_variable_ignored(self, files, capsys, monkeypatch):
         argvs = [["circuits", files("a4.json", QUARTIC_SUPPORT)], ["check", "dual-member", files("v.json", SEP_POINT)]]
