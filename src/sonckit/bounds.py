@@ -43,7 +43,7 @@ from itertools import product
 import numpy as np
 from scipy import optimize as sciopt
 
-from .circuits import CircuitCatalog, enumerate_circuits, is_even_point
+from .circuits import Circuit, CircuitCatalog, enumerate_circuits, is_even_point
 from .nonneg import CircuitPolynomial, is_nonneg_circuit
 from .polynomials import DualVector, Exponent, SparsePolynomial, SupportSet, moment_vector, value_gradient_hessian
 
@@ -57,14 +57,18 @@ class Status(str, Enum):
 
 @dataclass(frozen=True)
 class CertificatePiece:
-    circuit_index: int
+    """sum_i c_i x^vertices(i) + delta x^inner; the weights follow from the circuit."""
+
+    vertices: tuple[Exponent, ...]
+    inner: Exponent
     c: tuple[float, ...]
     delta: float
 
 
 @dataclass(frozen=True)
 class SoncCertificate:
-    """p - gamma as circuit pieces plus an even nonnegative monomial residual."""
+    """p - gamma as circuit pieces plus an even nonnegative monomial residual;
+    each piece names its own circuit, so no catalog is needed to check it."""
 
     gamma: float
     pieces: tuple[CertificatePiece, ...]
@@ -74,7 +78,8 @@ class SoncCertificate:
         return {
             "gamma": self.gamma,
             "pieces": [
-                {"circuit": q.circuit_index, "c": list(q.c), "delta": q.delta} for q in self.pieces
+                {"vertices": [list(v) for v in q.vertices], "beta": list(q.inner), "c": list(q.c), "delta": q.delta}
+                for q in self.pieces
             ],
             "residual": self.residual.to_json_dict(),
         }
@@ -109,27 +114,24 @@ def _extended_support(p: SparsePolynomial) -> SupportSet:
     return SupportSet(p.n, tuple(set(p.support.points) | {zero}))
 
 
-def verify_certificate(p: SparsePolynomial, cert: SoncCertificate, catalog: CircuitCatalog) -> bool:
-    """Sound re-check, independent of the search that produced the
-    certificate: every piece passes the circuit nonnegativity test, the
-    residual is even with nonnegative coefficients, and pieces plus residual
-    reproduce p - gamma coefficient by coefficient."""
+def verify_certificate(p: SparsePolynomial, cert: SoncCertificate) -> bool:
+    """Sound re-check, independent of the search and of any catalog: each
+    piece is a circuit (`Circuit` derives its weights by its own exact
+    elimination) and passes the nonnegativity test, the residual is even
+    with nonnegative coefficients, and pieces plus residual reproduce
+    p - gamma coefficient by coefficient."""
     tol = 1e-7 * _scale(p)
     total: dict[Exponent, float] = {}
     for piece in cert.pieces:
-        if not 0 <= piece.circuit_index < len(catalog.circuits):
-            return False
-        circuit = catalog.circuits[piece.circuit_index]
         try:
+            circuit = Circuit(piece.vertices, piece.inner)
             cp = CircuitPolynomial(circuit, piece.c, piece.delta)
         except ValueError:
             return False
-        ok, _ = is_nonneg_circuit(cp)
-        if not ok:
+        if not is_nonneg_circuit(cp)[0]:
             return False
-        for vert, ci in zip(circuit.vertices, piece.c):
-            total[vert] = total.get(vert, 0.0) + ci
-        total[circuit.inner] = total.get(circuit.inner, 0.0) + piece.delta
+        for exp, coef in zip((*circuit.vertices, circuit.inner), (*cp.c, cp.delta)):
+            total[exp] = total.get(exp, 0.0) + coef
     for exp, coef in cert.residual.coefficients.items():
         if not is_even_point(exp) or coef < -1e-12:
             return False
@@ -164,18 +166,21 @@ def _certify(
     the module's one boundedness test), the path fails or the checker
     rejects.  Each odd or negative term (a bad point) is covered by
     circuits with that inner point and vertices among the positive even
-    points and the constant.  Circuits sharing a vertex or an inner point
-    form a component, anchored at its least vertex.  One barrier path finds
-    the largest shift at every anchor; the other shifts (above 1e-12 scale)
-    and unused positive even points form the residual.  Without a bad point
-    no path runs and the vertex values are {}."""
-    zero = (0,) * p.n
-    coeff = {exp: p.coefficients.get(exp, 0.0) for exp in catalog.support.points}
+    points and the constant, read with their weights off the arity groups
+    (no Circuit is built), in the order of the bad points, then of the
+    catalog.  Circuits sharing a vertex or an inner point form a component,
+    anchored at its least vertex.  One barrier path finds the largest shift
+    at every anchor; the other shifts (above 1e-12 scale) and unused
+    positive even points form the residual.  Without a bad point no path
+    runs and the vertex values are {}."""
+    zero, points = (0,) * p.n, catalog.support.points
+    coeff = {exp: p.coefficients.get(exp, 0.0) for exp in points}
     hosts = {exp for exp, c in coeff.items() if is_even_point(exp) and (c > 0.0 or exp == zero)}
-    groups: dict[Exponent, list[int]] = {exp: [] for exp, c in coeff.items() if c != 0.0 and exp not in hosts}
-    for idx, circuit in enumerate(catalog.circuits):
-        if circuit.k >= 2 and circuit.inner in groups and hosts.issuperset(circuit.vertices):
-            groups[circuit.inner].append(idx)
+    groups: dict[Exponent, list] = {exp: [] for exp, c in coeff.items() if c != 0.0 and exp not in hosts}
+    is_bad, is_host = (np.array([exp in s for exp in points]) for s in (groups, hosts))
+    for g in catalog.arity_groups:  # k = 1 never matches: its inner point is its vertex
+        for r in np.flatnonzero(is_bad[g.inner] & is_host[g.vertices].all(axis=1)).tolist():
+            groups[points[g.inner[r]]].append((tuple(points[j] for j in g.vertices[r].tolist()), g.weights[r]))
     if any(not g for g in groups.values()):
         return None, {}
     shifts = {zero: coeff[zero]} if zero in coeff else {}
@@ -184,8 +189,8 @@ def _certify(
     vertices: dict[Exponent, float] = {}
     if groups:
         bad = sorted(groups)
-        rows = [i for beta in bad for i in groups[beta]]
-        used = sorted({v for i in rows for v in catalog.circuits[i].vertices})
+        rows = [(beta, verts, mu) for beta in bad for verts, mu in groups[beta]]
+        used = sorted({v for _, verts, _ in rows for v in verts})
         pos = {v: j for j, v in enumerate(used)}
         lam, parent = np.zeros((len(rows), len(used))), list(range(len(used)))
 
@@ -194,11 +199,10 @@ def _certify(
                 j = parent[j]
             return j
 
-        for r, i in enumerate(rows):
-            circuit = catalog.circuits[i]
-            lam[r, [pos[v] for v in circuit.vertices]] = [float(mu) for mu in circuit.barycentric]
-            for v in circuit.vertices:
-                a, b = root(pos[v]), root(pos[catalog.circuits[groups[circuit.inner][0]].vertices[0]])
+        for r, (beta, verts, mu) in enumerate(rows):
+            lam[r, [pos[v] for v in verts]] = mu
+            for v in verts:  # joined to the first vertex of beta's first circuit
+                a, b = root(pos[v]), root(pos[groups[beta][0][0][0]])
                 parent[max(a, b)] = min(a, b)
         fixed = np.array([root(j) == j for j in range(len(used))])
         grp = np.repeat(np.arange(len(bad)), [len(groups[beta]) for beta in bad])
@@ -216,22 +220,22 @@ def _certify(
             elif taken[j] < (1.0 - 1e-12) * coeff[v]:
                 residual[v] = coeff[v] - float(taken[j])
         pieces = tuple(
-            CertificatePiece(i, tuple(float(cs[r, pos[v]]) for v in catalog.circuits[i].vertices), float(deltas[r]))
-            for r, i in enumerate(rows)
+            CertificatePiece(verts, beta, tuple(float(cs[r, pos[v]]) for v in verts), float(deltas[r]))
+            for r, (beta, verts, _) in enumerate(rows)
             if deltas[r] != 0.0
         )
     gamma = 0.0
     if keep is not None:  # p_keep - gamma must reproduce the pieces' sum as the checker adds it
         at_keep = 0.0
         for q in pieces:
-            at_keep += dict(zip(catalog.circuits[q.circuit_index].vertices, q.c)).get(keep, 0.0)
+            at_keep += dict(zip(q.vertices, q.c)).get(keep, 0.0)
         gamma = coeff[keep] - at_keep
         while coeff[keep] - gamma < at_keep:
             gamma = math.nextafter(gamma, -math.inf)
         shifts[keep] = coeff[keep] - gamma - at_keep
     residual.update({a: shift for a, shift in shifts.items() if shift > 1e-12 * _scale(p)})
     cert = SoncCertificate(gamma, pieces, SparsePolynomial.from_terms(residual, n=p.n))
-    return (cert, vertices) if math.isfinite(gamma) and verify_certificate(p, cert, catalog) else (None, {})
+    return (cert, vertices) if math.isfinite(gamma) and verify_certificate(p, cert) else (None, {})
 
 
 #: Growth of t per stage; the path stops at gap nu / t <= _GAP max(scale,
@@ -454,7 +458,8 @@ def _unbounded_curve(p: SparsePolynomial) -> _Curve | None:
     keys = set(p.coefficients) | {zero}
     points = sorted(keys)
     catalog = enumerate_circuits(_extended_support(p))
-    inner = {c.inner for c in catalog.circuits if c.k >= 2 and keys.issuperset(c.vertices)}
+    known, ext = np.array([pt in keys for pt in catalog.support.points]), catalog.support.points
+    inner = {ext[j] for g in catalog.arity_groups if g.k >= 2 for j in g.inner[known[g.vertices].all(axis=1)].tolist()}
     for alpha in points:
         coef = p.coefficients.get(alpha, 0.0)
         if alpha == zero or (is_even_point(alpha) and coef > 0.0) or alpha in inner:

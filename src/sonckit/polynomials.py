@@ -107,9 +107,6 @@ class SupportSet:
     def __contains__(self, point) -> bool:
         return tuple(point) in self._index  # type: ignore[attr-defined]
 
-    def index(self, point) -> int:
-        return self._index[tuple(point)]  # type: ignore[attr-defined]
-
     def even_points(self) -> tuple[Exponent, ...]:
         return tuple(p for p in self.points if all(e % 2 == 0 for e in p))
 
@@ -199,9 +196,6 @@ class SparsePolynomial:
             starts,
             slots,
         )
-
-    def coefficient(self, point) -> float:
-        return self.coefficients.get(tuple(point), 0.0)
 
     def evaluate(self, x: Sequence[float]) -> float:
         """Evaluate at a real point, with the convention 0**0 = 1; +-inf or

@@ -1,5 +1,7 @@
 """Feasibility decomposition, lower bounds, dual program, optimality."""
 
+import dataclasses
+import json
 import math
 import warnings
 from fractions import Fraction
@@ -10,7 +12,10 @@ import pytest
 from scipy.optimize import minimize
 
 from sonckit import (
+    CertificatePiece,
+    Circuit,
     CircuitPolynomial,
+    SoncCertificate,
     Status,
     SparsePolynomial,
     SupportSet,
@@ -78,11 +83,11 @@ class TestFeasibility:
         assert cert is not None
         assert len(cert.pieces) == 1
         piece = cert.pieces[0]
-        assert catalog.circuits[piece.circuit_index].inner == (2, 2)
+        assert piece.inner == (2, 2)
         assert piece.c == pytest.approx((1.0, 1.0, 1.0))
         assert piece.delta == pytest.approx(-3.0)
         assert cert.residual.coefficients == {}
-        assert verify_certificate(p, cert, catalog)
+        assert verify_certificate(p, cert)
 
     def test_residual_only(self):
         p = parse_polynomial("1 + x1^2")
@@ -112,7 +117,7 @@ class TestFeasibility:
         catalog = enumerate_circuits(p.support)
         cert = sonc_feasibility(p, catalog)
         assert cert is not None
-        assert verify_certificate(p, cert, catalog)
+        assert verify_certificate(p, cert)
 
     def test_recovers_constructed_decompositions(self):
         # instances built as explicit sums of nonneg circuit polynomials with
@@ -152,11 +157,88 @@ class TestFeasibility:
             if cert is None:
                 continue
             produced += 1
-            assert verify_certificate(q, cert, catalog)
+            assert verify_certificate(q, cert)
             for piece in cert.pieces:
-                cp = CircuitPolynomial(catalog.circuits[piece.circuit_index], piece.c, piece.delta)
+                cp = CircuitPolynomial(Circuit(piece.vertices, piece.inner), piece.c, piece.delta)
                 assert is_nonneg_circuit(cp)[0]
         assert produced == attempted
+
+
+def _from_json(blob: dict) -> SoncCertificate:
+    """The certificate a reader rebuilds from its JSON alone."""
+    pieces = tuple(
+        CertificatePiece(tuple(map(tuple, q["vertices"])), tuple(q["beta"]), tuple(q["c"]), q["delta"])
+        for q in blob["pieces"]
+    )
+    return SoncCertificate(blob["gamma"], pieces, SparsePolynomial.from_json_dict(blob["residual"]))
+
+
+def _tampered(cert: SoncCertificate, **fields) -> SoncCertificate:
+    """cert with its first piece's fields replaced."""
+    first = dataclasses.replace(cert.pieces[0], **fields)
+    return SoncCertificate(cert.gamma, (first, *cert.pieces[1:]), cert.residual)
+
+
+class TestSelfDescribingCertificate:
+    """A certificate is checked on its own JSON: each piece names its
+    circuit by vertices and inner point, and no catalog is read."""
+
+    def test_checks_on_its_own_json(self):
+        checked = 0
+        for p in [motzkin(), parse_polynomial("1 + x1^4 - 3*x1^2"), *_criterion9_polys(), *_bound_sonc_polys()]:
+            cert = certify_optimality(p).certificate
+            if cert is None:
+                continue
+            blob = json.loads(json.dumps(cert.to_json_dict()))
+            assert [sorted(q) for q in blob["pieces"]] == [["beta", "c", "delta", "vertices"]] * len(cert.pieces)
+            assert _from_json(blob) == cert
+            assert verify_certificate(p, _from_json(blob))
+            checked += 1
+        assert checked == 37
+
+    @pytest.mark.parametrize(
+        "text, fields",
+        [
+            ("1 + x1^4 - 3*x1^2", {"vertices": ((0,), (3,))}),  # an odd vertex
+            ("1 + x1^4 - 3*x1^2", {"vertices": ((0,), (2,), (4,)), "c": (2.25, 1.0, 1.0)}),  # affinely dependent
+            ("1 + x1^4 - 3*x1^2", {"inner": (4,)}),  # beta is a vertex
+            (MOTZKIN_TEXT, {"inner": (1, 2)}),  # beta on the edge from 0 to (2, 4)
+            (MOTZKIN_TEXT, {"vertices": ((0, 0), (2, 2), (4, 4))}),  # affinely dependent
+        ],
+    )
+    def test_tampered_circuit_is_rejected(self, text, fields):
+        p = parse_polynomial(text)
+        cert = certify_optimality(p).certificate
+        assert verify_certificate(p, cert)
+        assert verify_certificate(p, _tampered(cert, **fields)) is False
+
+    def test_reordered_coefficients_are_rejected(self):
+        p = parse_polynomial("1 + x1^4 - 3*x1^2")
+        cert = certify_optimality(p).certificate
+        (piece,) = cert.pieces
+        assert piece.vertices == ((0,), (4,)) and piece.c[0] != piece.c[1]
+        assert verify_certificate(p, _tampered(cert, c=piece.c[::-1])) is False
+
+    def test_bound_path_builds_one_circuit_per_piece(self, monkeypatch):
+        built = []
+        post_init = Circuit.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Circuit, "__post_init__", counting)
+        enumerate_circuits.cache_clear()
+        for p in [motzkin(), *_bound_sonc_polys()]:
+            built.clear()
+            r = certify_optimality(p)
+            assert r.certificate is not None
+            assert [(c.vertices, c.inner) for c in built] == [(q.vertices, q.inner) for q in r.certificate.pieces]
+        # The inner point x^2 of the circuit {0, x^4} is no vertex, and x^5 has no circuit.
+        built.clear()
+        r = certify_optimality(parse_polynomial("1 + x1^4 - 3*x1^2 + x1^5"))
+        assert r.certificate is None and r.status is Status.DUAL_ONLY
+        assert built == []
 
 
 def _extended(p):
@@ -189,9 +271,8 @@ class TestLowerBound:
     def test_certificate_matches_reported_gamma(self):
         p = parse_polynomial("1 + x1^4 - 3*x1^2")
         r = sonc_lower_bound(p)
-        catalog = enumerate_circuits(_extended(p))
         assert r.certificate.gamma == r.p_sonc
-        assert verify_certificate(p, r.certificate, catalog)
+        assert verify_certificate(p, r.certificate)
 
     def test_trace_is_monotone(self):
         # p - gamma is certified exactly up to the reported bound: every
@@ -279,7 +360,7 @@ class TestExactBound:
         r = certify_optimality(p)
         assert r.p_sonc == pytest.approx(want, rel=rel)
         assert r.status is status
-        assert verify_certificate(p, r.certificate, enumerate_circuits(_extended(p)))
+        assert verify_certificate(p, r.certificate)
         scale = 1.0 + max(map(abs, terms.values()))
         assert r.p_sonc <= r.p_dual + 1e-12 * max(scale, abs(r.p_dual))
 

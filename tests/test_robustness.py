@@ -17,9 +17,9 @@ import numpy as np
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from sonckit import SparsePolynomial, enumerate_circuits, sonc_lower_bound, verify_certificate
-from sonckit.bounds import _extended_support, _unbounded_curve
-from sonckit.cli import main
+from sonckit import Circuit, SparsePolynomial, sonc_lower_bound, verify_certificate
+from sonckit.bounds import _unbounded_curve
+from sonckit.cli import _load_polynomial, main
 from sonckit.polynomials import MAX_VARIABLES
 
 from _gen import eval_on_points, multistart_min
@@ -185,12 +185,27 @@ def check_clean_exit(argv: list[str], text: str) -> tuple[int, dict | None]:
     return code, json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
+def check_pieces(text: str, blob: dict | None) -> None:
+    """Each piece of a `bound` or `certify` certificate names its circuit:
+    its vertices and beta build a Circuit over supp(p) and the constant
+    point, with one coefficient per vertex."""
+    if blob is None or blob["certificate"] is None:
+        return
+    p = _load_polynomial(text)
+    allowed = set(p.support.points) | {(0,) * p.n}
+    for piece in blob["certificate"]["pieces"]:
+        circuit = Circuit(piece["vertices"], piece["beta"])
+        assert allowed.issuperset((*circuit.vertices, circuit.inner)), text
+        assert len(piece["c"]) == circuit.k, text
+
+
 @FUZZ
 @given(polynomial_texts())
 @example(OVERFLOWING_MOMENTS)
 def test_polynomial_commands_exit_cleanly(text):
-    for command in ("bound", "certify", "circuits"):
-        check_clean_exit([command], text)
+    for command in ("bound", "certify"):
+        check_pieces(text, check_clean_exit([command], text)[1])
+    check_clean_exit(["circuits"], text)
 
 
 @FUZZ
@@ -234,8 +249,9 @@ def test_malformed_text_through_bound_exits_cleanly(text):
 @FUZZ
 @given(polynomial_jsons())
 def test_polynomial_json_commands_exit_cleanly(text):
-    for command in ("bound", "circuits"):
-        check_clean_exit([command], text)
+    for command in ("bound", "certify"):
+        check_pieces(text, check_clean_exit([command], text)[1])
+    check_clean_exit(["circuits"], text)
 
 
 @FUZZ
@@ -289,7 +305,7 @@ def check_exact_bound(p: SparsePolynomial) -> None:
     r = sonc_lower_bound(p)
     if r.certificate is None:
         return
-    assert verify_certificate(p, r.certificate, enumerate_circuits(_extended_support(p)))
+    assert verify_certificate(p, r.certificate)
     scale = 1.0 + max(map(abs, p.coefficients.values()))
     xs = np.random.default_rng(0).uniform(-3.0, 3.0, size=(2000, p.n))
     low = min(float(eval_on_points(p, xs).min()), multistart_min(p))
@@ -311,3 +327,11 @@ def test_exact_bound_on_even_simplices(p):
 def test_exact_bound_on_bounded_sparse_polynomials(p):
     assume(_unbounded_curve(p) is None)
     check_exact_bound(p)
+
+
+@FUZZ
+@given(st.one_of(even_simplex_polynomials(), sparse_polynomials()))
+def test_certificate_pieces_name_their_circuits(p):
+    text = json.dumps(p.to_json_dict())
+    for command in ("bound", "certify"):
+        check_pieces(text, check_clean_exit([command], text)[1])
