@@ -13,17 +13,19 @@ positive is impossible by construction.
 
 Every moment vector (z^alpha) of a real point z is a member of that dual
 cone, with equality or slack in every circuit's condition, and its pairing
-with the coefficients is p(z).  The dual point is the least such value over
-explicit candidate points, so p_dual >= inf p >= p_sonc by construction, and
-its z certifies optimality when the two meet.  When the bound is exact the
-paper's optimum is such a point evaluation, and the barrier ends near it:
-the candidates are the origin and z read off the barrier's vertex values,
-polished once.  An odd or negative term that is the inner point of no
-circuit over the positive even points and the constant leaves its dual
-coordinate free, so the bound is -inf; by Caratheodory these are the odd or
-negative nonzero vertices of the Newton polytope.  The primal settles this
-while grouping its circuits, and only then does the dual look for the curve
-exposing such a vertex, whose point joins the origin as a candidate.
+with the coefficients is p(z), which `evaluate` forms in the pairing's
+order.  The dual point is the least such value over explicit candidate
+points, so p_dual >= inf p >= p_sonc by construction, and its z certifies
+optimality when the two meet.  When the bound is exact the paper's optimum
+is such a point evaluation, and the barrier ends near it: the candidates
+are the origin and z read off the barrier's vertex values, polished once.
+An odd or negative term that is the inner point of no circuit over the
+positive even points and the constant leaves its dual coordinate free, so
+the bound is -inf; by Caratheodory these are the odd or negative nonzero
+vertices of the Newton polytope.  The primal settles this while grouping
+its circuits, and only then does the dual look for the curve exposing such
+a vertex, whose point joins the origin as a candidate; its weights come
+from an LP, the module's one use of scipy.
 
 Values, derivatives and moment vectors come from the polynomial module,
 whose arithmetic never raises or warns on overflow.  A curve or barrier
@@ -41,7 +43,6 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
-from scipy import optimize as sciopt
 
 from .circuits import Circuit, CircuitCatalog, enumerate_circuits, is_even_point
 from .nonneg import CircuitPolynomial, is_nonneg_circuit
@@ -145,16 +146,14 @@ def verify_certificate(p: SparsePolynomial, cert: SoncCertificate) -> bool:
     return True
 
 
-def sonc_feasibility(p: SparsePolynomial, catalog: CircuitCatalog) -> SoncCertificate | None:
+def sonc_feasibility(p: SparsePolynomial) -> SoncCertificate | None:
     """Decompose p into nonnegative circuit polynomials plus an even
-    nonnegative monomial residual, all supported on the catalog.
+    nonnegative monomial residual, all supported on supp(p), whose circuit
+    catalog this builds (or reads from the cache).
 
     p is in the cone when the largest shift at every anchor (`_certify`) is
     >= 0; None means it is not, up to the solve's gap and the checker."""
-    for exp in p.coefficients:
-        if exp not in catalog.support:
-            raise ValueError(f"polynomial exponent {exp} missing from the catalog support")
-    return _certify(p, catalog, None)[0]
+    return _certify(p, enumerate_circuits(p.support), None)[0]
 
 
 def _certify(
@@ -467,9 +466,9 @@ def _unbounded_curve(p: SparsePolynomial) -> _Curve | None:
         diffs = [[a - b for a, b in zip(alpha, beta)] for beta in points if beta != alpha]
         # w = u - v with u, v >= 0; <w, alpha - beta> >= 1 for every beta.
         a_ub = -np.array(diffs, dtype=float)
-        lp = sciopt.linprog(
-            np.ones(2 * p.n), A_ub=np.hstack([a_ub, -a_ub]), b_ub=-np.ones(len(diffs)), method="highs"
-        )
+        from scipy.optimize import linprog  # on first use: importing sonckit loads no scipy
+
+        lp = linprog(np.ones(2 * p.n), A_ub=np.hstack([a_ub, -a_ub]), b_ub=-np.ones(len(diffs)), method="highs")
         if lp.status != 0:
             continue
         frac = [Fraction(float(u - v)).limit_denominator(1000) for u, v in zip(lp.x[: p.n], lp.x[p.n :])]
@@ -487,19 +486,17 @@ def _unbounded_curve(p: SparsePolynomial) -> _Curve | None:
 
 
 def _curve_point(p: SparsePolynomial, curve: _Curve) -> tuple[float, ...] | None:
-    """The first x(t) = (s_i t^(w_i)), t = 1, 2, 4, ..., 2^64, with
-    p(x(t)) < p(0) - scale and a finite moment vector; None if there is none."""
+    """The first x(t) = (s_i t^(w_i)), t = 1, 2, 4, ..., 2^64, with p(x(t))
+    < p(0) - scale, or None; `_best_moment` drops it if its moments overflow."""
     w, s = curve
-    support = _extended_support(p)
     target = p.coefficients.get((0,) * p.n, 0.0) - _scale(p)
     for k in range(65):
         try:
             x = tuple(si * 2.0 ** (k * wi) for si, wi in zip(s, w))
-            if p.evaluate(x) < target:
-                moment_vector(x, support)
-                return x
-        except (ValueError, OverflowError):  # x or a moment beyond the float range
+        except OverflowError:  # x beyond the float range
             continue
+        if p.evaluate(x) < target:
+            return x
     return None
 
 
@@ -512,13 +509,8 @@ def sonc_lower_bound(p: SparsePolynomial) -> BoundResult:
     the constant point of one barrier solve (`_certify`).  An odd or
     negative term in no circuit, a solve that fails, or one that fails the
     checker answers infeasible_unbounded.  Solves no LP."""
-    return _exact_bound(p)[0]
-
-
-def _exact_bound(p: SparsePolynomial) -> tuple[BoundResult, dict[Exponent, float]]:
-    """The certified bound of p and the barrier's vertex values (`_certify`)."""
-    cert, vertices = _certify(p, enumerate_circuits(_extended_support(p)), (0,) * p.n)
-    return (BoundResult(cert.gamma, None, cert, None, None, Status.CERTIFIED) if cert else _UNBOUNDED), vertices
+    cert = _certify(p, enumerate_circuits(_extended_support(p)), (0,) * p.n)[0]
+    return BoundResult(cert.gamma, None, cert, None, None, Status.CERTIFIED) if cert else _UNBOUNDED
 
 
 def _barrier_points(p: SparsePolynomial, vertices: dict[Exponent, float]) -> list[tuple[float, ...]]:
@@ -545,8 +537,9 @@ def _barrier_points(p: SparsePolynomial, vertices: dict[Exponent, float]) -> lis
 
 
 def _best_moment(p: SparsePolynomial, points: list) -> tuple[float, DualVector, tuple[float, ...]]:
-    """(p(z), moment vector of z, z) at the point z of least finite value.
-    A moment vector is a dual member as it is, so no oracle re-tests it;
+    """(p(z), moment vector of z, z) at the point z of least finite value
+    with finite moments; p(z) is their pairing with p's coefficients.  A
+    moment vector is a dual member as it is, so no oracle re-tests it;
     `points` starts with the origin, whose moment vector e_0 always counts."""
     support = _extended_support(p)
     best = None
@@ -555,7 +548,7 @@ def _best_moment(p: SparsePolynomial, points: list) -> tuple[float, DualVector, 
             v = moment_vector(z, support)
         except ValueError:  # a moment beyond the float range
             continue
-        val = sum(p.coefficients.get(exp, 0.0) * v[exp] for exp in support.points)
+        val = p.evaluate(z)
         if math.isfinite(val) and (best is None or val < best[0]):
             best = val, v, z
     return best
@@ -570,22 +563,17 @@ def certify_optimality(p: SparsePolynomial, seed: int = 0) -> BoundResult:
     p_sonc is -inf and the point on the curve exposing an odd or negative
     vertex (`_unbounded_curve`) joins them.  The dual point is the moment
     vector of the candidate z of least value, p_dual = p(z).  Optimality is
-    claimed when p(z) matches p_dual and the certified bound closes the gap,
-    so p_sonc <= inf p <= p(z) = p_dual pins the infimum.  The search is
+    claimed when the certified bound closes the gap to 1e-5 scale, so p_sonc
+    <= inf p <= p(z) = p_dual pins the infimum.  The search is
     deterministic: `seed` is accepted for callers that still pass it and
     ignored."""
-    primal, vertices = _exact_bound(p)
+    cert, vertices = _certify(p, enumerate_circuits(_extended_support(p)), (0,) * p.n)
     candidates = _barrier_points(p, vertices)
-    if not primal.certificate:
+    if not cert:
         curve = _unbounded_curve(p)
         x = _curve_point(p, curve) if curve is not None else None
         candidates += [x] if x is not None else []
-    value, v, z = _best_moment(p, candidates)
-    scale = _scale(p)
-    closed = (
-        math.isfinite(primal.p_sonc)
-        and abs(p.evaluate(z) - value) <= 1e-6 * scale
-        and value - primal.p_sonc <= 1e-5 * scale
-    )
-    status = Status.OPTIMALITY_CERTIFIED if closed else Status.CERTIFIED if primal.certificate else Status.DUAL_ONLY
-    return BoundResult(primal.p_sonc, value, primal.certificate, v, z if closed else None, status)
+    p_dual, v, z = _best_moment(p, candidates)
+    closed = cert is not None and p_dual - cert.gamma <= 1e-5 * _scale(p)
+    status = Status.OPTIMALITY_CERTIFIED if closed else Status.CERTIFIED if cert else Status.DUAL_ONLY
+    return BoundResult(cert.gamma if cert else -math.inf, p_dual, cert, v, z if closed else None, status)

@@ -142,8 +142,7 @@ def _cmd_bound(args) -> int:
 
 def _cmd_certify(args) -> int:
     p = _load_polynomial(_read(args.input))
-    catalog = enumerate_circuits(p.support)
-    cert = sonc_feasibility(p, catalog)
+    cert = sonc_feasibility(p)
     _emit(
         {"certified": cert is not None, "certificate": cert.to_json_dict() if cert else None},
         args.format,

@@ -24,6 +24,7 @@ sum_j lambda_j (b_j - s) = 0).
 The test runs vectorized over a catalog, one arity group at a time.  The
 dual SAGE test has no such closed form: it solves one minimax LP per support
 point, on HiGHS, or by the crossing of lines when the support is univariate.
+scipy is imported there, on first use, not with the module.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .circuits import ArityGroup, Circuit, enumerate_circuits
 from .entropy import DEFAULT_TOL, xlogx_over
@@ -87,6 +87,8 @@ def lp_min_infeasibility(rows: Sequence[tuple[Sequence[float], float]]) -> tuple
         raise ValueError("rows have mismatched dimensions")
     if n == 1:
         return _minimax_line([(float(a[0]), float(b)) for a, b in rows])
+    from scipy.optimize import linprog  # on first use: importing sonckit loads no scipy
+
     a_ub = np.hstack([-np.array([a for a, _ in rows], dtype=float), -np.ones((len(rows), 1))])
     b_ub = -np.array([b for _, b in rows], dtype=float)
     cost = np.eye(n + 1)[n]

@@ -8,9 +8,10 @@ catalog built on top of a support set.
 Dual vectors (one real value per support point) live here too, together
 with the moment vector (x^alpha)_{alpha in A} induced by a point x.
 
-Evaluation and moment vectors share one monomial kernel; values,
-gradients and Hessians at a batch of points come from a vectorized one,
-which sums the monomials of each term's derivatives.  Both keep one
+Evaluation and moment vectors share one monomial kernel, so p(x) is, to
+the bit, the pairing of p with the moment vector of x.  Values, gradients
+and Hessians at a batch of points come from a vectorized kernel, which
+sums the monomials of each term's derivatives.  Both keep one
 overflow rule: polynomial arithmetic never raises or warns on overflow (a
 power beyond the float range enters as +-inf, so a value may come back
 non-finite), and a non-finite moment vector is a ValueError, raised by
@@ -199,11 +200,12 @@ class SparsePolynomial:
 
     def evaluate(self, x: Sequence[float]) -> float:
         """Evaluate at a real point, with the convention 0**0 = 1; +-inf or
-        nan when a term leaves the float range."""
+        nan when a term leaves the float range.  Terms are coef * x^exp,
+        added left to right: the pairing with the moment vector of x."""
         xs = _point(x, self.n)
         total = 0.0
         for exp, coef in self.coefficients.items():  # not sum(): its float rounding changed in 3.12
-            total += _monomial(coef, xs, exp)
+            total += coef * _monomial(xs, exp)
         return total
 
     def to_json_dict(self) -> dict:
@@ -277,17 +279,18 @@ def _point(x: Sequence[float], n: int) -> list[float]:
     return [float(xi) for xi in x]
 
 
-def _monomial(start: float, x: list[float], exp: Exponent) -> float:
-    """start * prod_i x_i**e_i, multiplied left to right over the e_i != 0
-    (so 0**0 = 1).  A power beyond the float range enters as +-inf: this
-    never raises."""
+def _monomial(x: list[float], exp: Exponent) -> float:
+    """prod_i x_i**e_i, multiplied left to right over the e_i != 0 (so 0**0
+    = 1).  A power beyond the float range enters as +-inf: this never
+    raises."""
+    value = 1.0
     for xi, e in zip(x, exp):
         if e:
             try:
-                start *= xi**e
+                value *= xi**e
             except OverflowError:
-                start *= -math.inf if xi < 0.0 and e % 2 else math.inf
-    return start
+                value *= -math.inf if xi < 0.0 and e % 2 else math.inf
+    return value
 
 
 def value_gradient_hessian(p: SparsePolynomial, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -317,7 +320,7 @@ def moment_vector(x: Sequence[float], support: SupportSet) -> DualVector:
     """The vector (x^alpha)_{alpha in A}, with 0**0 = 1; a ValueError when
     a moment leaves the float range."""
     xs = _point(x, support.n)
-    return DualVector(support, {exp: _monomial(1.0, xs, exp) for exp in support.points})
+    return DualVector(support, {exp: _monomial(xs, exp) for exp in support.points})
 
 
 def parse_polynomial(text: str, n: int | None = None) -> SparsePolynomial:

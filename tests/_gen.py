@@ -156,6 +156,16 @@ def abs_coefficient_eval(p: SparsePolynomial, x) -> float:
     return total
 
 
+def pairing(p: SparsePolynomial, points, values) -> float:
+    """sum_e p_e v_e over the dual vector's points, added left to right.
+    Builtin sum() rounds floats differently from Python 3.12 on, so an
+    exact comparison with p_dual goes through this one loop."""
+    total = 0.0
+    for e, v in zip(points, values):
+        total += p.coefficients.get(tuple(e), 0.0) * v
+    return total
+
+
 def eval_on_points(p: SparsePolynomial, xs: np.ndarray) -> np.ndarray:
     """Vectorized evaluation of p on rows of xs."""
     total = np.zeros(len(xs))

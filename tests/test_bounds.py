@@ -9,6 +9,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize import minimize
 
 from sonckit import (
@@ -35,7 +36,7 @@ from sonckit.bounds import _unbounded_curve
 from sonckit.circuits import SupportTooLargeError
 from sonckit.polynomials import value_gradient_hessian
 
-from _gen import MOTZKIN_TEXT, RANDOM_STARTS, eval_on_points, multistart_min, random_sparse_poly, random_support
+from _gen import MOTZKIN_TEXT, RANDOM_STARTS, eval_on_points, multistart_min, pairing, random_sparse_poly, random_support
 
 #: Membership tolerance for the dual points the bound returns.
 DUAL_FEAS_TOL = 1e-7
@@ -59,15 +60,15 @@ def _record_solves(monkeypatch) -> list:
 
 
 def _record_lps(monkeypatch) -> list:
-    """Wrap bounds.sciopt.linprog so that every call appends its arguments."""
+    """Wrap scipy.optimize.linprog, which bounds imports on each use, so that every call appends its arguments."""
     lps = []
-    real = bounds.sciopt.linprog
+    real = scipy.optimize.linprog
 
     def counting(*args, **kwargs):
         lps.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(bounds.sciopt, "linprog", counting)
+    monkeypatch.setattr(scipy.optimize, "linprog", counting)
     return lps
 
 
@@ -78,8 +79,7 @@ def _extended_support_of(A: SupportSet) -> SupportSet:
 class TestFeasibility:
     def test_motzkin_is_a_single_piece(self):
         p = motzkin()
-        catalog = enumerate_circuits(p.support)
-        cert = sonc_feasibility(p, catalog)
+        cert = sonc_feasibility(p)
         assert cert is not None
         assert len(cert.pieces) == 1
         piece = cert.pieces[0]
@@ -91,31 +91,23 @@ class TestFeasibility:
 
     def test_residual_only(self):
         p = parse_polynomial("1 + x1^2")
-        catalog = enumerate_circuits(p.support)
-        cert = sonc_feasibility(p, catalog)
+        cert = sonc_feasibility(p)
         assert cert is not None and cert.pieces == ()
         assert cert.residual.coefficients == {(0,): 1.0, (2,): 1.0}
 
     def test_infeasible_quartic(self):
         p = parse_polynomial("1 + x1^4 - 3*x1^2")
-        assert sonc_feasibility(p, enumerate_circuits(p.support)) is None
+        assert sonc_feasibility(p) is None
 
     def test_odd_coefficient_without_circuit(self):
         p = parse_polynomial("1 + x1")
-        assert sonc_feasibility(p, enumerate_circuits(p.support)) is None
-
-    def test_support_mismatch_raises(self):
-        p = parse_polynomial("1 + x1^2")
-        other = enumerate_circuits(SupportSet.of([(0,), (4,)]))
-        with pytest.raises(ValueError):
-            sonc_feasibility(p, other)
+        assert sonc_feasibility(p) is None
 
     def test_split_across_two_circuits(self):
         # x^2 draws from both (0,2;1)-type circuits: 2 + x^4 - 2.5x^2 needs
         # the (0,4;2) circuit; 2*sqrt(2) > 2.5 so it is feasible
         p = parse_polynomial("2 + x1^4 - 2.5*x1^2")
-        catalog = enumerate_circuits(p.support)
-        cert = sonc_feasibility(p, catalog)
+        cert = sonc_feasibility(p)
         assert cert is not None
         assert verify_certificate(p, cert)
 
@@ -153,7 +145,7 @@ class TestFeasibility:
                 attempted -= 1
                 continue
             q = type(p)(catalog.support, dict(p.coefficients))
-            cert = sonc_feasibility(q, catalog)
+            cert = sonc_feasibility(q)
             if cert is None:
                 continue
             produced += 1
@@ -287,7 +279,7 @@ class TestLowerBound:
                 coeffs = dict(p.coefficients)
                 coeffs[zero] = coeffs.get(zero, 0.0) - gamma
                 q = type(p)(catalog.support, {e: c for e, c in coeffs.items() if c != 0.0})
-                trace.append(sonc_feasibility(q, catalog) is not None)
+                trace.append(sonc_feasibility(q) is not None)
             assert trace == [True] * 3 + [False] * 3, text
 
     def test_feasible_gamma_set_is_a_ray(self):
@@ -298,7 +290,7 @@ class TestLowerBound:
             coeffs = dict(p.coefficients)
             coeffs[(0,)] = coeffs.get((0,), 0.0) - gamma
             q = type(p)(catalog.support, {e: c for e, c in coeffs.items() if c != 0.0})
-            flags.append(sonc_feasibility(q, catalog) is not None)
+            flags.append(sonc_feasibility(q) is not None)
         # monotone: True...True False...False
         assert flags == sorted(flags, reverse=True)
         switch = flags.index(False)
@@ -408,7 +400,7 @@ class TestBarrierPoints:
 
     @staticmethod
     def barrier_point(p):
-        points = bounds._barrier_points(p, bounds._exact_bound(p)[1])
+        points = bounds._barrier_points(p, bounds._certify(p, enumerate_circuits(_extended(p)), (0,) * p.n)[1])
         assert points[0] == (0.0,) * p.n and len(points) == 3
         return points[1]
 
@@ -433,6 +425,31 @@ class TestBarrierPoints:
         for p in [parse_polynomial("1 + x1^4 - 3*x1^2", n=2), parse_polynomial("1 + x1^4 - 3*x1^2 + x1^2*x2^2 + x2^4")]:
             z = self.barrier_point(p)
             assert z[1] == 0.0 and z[0] == pytest.approx(math.sqrt(1.5), rel=1e-8)
+
+
+class TestRoundPieces:
+    """`_round_pieces` on hand-built path values."""
+
+    def test_shortfall_moves_to_the_anchored_piece(self):
+        # Bad point x^3 over the hosts 1, x^2 and x^4, with the constant the
+        # anchor: (x^2, x^4; x^3) has no anchor and (1, x^4; x^3) has one.
+        # x^2 is small, so the unanchored piece's Theta falls short of its share.
+        used = [(0,), (2,), (4,)]
+        lam = np.array([[0.0, 0.5, 0.5], [0.25, 0.0, 0.75]])
+        grp, p_bad, p_host = np.array([0, 0]), np.array([-1.0]), np.array([1.0, 0.01, 1.0])
+        fixed = np.array([True, False, False])
+        g = np.ones(2)
+        cs, deltas = bounds._round_pieces(lam, grp, p_bad, p_host, fixed, 1.0, np.ones(3), g, 0.5 * g, 1.5 * g)
+        assert cs[0, 1:] == pytest.approx([0.01, 0.4], rel=1e-15)  # x^4 split 1.25 : 1.875 of theta
+        theta = 2.0 * math.sqrt(0.01 * 0.4)
+        assert theta < 0.5  # the even split of p_bad would leave the piece negative
+        assert deltas[0] == pytest.approx(-theta, rel=1e-12)
+        assert deltas[0] + deltas[1] == pytest.approx(-1.0, rel=1e-15)
+        for r in range(2):
+            on = np.flatnonzero(lam[r])
+            circuit = Circuit(tuple(used[j] for j in on), (3,))
+            piece = CircuitPolynomial(circuit, tuple(cs[r, on].tolist()), float(deltas[r]))
+            assert is_nonneg_circuit(piece)[0], r
 
 
 class TestCertifyOptimality:
@@ -464,16 +481,18 @@ class TestCertifyOptimality:
         assert r.p_dual == r.p_sonc == p.coefficients.get((0,) * p.n, 0.0)
 
     def test_optimal_point_is_the_dual_points_z(self):
+        # p_dual is p(z), computed once: the pairing and a fresh evaluation agree to the bit.
         claimed = 0
-        for p in [motzkin(), parse_polynomial("1 + x1^4 - 3*x1^2"), *_criterion9_polys()]:
+        for p in [motzkin(), parse_polynomial("1 + x1^4 - 3*x1^2"), *_criterion9_polys(), *_bound_sonc_polys()]:
             r = certify_optimality(p)
             if r.status is not Status.OPTIMALITY_CERTIFIED:
                 continue
             claimed += 1
             support = _extended(p)
             assert moment_vector(r.optimal_point, support) == r.dual_point
-            assert r.p_dual == sum(p.coefficients.get(e, 0.0) * r.dual_point[e] for e in support.points)
-        assert claimed == 18
+            assert r.p_dual == pairing(p, support.points, r.dual_point.as_tuple())
+            assert r.p_dual == p.evaluate(r.optimal_point), p.coefficients
+        assert claimed == 29
 
     def test_unbounded_gives_dual_only(self):
         r = certify_optimality(parse_polynomial("x1"))
@@ -674,8 +693,7 @@ class TestNewtonPolytopeShortcut:
         blob = certify_optimality(p).to_json_dict()
         assert blob["status"] == "dual_only" and blob["p_sonc"] is None
         point = blob["dual_point"]
-        pairing = sum(p.coefficients.get(tuple(e), 0.0) * v for e, v in zip(point["points"], point["values"]))
-        assert blob["p_dual"] == pairing == 0.0
+        assert blob["p_dual"] == pairing(p, point["points"], point["values"]) == 0.0
 
     # The last text keeps a zero term's slot at x1^8: the catalog's circuit
     # ((0,), (8,); 3) must not hide the odd vertex 3.
@@ -690,7 +708,7 @@ class TestNewtonPolytopeShortcut:
         support = _extended(p)
         assert sonc_dual_membership(support, r.dual_point, tol=DUAL_FEAS_TOL).member
         assert r.dual_point[(0,) * p.n] == 1.0
-        assert r.p_dual == sum(p.coefficients.get(e, 0.0) * r.dual_point[e] for e in support.points)
+        assert r.p_dual == pairing(p, support.points, r.dual_point.as_tuple())
         # the curve point already lies below p(0) - scale
         assert r.p_dual < p.coefficients.get((0,) * p.n, 0.0) - (1.0 + max(map(abs, p.coefficients.values())))
 

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON schemas, determinism."""
 
 import json
+import os
 import pathlib
 import re
 import subprocess
@@ -363,6 +364,13 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["member"] is True
+
+    def test_import_loads_no_scipy(self):
+        # Only the two LPs need scipy, and they import it on first use.
+        code = "import sys, sonckit, sonckit.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(sonckit.__file__).parent.parent)}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert proc.stdout.strip() == "[]"
 
     def test_readme_quickstart_runs(self):
         readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
