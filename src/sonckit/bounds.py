@@ -21,11 +21,13 @@ is such a point evaluation, and the barrier ends near it: the candidates
 are the origin and z read off the barrier's vertex values, polished once.
 An odd or negative term that is the inner point of no circuit over the
 positive even points and the constant leaves its dual coordinate free, so
-the bound is -inf; by Caratheodory these are the odd or negative nonzero
-vertices of the Newton polytope.  The primal settles this while grouping
-its circuits, and only then does the dual look for the curve exposing such
-a vertex, whose point joins the origin as a candidate; its weights come
-from an LP, the module's one use of scipy.
+the bound is -inf.  By Caratheodory such terms exist iff the Newton
+polytope has an odd or negative nonzero vertex, and every such vertex is
+one, but not every such term is a vertex (x1^3 in 1 + x1^3 - x1^4).  The
+primal settles this while grouping its circuits, and only then does the
+dual look for the curve exposing such a vertex, whose point joins the
+origin as a candidate; its weights come from an LP, the module's one use
+of scipy.
 
 Values, derivatives and moment vectors come from the polynomial module,
 whose arithmetic never raises or warns on overflow.  A curve or barrier

@@ -158,7 +158,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--version", action="version", version=f"sonckit {__version__} (schema {SCHEMA_VERSION})"
     )
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOL, help="membership tolerance")
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL, help="membership tolerance (read only by check)")
     parser.add_argument("--format", choices=("json", "text"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 

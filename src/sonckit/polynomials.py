@@ -16,12 +16,17 @@ overflow rule: polynomial arithmetic never raises or warns on overflow (a
 power beyond the float range enters as +-inf, so a value may come back
 non-finite), and a non-finite moment vector is a ValueError, raised by
 DualVector like any other non-finite dual value.
+
+Text is a token grammar: one regular expression splits it into numbers,
+variables with their index and single characters, and one pass over the
+tokens builds the signed terms, raising each error at its token.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -323,6 +328,13 @@ def moment_vector(x: Sequence[float], support: SupportSet) -> DualVector:
     return DualVector(support, {exp: _monomial(xs, exp) for exp in support.points})
 
 
+#: A token after optional whitespace (group 1): a number (group 2: a digit or
+#: '.', then digits, '.', and 'e' or 'E' with an optional sign), a variable
+#: with its index (group 3, empty when missing), any other character, or the
+#: empty token ending the text.  Digits are Unicode decimals, as int() reads.
+_TOKEN = re.compile(r"\s*(([\d.](?:[\d.]|[eE][+-]?)*)|[xX]\s*(\d*)|\S|\Z)")
+
+
 def parse_polynomial(text: str, n: int | None = None) -> SparsePolynomial:
     """Parse sums of ``coef * x<i>^<e>`` terms, e.g. ``1 + x1^2*x2^4 - 3*x1^2*x2^2``.
 
@@ -332,134 +344,75 @@ def parse_polynomial(text: str, n: int | None = None) -> SparsePolynomial:
     """
     if n is not None and not 0 <= n <= MAX_VARIABLES:
         raise ValueError(f"dimension {n} outside 0..{MAX_VARIABLES}")
-    s = text
-    size = len(s)
-    pos = 0
-
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < size and s[pos].isspace():
-            pos += 1
-
-    def scan_number() -> tuple[str, int]:
-        nonlocal pos
-        start = pos
-        while pos < size and (
-            s[pos].isdigit()
-            or s[pos] == "."
-            or s[pos] in "eE"
-            or (s[pos] in "+-" and pos > start and s[pos - 1] in "eE")
-        ):
-            pos += 1
-        return s[start:pos], start
-
-    def read_coefficient() -> float:
-        tok, start = scan_number()
-        try:
-            return float(tok)
-        except ValueError:
-            raise ParseError(f"bad number {tok!r}", start) from None
-
-    def read_index() -> int:
-        nonlocal pos
-        skip_ws()
-        start = pos
-        while pos < size and s[pos].isdigit():
-            pos += 1
-        if start == pos:
-            raise ParseError("expected a variable index after 'x'", start)
-        return int(s[start:pos])
-
-    def read_exponent() -> int:
-        nonlocal pos
-        skip_ws()
-        if pos < size and s[pos] == "-":
-            raise ParseError("negative exponents are not allowed", pos)
-        tok, start = scan_number()
-        if not tok:
-            raise ParseError("expected an exponent after '^'", pos)
-        if any(ch in tok for ch in ".eE"):
-            raise ParseError(f"exponent {tok!r} must be a nonnegative integer", start)
-        value = int(tok)
-        if value > MAX_EXPONENT:
-            raise ParseError(f"exponent {value} exceeds the cap {MAX_EXPONENT}", start)
-        return value
-
-    terms: list[tuple[float, dict[int, int]]] = []
-    max_index = 0
-    skip_ws()
-    if pos >= size:
-        raise ParseError("empty polynomial", 0)
-    first = True
-    while True:
-        skip_ws()
-        if pos >= size:
-            if first:
-                raise ParseError("empty polynomial", pos)
+    terms: list[tuple[float, list[list[int]]]] = []
+    coef, factors = 1.0, []  # the current term; a factor is [index, exponent, position]
+    # The previous token: "start" (none), "sign", "*", "x" (a variable), "^"
+    # or "term" (a coefficient or an exponent).
+    after = "start"
+    for m in _TOKEN.finditer(text):
+        tok, number, index = m.groups()
+        at = m.start(1)
+        if after == "^":
+            if tok == "-":
+                raise ParseError("negative exponents are not allowed", at)
+            if number is None:
+                raise ParseError("expected an exponent after '^'", at)
+            if not number.isdecimal():
+                raise ParseError(f"exponent {number!r} must be a nonnegative integer", at)
+            factors[-1][1] = e = int(number)
+            if e > MAX_EXPONENT:
+                raise ParseError(f"exponent {e} exceeds the cap {MAX_EXPONENT}", at)
+            after = "term"
+        elif index is not None:
+            if not index:
+                raise ParseError("expected a variable index after 'x'", m.start(3))
+            i = int(index)
+            if i < 1:
+                raise ParseError("variable indices start at x1", at)
+            if i > MAX_VARIABLES:
+                raise ParseError(f"variable x{i} exceeds the cap x{MAX_VARIABLES}", at)
+            if n is not None and i > n:
+                raise ParseError(f"variable x{i} exceeds the declared dimension {n}", at)
+            factors.append([i, 1, at])
+            after = "x"
+        elif tok == "^" and after == "x":
+            after = "^"
+        elif tok == "*" and after != "*":
+            star, after = at, "*"
+        elif tok in ("+", "-") and after in ("start", "x", "term"):
+            if after != "start":
+                terms.append((coef, factors))
+            coef, factors, after = (-1.0 if tok == "-" else 1.0), [], "sign"
+        elif number is not None and after in ("start", "sign"):
+            try:
+                value = float(number)
+            except ValueError:
+                raise ParseError(f"bad number {number!r}", at) from None
+            if math.isinf(value):
+                raise ParseError(f"number {number!r} is beyond the float range", at)
+            coef *= value
+            after = "term"
+        elif not tok and after in ("x", "term"):  # the end of the text
+            terms.append((coef, factors))
             break
-        sign = 1.0
-        if first:
-            if s[pos] in "+-":
-                if s[pos] == "-":
-                    sign = -1.0
-                pos += 1
+        elif after == "*":
+            raise ParseError("dangling '*'", star)
+        elif after in ("x", "term"):
+            raise ParseError(f"expected '+' or '-', found {tok!r}", at)
         else:
-            if s[pos] == "+":
-                pos += 1
-            elif s[pos] == "-":
-                sign = -1.0
-                pos += 1
-            else:
-                raise ParseError(f"expected '+' or '-', found {s[pos]!r}", pos)
-        skip_ws()
-        coef: float | None = None
-        powers: dict[int, int] = {}
-        if pos < size and (s[pos].isdigit() or s[pos] == "."):
-            coef = read_coefficient()
-        while True:
-            skip_ws()
-            mandatory = False
-            if pos < size and s[pos] == "*":
-                pos += 1
-                mandatory = True
-                skip_ws()
-            if pos < size and s[pos] in "xX":
-                var_pos = pos
-                pos += 1
-                idx = read_index()
-                if idx < 1:
-                    raise ParseError("variable indices start at x1", var_pos)
-                if idx > MAX_VARIABLES:
-                    raise ParseError(f"variable x{idx} exceeds the cap x{MAX_VARIABLES}", var_pos)
-                if n is not None and idx > n:
-                    raise ParseError(f"variable x{idx} exceeds the declared dimension {n}", var_pos)
-                exp = 1
-                skip_ws()
-                if pos < size and s[pos] == "^":
-                    pos += 1
-                    exp = read_exponent()
-                powers[idx] = powers.get(idx, 0) + exp
-                if powers[idx] > MAX_EXPONENT:
-                    raise ParseError(f"accumulated exponent of x{idx} exceeds the cap {MAX_EXPONENT}", var_pos)
-                max_index = max(max_index, idx)
-            else:
-                if mandatory:
-                    raise ParseError("dangling '*'", pos - 1)
-                break
-        if coef is None and not powers:
-            raise ParseError("expected a term", pos)
-        terms.append((sign * (coef if coef is not None else 1.0), powers))
-        first = False
+            raise ParseError("empty polynomial" if not tok and after == "start" else "expected a term", at)
 
-    dim = max_index if n is None else n
+    dim = max((i for _, fs in terms for i, _, _ in fs), default=0) if n is None else n
     merged: dict[Exponent, float] = {}
-    seen: set[Exponent] = set()
-    for coefval, powers in terms:
-        exp = tuple(powers.get(i, 0) for i in range(1, dim + 1))
-        seen.add(exp)
-        merged[exp] = merged.get(exp, 0.0) + coefval
-    support = SupportSet(dim, tuple(seen))
-    return SparsePolynomial(support, {e: c for e, c in merged.items() if c != 0.0})
+    for c, term_factors in terms:
+        powers = [0] * dim
+        for i, e, at in term_factors:
+            powers[i - 1] += e
+            if powers[i - 1] > MAX_EXPONENT:
+                raise ParseError(f"accumulated exponent of x{i} exceeds the cap {MAX_EXPONENT}", at)
+        exp = tuple(powers)
+        merged[exp] = merged.get(exp, 0.0) + c
+    return SparsePolynomial(SupportSet(dim, tuple(merged)), merged)  # a sum that cancels keeps its slot
 
 
 def _format_coefficient(c: float) -> str:

@@ -70,6 +70,15 @@ class TestMinimaxLP:
         t, _ = lp_min_infeasibility([((0.0,), 2.0), ((1.0,), 0.0), ((-1.0,), 0.0)])
         assert t == pytest.approx(2.0, abs=1e-12)
 
+    def test_three_way_tie(self):
+        # All three rows meet at tau = 0.1, but rounded, the falling row drops
+        # to the flat level at a larger tau than the rising row leaves it; the
+        # midpoint of the two is taken.
+        rows = [((0.1,), 0.1 + 0.1 * 0.1), ((-0.3,), 0.1 - 0.3 * 0.1), ((0.0,), 0.1)]
+        t, tau = lp_min_infeasibility(rows)
+        assert t == 0.1 and tau[0] == pytest.approx(0.1, rel=1e-15)
+        assert abs(minimax_value(rows, tau) - t) <= 4 * math.ulp(t)
+
     def test_rejects_empty_and_ragged(self):
         with pytest.raises(ValueError):
             lp_min_infeasibility([])
@@ -180,6 +189,9 @@ class TestCircuitMembership:
 
     def test_zero_vertex_with_nonzero_inner_rejected(self):
         assert not circuit_dual_membership(self.circuit, self.dv(1.0, 0.5, 0.0))[0]
+
+    def test_zero_vertex_row_is_infinite(self):
+        assert circuit_row_infeasibility(self.circuit, self.dv(1.0, 0.5, 0.0), 0.5) == (math.inf, (0.0,))
 
     def test_matches_scalar_closed_form(self):
         # member iff v1^2 <= v0*v2

@@ -54,17 +54,57 @@ class TestParse:
         assert p.coefficients == {(2, 0, 0): 1.0}
 
     @pytest.mark.parametrize(
+        "text, n, coefficients",
+        [
+            ("x 1 ^ 2", 1, {(2,): 1.0}),
+            ("1e+5x1", 1, {(1,): 1e5}),
+            ("2.x1", 1, {(1,): 2.0}),
+            (".5", 0, {(): 0.5}),
+            ("X2", 2, {(0, 1): 1.0}),
+            ("x01", 1, {(1,): 1.0}),
+            ("*x1", 1, {(1,): 1.0}),
+            ("x1^1048576*x1^0", 1, {(1048576,): 1.0}),
+            ("\u0663x1^\u0662", 1, {(2,): 3.0}),  # Arabic-Indic digits: 3*x1^2
+        ],
+    )
+    def test_grammar(self, text, n, coefficients):
+        p = parse_polynomial(text)
+        assert p.n == n and p.coefficients == coefficients
+
+    @pytest.mark.parametrize(
         "text",
-        ["", "x1^-2", "x1^2.5", "1 +", "x0", "3*", "x", "2**x1", "x1^2000000", "1 ? 2"],
+        ["", "x1^-2", "x1^2.5", "1 +", "x0", "3*", "x", "2**x1", "x1^2000000", "1 ? 2",
+         "x1^", "x1^1048576*x1", "2 3", "x1 2", "- -x1", "2^3"],
     )
     def test_rejects_bad_text(self, text):
         with pytest.raises(ParseError):
             parse_polynomial(text)
 
-    def test_error_carries_position(self):
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("1 + x1^-2", 7),
+            # A dangling '*' is reported at the '*', not at the whitespace after it.
+            ("3 *  ", 2),
+            ("+840* 3", 4),
+            ("* e", 0),
+            # Non-decimal digits such as superscripts are no digits.
+            ("x\u00b2", 1),
+            ("x1^\u00b2", 3),
+            ("2*x1\u00b2", 4),
+            ("1e400*x1", 0),  # a number beyond the float range
+        ],
+    )
+    def test_error_carries_position(self, text, position):
         with pytest.raises(ParseError) as err:
-            parse_polynomial("1 + x1^-2")
-        assert err.value.position == 7
+            parse_polynomial(text)
+        assert err.value.position == position
+
+    def test_overflowing_sum_of_like_terms(self):
+        # Each number is finite; only their sum leaves the float range.
+        with pytest.raises(ValueError, match="not finite") as err:
+            parse_polynomial("9e307*x1 + 9e307*x1")
+        assert not isinstance(err.value, ParseError)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ParseError):

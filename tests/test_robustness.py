@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from sonckit import Circuit, SparsePolynomial, sonc_lower_bound, verify_certificate
 from sonckit.bounds import _unbounded_curve
 from sonckit.cli import _load_polynomial, main
-from sonckit.polynomials import MAX_VARIABLES
+from sonckit.polynomials import MAX_VARIABLES, ParseError, parse_polynomial
 
 from _gen import eval_on_points, multistart_min
 
@@ -244,6 +244,15 @@ def test_quartic_checks_exit_cleanly(text):
 @given(st.lists(TEXT_PIECES, min_size=1, max_size=8).map("".join))
 def test_malformed_text_through_bound_exits_cleanly(text):
     check_clean_exit(["bound"], text)
+
+
+@FUZZ
+@given(st.lists(st.one_of(TEXT_PIECES, st.just("\u00b2")), min_size=1, max_size=8).map("".join))
+def test_malformed_text_parses_or_raises_parse_error(text):
+    try:
+        parse_polynomial(text)
+    except ParseError:
+        pass
 
 
 @FUZZ
