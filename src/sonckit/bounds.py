@@ -26,8 +26,8 @@ polytope has an odd or negative nonzero vertex, and every such vertex is
 one, but not every such term is a vertex (x1^3 in 1 + x1^3 - x1^4).  The
 primal settles this while grouping its circuits, and only then does the
 dual look for the curve exposing such a vertex, whose point joins the
-origin as a candidate; its weights come from an LP, the module's one use
-of scipy.
+origin as a candidate; its weights come from the point of conv{alpha -
+beta} nearest the origin.  The module imports no scipy.
 
 Values, derivatives and moment vectors come from the polynomial module,
 whose arithmetic never raises or warns on overflow.  A curve or barrier
@@ -214,12 +214,12 @@ def _certify(
         vertices = dict(zip(used, path[1].tolist()))
         cs, deltas = _round_pieces(lam, grp, p_bad, p_host, fixed, *path)
         taken = cs.sum(axis=0)
-        for j, v in enumerate(used):  # an anchor keeps its shift, a vertex what its pieces leave
+        # An anchor keeps its shift; the pieces take all of a free vertex (a
+        # shortfall leaves p - gamma unmatched, and the checker rejects).
+        for j, v in enumerate(used):
             residual.pop(v, None)
             if fixed[j]:
                 shifts[v] = coeff[v] - float(taken[j])
-            elif taken[j] < (1.0 - 1e-12) * coeff[v]:
-                residual[v] = coeff[v] - float(taken[j])
         pieces = tuple(
             CertificatePiece(verts, beta, tuple(float(cs[r, pos[v]]) for v in verts), float(deltas[r]))
             for r, (beta, verts, _) in enumerate(rows)
@@ -437,6 +437,63 @@ def _descend(p: SparsePolynomial, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _nearest_point(diffs: list[list[int]]) -> list[Fraction] | None:
+    """The point x of the convex hull of the rows d nearest the origin,
+    scaled so that its least pairing <x, d> is 1, or None when some pairing
+    is <= 0 (the origin is in the hull) or Wolfe's algorithm does not settle
+    in 100 major cycles.  Unscaled, <x, d> >= |x|^2 for every row.
+
+    Wolfe's algorithm (Math. Program. 11, 1976) runs in floats to find the
+    corral: affinely independent rows holding x as a convex combination
+    lam.  A major cycle adds the row of least pairing with x; a minor cycle
+    moves lam toward the corral's affine minimizer until that is convex,
+    dropping a row each time lam reaches 0 there.  A cycle that does not
+    shrink |x|^2 ends the search.  Then x is solved exactly over the corral
+    S, whose rows all pair to |x|^2 with x: x = S' y with S S' y = 1, by
+    fraction-free elimination on Python ints, so every pairing is exact."""
+    rows = np.array(diffs, dtype=float)
+    corral, lam = [int(np.einsum("ij,ij->i", rows, rows).argmin())], np.ones(1)
+    x, last = rows[corral[0]], math.inf
+    for _ in range(100):
+        pairing = rows @ x
+        j, xx = int(pairing.argmin()), float(x @ x)
+        if pairing[j] >= (1.0 - 1e-12) * xx or not xx < last:
+            break
+        corral, lam, last = [*corral, j], np.append(lam, 0.0), xx
+        while True:
+            pts = rows[corral]
+            t = np.linalg.lstsq((pts[1:] - pts[0]).T, -pts[0], rcond=None)[0]
+            mu = np.concatenate([[1.0 - t.sum()], t])
+            if (mu > 0.0).all():
+                lam = mu
+                break
+            # The step to the first lam_i = 0 on the way; where mu_i <= 0, lam_i - mu_i >= lam_i.
+            ratio = np.where(mu > 0.0, np.inf, lam / np.maximum(lam - mu, 1e-300))
+            k = int(ratio.argmin())
+            lam = lam + ratio[k] * (mu - lam)
+            lam[k] = 0.0
+            keep = lam > 0.0
+            corral, lam = [c for c, kept in zip(corral, keep) if kept], lam[keep] / lam[keep].sum()
+        x = lam @ rows[corral]
+    else:
+        return None
+    basis = [diffs[c] for c in dict.fromkeys(corral)]  # a stalled cycle can add a row twice
+    # [S S' | 1], Gauss-Jordan by Bareiss: S S' is a Gram matrix, so its pivots
+    # are its leading minors, positive unless the corral spans the origin.
+    system = [[sum(a * b for a, b in zip(u, v)) for v in basis] + [1] for u in basis]
+    prev = 1
+    for col in range(len(system)):
+        top = system[col]
+        pivot = top[col]
+        if pivot <= 0:
+            return None
+        system = [row if row is top else [(pivot * a - row[col] * b) // prev for a, b in zip(row, top)] for row in system]
+        prev = pivot
+    x = [sum(row[-1] * u[i] for row, u in zip(system, basis)) for i in range(len(diffs[0]))]
+    least = min(sum(a * b for a, b in zip(x, d)) for d in diffs)
+    return [Fraction(xi, least) for xi in x] if least > 0 else None
+
+
 #: Integer weights w and signs s of the curve x(t) = (s_i t^(w_i)), t > 0.
 _Curve = tuple[tuple[int, ...], tuple[float, ...]]
 
@@ -450,11 +507,13 @@ def _unbounded_curve(p: SparsePolynomial) -> _Curve | None:
     odd or carries a negative coefficient: a weight vector w exposing alpha,
     <w, alpha - beta> > 0 for every other point beta, makes c_alpha s^alpha
     t^<w, alpha> the dominant term along the curve, and s makes it
-    negative.  A HiGHS LP with margin 1 and the least l1 norm proposes w;
+    negative.  The point x of conv{alpha - beta} nearest the origin
+    (`_nearest_point`) has <x, alpha - beta> >= |x|^2 > 0, so it proposes w;
     its rationalization must satisfy the strict inequalities in integers.
     The inner point of a circuit of the catalog with k >= 2 whose vertices
-    are among the points is no vertex and gets no LP; by Caratheodory that
-    is every non-vertex of a bounded input, so bounded inputs solve no LP."""
+    are among the points is no vertex and gets no nearest-point search; by
+    Caratheodory that is every non-vertex of a bounded input, so bounded
+    inputs run none."""
     zero = (0,) * p.n
     keys = set(p.coefficients) | {zero}
     points = sorted(keys)
@@ -466,14 +525,14 @@ def _unbounded_curve(p: SparsePolynomial) -> _Curve | None:
         if alpha == zero or (is_even_point(alpha) and coef > 0.0) or alpha in inner:
             continue
         diffs = [[a - b for a, b in zip(alpha, beta)] for beta in points if beta != alpha]
-        # w = u - v with u, v >= 0; <w, alpha - beta> >= 1 for every beta.
-        a_ub = -np.array(diffs, dtype=float)
-        from scipy.optimize import linprog  # on first use: importing sonckit loads no scipy
-
-        lp = linprog(np.ones(2 * p.n), A_ub=np.hstack([a_ub, -a_ub]), b_ub=-np.ones(len(diffs)), method="highs")
-        if lp.status != 0:
+        x = _nearest_point(diffs)
+        if x is None:
             continue
-        frac = [Fraction(float(u - v)).limit_denominator(1000) for u, v in zip(lp.x[: p.n], lp.x[p.n :])]
+        # At the least pairing max(1, L / 1000), L the largest l1 norm of a
+        # row, rounding each weight by at most 1/2000 moves no pairing by
+        # half of it, so the rationalized w exposes alpha too.
+        margin = Fraction(max(1000, max(sum(map(abs, d)) for d in diffs)), 1000)
+        frac = [(xi * margin).limit_denominator(1000) for xi in x]
         lcm = math.lcm(*(f.denominator for f in frac))
         w = [int(f * lcm) for f in frac]
         g = math.gcd(*w) or 1

@@ -335,6 +335,13 @@ def moment_vector(x: Sequence[float], support: SupportSet) -> DualVector:
 _TOKEN = re.compile(r"\s*(([\d.](?:[\d.]|[eE][+-]?)*)|[xX]\s*(\d*)|\S|\Z)")
 
 
+def _significant(digits: str) -> str:
+    """digits from its first nonzero digit on ("0" when all are zero), so a
+    value's length bounds it before int() reads it: int() refuses strings
+    of more than 4300 digits, leading zeros included."""
+    return digits[next((k for k, c in enumerate(digits) if int(c)), len(digits) - 1) :]
+
+
 def parse_polynomial(text: str, n: int | None = None) -> SparsePolynomial:
     """Parse sums of ``coef * x<i>^<e>`` terms, e.g. ``1 + x1^2*x2^4 - 3*x1^2*x2^2``.
 
@@ -359,14 +366,20 @@ def parse_polynomial(text: str, n: int | None = None) -> SparsePolynomial:
                 raise ParseError("expected an exponent after '^'", at)
             if not number.isdecimal():
                 raise ParseError(f"exponent {number!r} must be a nonnegative integer", at)
-            factors[-1][1] = e = int(number)
+            digits = _significant(number)
+            if len(digits) > len(str(MAX_EXPONENT)):
+                raise ParseError(f"exponent of {len(digits)} digits exceeds the cap {MAX_EXPONENT}", at)
+            factors[-1][1] = e = int(digits)
             if e > MAX_EXPONENT:
                 raise ParseError(f"exponent {e} exceeds the cap {MAX_EXPONENT}", at)
             after = "term"
         elif index is not None:
             if not index:
                 raise ParseError("expected a variable index after 'x'", m.start(3))
-            i = int(index)
+            digits = _significant(index)
+            if len(digits) > len(str(MAX_VARIABLES)):
+                raise ParseError(f"variable index of {len(digits)} digits exceeds the cap x{MAX_VARIABLES}", at)
+            i = int(digits)
             if i < 1:
                 raise ParseError("variable indices start at x1", at)
             if i > MAX_VARIABLES:

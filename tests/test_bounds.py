@@ -32,9 +32,9 @@ from sonckit import (
 )
 from sonckit import bounds
 from sonckit import dual
-from sonckit.bounds import _unbounded_curve
-from sonckit.circuits import SupportTooLargeError
-from sonckit.polynomials import value_gradient_hessian
+from sonckit.bounds import _nearest_point, _unbounded_curve
+from sonckit.circuits import SupportTooLargeError, is_even_point
+from sonckit.polynomials import MAX_EXPONENT, value_gradient_hessian
 
 from _gen import MOTZKIN_TEXT, RANDOM_STARTS, eval_on_points, multistart_min, pairing, random_sparse_poly, random_support
 
@@ -59,8 +59,21 @@ def _record_solves(monkeypatch) -> list:
     return calls
 
 
+def _record_nearest_points(monkeypatch) -> list:
+    """Wrap bounds._nearest_point, the curve's search, so that every call appends its rows."""
+    calls = []
+    real = bounds._nearest_point
+
+    def recording(diffs):
+        calls.append(diffs)
+        return real(diffs)
+
+    monkeypatch.setattr(bounds, "_nearest_point", recording)
+    return calls
+
+
 def _record_lps(monkeypatch) -> list:
-    """Wrap scipy.optimize.linprog, which bounds imports on each use, so that every call appends its arguments."""
+    """Wrap scipy.optimize.linprog, which the dual SAGE test imports on each use, so that every call appends its arguments."""
     lps = []
     real = scipy.optimize.linprog
 
@@ -70,6 +83,14 @@ def _record_lps(monkeypatch) -> list:
 
     monkeypatch.setattr(scipy.optimize, "linprog", counting)
     return lps
+
+
+def _exposing_lp(diffs: list) -> int:
+    """HiGHS status of the LP for w with <w, d> >= 1 for every row d and least
+    l1 norm: 0 when one exists, 2 when none does (the origin is in the hull)."""
+    rows = np.array(diffs, dtype=float)
+    c = np.ones(2 * rows.shape[1])
+    return scipy.optimize.linprog(c, A_ub=np.hstack([-rows, rows]), b_ub=-np.ones(len(rows)), method="highs").status
 
 
 def _extended_support_of(A: SupportSet) -> SupportSet:
@@ -645,11 +666,8 @@ class TestNewtonPolytopeShortcut:
         polys = [motzkin(), parse_polynomial("1 + x1^4 - 3*x1^2"), *_criterion9_polys(), *_bound_sonc_polys()]
         for p in polys:
             sonc_lower_bound(p)
+            certify_optimality(p)  # the curve of an unbounded input is a nearest-point search
         assert lps == []
-        # The curve of an unbounded input still costs certify_optimality its LP.
-        for p in polys:
-            certify_optimality(p)
-        assert len(lps) == 95
 
     def test_settled_without_oracle_calls(self, monkeypatch):
         calls = _record_solves(monkeypatch)
@@ -713,16 +731,90 @@ class TestNewtonPolytopeShortcut:
         assert r.p_dual < p.coefficients.get((0,) * p.n, 0.0) - (1.0 + max(map(abs, p.coefficients.values())))
 
 
-    def test_vertex_filter_skips_lps_and_keeps_curves(self, monkeypatch):
-        lps = _record_lps(monkeypatch)
+    def test_vertex_filter_skips_searches_and_keeps_curves(self, monkeypatch):
+        searches = _record_nearest_points(monkeypatch)
         polys = _criterion9_polys()
         curves = []
         for p in [motzkin(), *polys]:
-            before = len(lps)
+            before = len(searches)
             curves.append(_unbounded_curve(p))
             if curves[-1] is None:  # bounded: every non-vertex is a circuit's inner point
-                assert len(lps) == before, p.coefficients
+                assert len(searches) == before, p.coefficients
         assert curves[0] is None and sum(c is None for c in curves[1:]) == 17
+
+    def test_nearest_point_matches_lp(self):
+        # The margin-1 LP the search replaced is the oracle: where it finds w,
+        # x is the least-norm vector with every pairing >= 1 (a nonnegative
+        # combination of the rows it pairs to 1 with); where it is infeasible
+        # (the origin is in the hull), None.  Other statuses are HiGHS failing
+        # on rows near 2^20; x must then still be exact.
+        rng = np.random.default_rng(20)
+        face = [[3 - a, 5 - b] for a, b in [(0, 0), (1, 0), (8, 0), (0, 8)]]  # x1^3 x2^5 on an edge
+        sets = [face, [[3, 5]], [[2, 0], [2, 0], [-1, 0]], [[1, 1], [2, 2], [3, 3]]]
+        for i in range(400):
+            n, m = int(rng.integers(1, 4)), int(rng.integers(1, 9))
+            rows = rng.integers(-8, 9, size=(m, n))
+            if i % 4 == 1:  # duplicated rows
+                rows = rows[rng.integers(0, max(1, m // 2), size=m)]
+            elif i % 4 == 2:  # collinear, through the origin or on one side of it
+                rows = rng.integers(-4 if i % 8 == 2 else 1, 5, size=(m, 1)) * rows[:1]
+            elif i % 4 == 3:  # entries near +-MAX_EXPONENT
+                rows = rows + rng.choice([-MAX_EXPONENT, 0, MAX_EXPONENT], size=(m, n))
+            sets.append(rows.tolist())
+        statuses = []
+        for diffs in sets:
+            status = _exposing_lp(diffs)
+            statuses.append(status)
+            x = _nearest_point(diffs)
+            assert status != 0 or x is not None, diffs
+            assert status != 2 or x is None, diffs
+            if x is not None:
+                pairings = [sum(a * b for a, b in zip(x, d)) for d in diffs]
+                assert min(pairings) == 1, diffs
+                active = np.array([d for d, q in zip(diffs, pairings) if q == 1], dtype=float)
+                residual = scipy.optimize.nnls(active.T, np.array(x, dtype=float))[1]
+                assert residual <= 1e-9 * math.hypot(*map(float, x)), diffs
+        assert statuses.count(0) > 200 and statuses.count(2) > 150
+
+    def test_curve_matches_lp_per_vertex(self):
+        # _unbounded_curve tries the candidate points in order: every one the
+        # LP oracle exposes gets a curve, none it finds infeasible does.
+        rng = np.random.default_rng(21)
+        polys = [
+            parse_polynomial(
+                "0.17899249700312445*x2^8 + 0.005021853314619841*x1 - 90.09472658570888*x1^3*x2^5 + 276.4450271125257*x1^8"
+            )
+        ]
+        for i in range(300):
+            n, m = int(rng.integers(1, 4)), int(rng.integers(1, 7))
+            exps = rng.integers(0, 9, size=(m, n))
+            if i % 3 == 1:  # collinear: multiples of one direction
+                exps = rng.integers(0, 5, size=(m, 1)) * rng.integers(0, 3, size=(1, n))
+            elif i % 3 == 2:  # some entries near MAX_EXPONENT
+                exps = np.where(rng.random((m, n)) < 0.5, MAX_EXPONENT - exps, exps)
+            signs = rng.choice([-1.0, 1.0], size=m)
+            polys.append(SparsePolynomial.from_terms({tuple(e): c for e, c in zip(exps.tolist(), signs)}, n=n))
+        exposed = 0
+        for p in polys:
+            zero = (0,) * p.n
+            points = sorted(set(p.coefficients) | {zero})
+            status = {
+                a: _exposing_lp([[x - y for x, y in zip(a, b)] for b in points if b != a])
+                for a in points
+                if a != zero and not (is_even_point(a) and p.coefficients[a] > 0.0)
+            }
+            curve = _unbounded_curve(p)
+            if curve is None:
+                assert 0 not in status.values(), p.coefficients
+                continue
+            exposed += 1
+            w, s = curve
+            height = {b: sum(wi * bi for wi, bi in zip(w, b)) for b in points}
+            (alpha,) = [b for b in points if height[b] == max(height.values())]
+            assert all(type(wi) is int for wi in w) and status[alpha] != 2, p.coefficients
+            assert p.coefficients[alpha] * math.prod(si**e for si, e in zip(s, alpha)) < 0.0
+            assert all(st != 0 for a, st in status.items() if a < alpha), p.coefficients
+        assert 100 < exposed < len(polys) - 50
 
     @pytest.mark.parametrize("last", ["+ x1^41", "- x1^3"])
     def test_above_the_cap_raises(self, last):

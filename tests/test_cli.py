@@ -303,6 +303,13 @@ class TestBound:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    # int() refuses more than 4300 digits; the parser reports the token instead.
+    @pytest.mark.parametrize("text, position", [("x" + "1" * 5000, 0), ("1 + x1^" + "9" * 5000, 7)], ids=["index", "exponent"])
+    def test_digit_run_beyond_cap_exits_2(self, files, capsys, text, position):
+        code, out, err = run_main(["bound", files("long.txt", text)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "cap" in err and f"(at position {position})" in err and err.count("\n") == 1
+
 
 class TestCertify:
     def test_motzkin_certified(self, files, capsys):
@@ -366,11 +373,30 @@ class TestEntryPoint:
         assert json.loads(proc.stdout)["member"] is True
 
     def test_import_loads_no_scipy(self):
-        # Only the two LPs need scipy, and they import it on first use.
+        # Only one LP needs scipy, the dual SAGE test's, and it imports it on first use.
         code = "import sys, sonckit, sonckit.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
         env = {**os.environ, "PYTHONPATH": str(pathlib.Path(sonckit.__file__).parent.parent)}
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
         assert proc.stdout.strip() == "[]"
+
+    def test_bound_path_loads_no_scipy(self):
+        # The unbounded curve is a nearest-point search in numpy: bounding
+        # criterion 9's inputs, 83 of them unbounded, loads no scipy module.
+        code = """if True:
+            import sys
+            import numpy as np
+            from _gen import random_sparse_poly
+            from sonckit import Status, certify_optimality, parse_polynomial
+            rng = np.random.default_rng(109)
+            polys = [random_sparse_poly(rng, int(rng.integers(1, 3)), max_degree=6, max_terms=5) for _ in range(100)]
+            polys += [parse_polynomial("x1^2*x2 + 1"), parse_polynomial("1 + x1^3 + 0*x1^8")]
+            unbounded = sum(certify_optimality(p).status is Status.DUAL_ONLY for p in polys)
+            print(unbounded, [m for m in sys.modules if m.split('.')[0] == 'scipy'])
+        """
+        paths = [pathlib.Path(sonckit.__file__).parent.parent, pathlib.Path(__file__).parent]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, paths))}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert proc.stdout.strip() == "85 []"
 
     def test_readme_quickstart_runs(self):
         readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()

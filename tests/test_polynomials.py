@@ -100,6 +100,18 @@ class TestParse:
             parse_polynomial(text)
         assert err.value.position == position
 
+    def test_digit_runs_beyond_int_limit(self):
+        # int() refuses strings of more than 4300 digits; leading zeros, in any
+        # script, are no significant digits, and past the caps' length a token
+        # is an error at its position.
+        for text, position in [("x" + "1" * 5000, 0), ("1 + x1^" + "9" * 5000, 7), ("x1^" + "0" * 5000 + "12345678", 3)]:
+            with pytest.raises(ParseError, match="cap") as err:
+                parse_polynomial(text)
+            assert err.value.position == position
+        assert parse_polynomial("x1^" + "0" * 5000 + "2").coefficients == {(2,): 1.0}
+        assert parse_polynomial("x" + "0" * 5000 + "1^\u0660\u0660\u0662").coefficients == {(2,): 1.0}
+        assert parse_polynomial("x1^" + "0" * 5000).coefficients == {(0,): 1.0}
+
     def test_overflowing_sum_of_like_terms(self):
         # Each number is finite; only their sum leaves the float range.
         with pytest.raises(ValueError, match="not finite") as err:
