@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
@@ -252,9 +252,11 @@ def _central_path(lam: np.ndarray, grp: np.ndarray, p_host: np.ndarray, free: np
     `lam`, bad point grp[C]); its barrier -sum_C log(G_C^2 - u^2) - sum_free
     log v_a has parameter nu = 2 #C + #free.  Each u is eliminated exactly,
     and damped Newton runs on the free v (Schur-complement Hessian, Jacobi
-    scaling, Armijo while the decrement exceeds 1/4).  A stage ends at
-    decrement 1, the last one only when the decrement stops falling."""
+    scaling, Armijo while the decrement exceeds 1/4; a Schur term that
+    vanishes, each bad point having one circuit, is skipped).  A stage ends
+    at decrement 1, the last one only when the decrement stops falling."""
     first, lf = np.flatnonzero(np.diff(grp, prepend=-1)), lam[:, free]
+    lf0, dlf, ph, multi = lf[first], lf - lf[first][grp], p_host[free], len(first) < len(lam)
     nu = 2.0 * len(lam) + float(free.sum())
     scale = 1.0 + max(float(np.abs(p_host).max()), float(p_bad.max()))
     diagonal = np.diag_indices(lf.shape[1])
@@ -265,18 +267,19 @@ def _central_path(lam: np.ndarray, grp: np.ndarray, p_host: np.ndarray, free: np
         lg0, r, v = point
         rmin = np.minimum.reduceat(r, first)
         gmin = np.exp(lg0 + rmin)
-        d = gmin[grp] * np.expm1(r - rmin[grp])
-        s = _eliminate(gmin, d, first, grp, t * p_bad)
-        low, high = d + s[grp], d + 2.0 * gmin[grp] - s[grp]
-        u = t * p_bad / (2.0 * np.add.reduceat(1.0 / (low * high), first))
+        gg, tp = gmin[grp], t * p_bad
+        d = gg * np.expm1(r - rmin[grp])
+        ss = _eliminate(gmin, d, first, grp, tp)[grp]
+        low, high = d + ss, d + 2.0 * gg - ss
+        u = tp / (2.0 * np.add.reduceat(1.0 / (low * high), first))
         phi = t * (p_host @ v - p_bad @ u) - np.log(v[free]).sum() - np.log(low).sum() - np.log(high).sum()
-        return point, v, gmin[grp] + d, gmin, low, high, u, phi
+        return point, v, gg + d, gg, low, high, u, phi
 
     def moved(point: tuple, step: np.ndarray) -> tuple:
         lg0, r, v = point
         dz, v = np.log1p(step), v.copy()
         v[free] *= 1.0 + step
-        return lg0 + lf[first] @ dz, r + (lf - lf[first][grp]) @ dz, v
+        return lg0 + lf0 @ dz, r + dlf @ dz, v
 
     t, objective, first_stage = nu / scale, 0.0, True
     current = ((np.zeros(len(first)), np.zeros(len(lam)), np.ones(len(p_host))),)
@@ -285,16 +288,17 @@ def _central_path(lam: np.ndarray, grp: np.ndarray, p_host: np.ndarray, free: np
             final = nu / t <= _GAP * max(scale, abs(objective))
             current, last = state(current[0], t), math.inf
             for _ in range(300):
-                point, v, g, gmin, low, high, u, phi = current
+                point, v, g, gg, low, high, u, phi = current
                 a, b = g / low, g / high
-                grad = t * p_host[free] * v[free] - 1.0 - lf.T @ (a + b)
-                ww = a * a + b * b
-                rho, kappa = (a * a - b * b) / ww, gmin[grp] / g
-                # The Schur term of each bad point, as centered rows (no cancellation).
-                zbar = np.add.reduceat((ww * kappa * rho)[:, None] * lf, first) / np.add.reduceat(ww * kappa**2, first)[:, None]
-                rows = np.sqrt(ww)[:, None] * (rho[:, None] * lf - kappa[:, None] * zbar[grp])
+                aa, bb, ab = a * a, b * b, lf.T @ (a + b)
+                grad = t * ph * v[free] - 1.0 - ab
+                ww, rows = aa + bb, lf[:0]
+                if multi:  # the Schur term of each bad point, as centered rows (no cancellation)
+                    rho, kappa = (aa - bb) / ww, gg / g
+                    zbar = np.add.reduceat((ww * kappa * rho)[:, None] * lf, first) / np.add.reduceat(ww * kappa**2, first)[:, None]
+                    rows = np.sqrt(ww)[:, None] * (rho[:, None] * lf - kappa[:, None] * zbar[grp])
                 hess = lf.T @ ((4.0 * a * a * b * b / ww - a - b)[:, None] * lf)
-                hess[diagonal] += 1.0 + lf.T @ (a + b)
+                hess[diagonal] += 1.0 + ab
                 step = _newton_step(hess, rows, grad)
                 dec = float(-grad @ step) if step is not None else math.nan
                 if not math.isfinite(dec):
@@ -328,12 +332,13 @@ def _eliminate(gmin: np.ndarray, d: np.ndarray, first: np.ndarray, grp: np.ndarr
     """The slack s = min_C G_C - u per bad point at the u that minimizes
     -a u - sum_C log(G_C^2 - u^2), a = t |p_beta|, given d = G_C - min G:
     for one circuit s = G (1 + 1/(r + A)) / (1 + r), A = a G, r = sqrt(1 +
-    A^2); for k, Newton from there, clipped to [that, k / a]."""
+    A^2); for k, Newton from there, clipped to [that, k / a], which runs
+    only when some bad point has more than one circuit."""
     big = a * gmin
     r = np.hypot(1.0, big)
     s = lo = gmin * (1.0 + 1.0 / (r + big)) / (1.0 + r)
-    sizes = np.bincount(grp)
-    if sizes.max() > 1:
+    if len(first) < len(grp):
+        sizes = np.bincount(grp)
         hi = np.maximum(np.minimum(sizes / a, gmin), lo)
         for _ in range(50):
             low, high = 1.0 / (d + s[grp]), 1.0 / (d + 2.0 * gmin[grp] - s[grp])
@@ -345,20 +350,21 @@ def _eliminate(gmin: np.ndarray, d: np.ndarray, first: np.ndarray, grp: np.ndarr
 
 
 def _newton_step(hess: np.ndarray, rows: np.ndarray, grad: np.ndarray) -> np.ndarray | None:
-    """Solve (hess + rows' rows) d = -grad; None when singular.  Rows of
-    norm s > 1 enter an augmented system [[H, R'], [R, -diag(1/s^2)]] with
-    unit rows R instead, which stays well conditioned when s^2 dwarfs H
-    (circuits of one bad point near a tie); H is scaled to a unit diagonal."""
+    """Solve (hess + rows' rows) d = -grad, H scaled to a unit diagonal, as
+    it is unless rows of norm s > 1 enter an augmented system [[H, R'], [R,
+    -diag(1/s^2)]] with unit rows R instead, which stays well conditioned
+    when s^2 dwarfs H (circuits of one bad point near a tie); None when singular."""
     norms = np.linalg.norm(rows, axis=1)
     big = norms > 1.0
     hess = hess + rows[~big].T @ rows[~big]
     scale = 1.0 / np.sqrt(np.diag(hess))
-    unit, f = rows[big] / norms[big, None] * scale, len(hess)
-    system = np.zeros((f + len(unit), f + len(unit)))
-    system[:f, :f] = hess * np.outer(scale, scale)
-    system[:f, f:], system[f:, :f], system[f:, f:] = unit.T, unit, -np.diag(norms[big] ** -2.0)
+    system, rhs = hess * np.outer(scale, scale), -grad * scale
+    if big.any():
+        unit = rows[big] / norms[big, None] * scale
+        system = np.block([[system, unit.T], [unit, -np.diag(norms[big] ** -2.0)]])
+        rhs = np.concatenate([rhs, np.zeros(len(unit))])
     try:
-        return np.linalg.solve(system, np.concatenate([-grad * scale, np.zeros(len(unit))]))[:f] * scale
+        return np.linalg.solve(system, rhs)[: len(hess)] * scale
     except np.linalg.LinAlgError:
         return None
 
@@ -547,16 +553,17 @@ def _unbounded_curve(p: SparsePolynomial) -> _Curve | None:
 
 
 def _curve_point(p: SparsePolynomial, curve: _Curve) -> tuple[float, ...] | None:
-    """The first x(t) = (s_i t^(w_i)), t = 1, 2, 4, ..., 2^64, with p(x(t))
+    """The first x(t) = (s_i t^(w_i)), t = 1, 2, 4, ..., 2^64, then t = 1 +
+    2^-j, j = 1, ..., 52 (for weights too large for those), with finite p(x(t))
     < p(0) - scale, or None; `_best_moment` drops it if its moments overflow."""
     w, s = curve
     target = p.coefficients.get((0,) * p.n, 0.0) - _scale(p)
-    for k in range(65):
+    for base, k in chain(((2.0, k) for k in range(65)), ((1.0 + 2.0**-j, 1) for j in range(1, 53))):
         try:
-            x = tuple(si * 2.0 ** (k * wi) for si, wi in zip(s, w))
+            x = tuple(si * base ** (k * wi) for si, wi in zip(s, w))
         except OverflowError:  # x beyond the float range
             continue
-        if p.evaluate(x) < target:
+        if -math.inf < p.evaluate(x) < target:
             return x
     return None
 

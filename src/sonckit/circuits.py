@@ -235,6 +235,7 @@ class CircuitCatalog:
 
     support: SupportSet
     arity_groups: tuple[ArityGroup, ...]
+    _kept: dict[int, Circuit] = field(default_factory=dict, init=False, repr=False)
 
     def __len__(self) -> int:
         return sum(len(g.index) for g in self.arity_groups)
@@ -247,6 +248,13 @@ class CircuitCatalog:
             for g in self.arity_groups
             for verts, j in zip(g.vertices.tolist(), g.inner.tolist())
         )
+
+    def circuit(self, g: ArityGroup, r: int) -> Circuit:
+        """Row r of group g, built alone on its first request and kept."""
+        i, points = int(g.index[r]), self.support.points
+        if i not in self._kept:
+            self._kept[i] = Circuit(tuple(points[j] for j in g.vertices[r].tolist()), points[g.inner[r]])
+        return self._kept[i]
 
     def to_json_dict(self) -> dict:
         return {"circuits": [c.to_json_dict() for c in self.circuits]}

@@ -247,7 +247,7 @@ def sonc_dual_membership(
             failed, *found = _test_group(group, vals, tol)
             passed.append((group, *found))
         if failed.any():
-            return MembershipReport(False, (), catalog.circuits[group.index[failed.argmax()]])
+            return MembershipReport(False, (), catalog.circuit(group, int(failed.argmax())))
     witnesses = []
     for group, v_star, logs, mean in passed:
         taus = _taus(group, v_star, logs, mean).tolist()

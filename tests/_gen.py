@@ -126,6 +126,33 @@ def random_sparse_poly(
     return SparsePolynomial.from_terms(terms, n=n)
 
 
+def criterion9_polys() -> list[SparsePolynomial]:
+    """Acceptance criterion 9's 100 random polynomials (rng 109): n in
+    {1, 2}, degree <= 6, <= 5 terms."""
+    rng = np.random.default_rng(109)
+    return [random_sparse_poly(rng, int(rng.integers(1, 3)), max_degree=6, max_terms=5) for _ in range(100)]
+
+
+def even_simplex_polys(seed: int = 0, count: int = 18) -> list[SparsePolynomial]:
+    """Bounded polynomials over the even simplex conv{0, 2d e_i}: a positive
+    constant and x_i^2d, (n, 2d) cycling over n = 1..3 within 2d = 4, 6, 8,
+    plus 1..n+3 interior terms of either sign.  Seed 0 and count 18 give the
+    inputs of the bound-sonc benchmark workload."""
+    rng = np.random.default_rng(seed)
+    polys = []
+    for i in range(count):
+        n, two_d = 1 + i % 3, (4, 6, 8)[i // 3 % 3]
+        terms = {(0,) * n: 10.0 ** rng.uniform(-1, 1)}
+        for j in range(n):
+            terms[tuple(two_d if t == j else 0 for t in range(n))] = 10.0 ** rng.uniform(-1, 1)
+        interior = [a for a in itertools.product(range(1, two_d), repeat=n) if sum(a) < two_d]
+        k = int(rng.integers(1, n + 4))
+        for idx in rng.choice(len(interior), size=min(k, len(interior)), replace=False):
+            terms[interior[idx]] = float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(-1, 1)
+        polys.append(SparsePolynomial.from_terms(terms, n=n))
+    return polys
+
+
 #: Random starts of the multistart oracle, besides 0 and +-1.
 RANDOM_STARTS = 20
 

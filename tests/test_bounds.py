@@ -5,7 +5,7 @@ import json
 import math
 import warnings
 from fractions import Fraction
-from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,9 +34,19 @@ from sonckit import bounds
 from sonckit import dual
 from sonckit.bounds import _nearest_point, _unbounded_curve
 from sonckit.circuits import SupportTooLargeError, is_even_point
-from sonckit.polynomials import MAX_EXPONENT, value_gradient_hessian
+from sonckit.polynomials import MAX_EXPONENT, serialize_polynomial, value_gradient_hessian
 
-from _gen import MOTZKIN_TEXT, RANDOM_STARTS, eval_on_points, multistart_min, pairing, random_sparse_poly, random_support
+from _gen import (
+    MOTZKIN_TEXT,
+    RANDOM_STARTS,
+    criterion9_polys,
+    eval_on_points,
+    even_simplex_polys,
+    multistart_min,
+    pairing,
+    random_sparse_poly,
+    random_support,
+)
 
 #: Membership tolerance for the dual points the bound returns.
 DUAL_FEAS_TOL = 1e-7
@@ -198,7 +208,7 @@ class TestSelfDescribingCertificate:
 
     def test_checks_on_its_own_json(self):
         checked = 0
-        for p in [motzkin(), parse_polynomial("1 + x1^4 - 3*x1^2"), *_criterion9_polys(), *_bound_sonc_polys()]:
+        for p in [motzkin(), parse_polynomial("1 + x1^4 - 3*x1^2"), *criterion9_polys(), *even_simplex_polys()]:
             cert = certify_optimality(p).certificate
             if cert is None:
                 continue
@@ -242,7 +252,7 @@ class TestSelfDescribingCertificate:
 
         monkeypatch.setattr(Circuit, "__post_init__", counting)
         enumerate_circuits.cache_clear()
-        for p in [motzkin(), *_bound_sonc_polys()]:
+        for p in [motzkin(), *even_simplex_polys()]:
             built.clear()
             r = certify_optimality(p)
             assert r.certificate is not None
@@ -448,6 +458,54 @@ class TestBarrierPoints:
             assert z[1] == 0.0 and z[0] == pytest.approx(math.sqrt(1.5), rel=1e-8)
 
 
+def _augmented_step(hess, rows, grad):
+    """`_newton_step` as it was before the plain solve: every system
+    augmented, by zero extra rows when no row has norm > 1."""
+    norms = np.linalg.norm(rows, axis=1)
+    big = norms > 1.0
+    hess = hess + rows[~big].T @ rows[~big]
+    scale = 1.0 / np.sqrt(np.diag(hess))
+    unit, f = rows[big] / norms[big, None] * scale, len(hess)
+    system = np.zeros((f + len(unit), f + len(unit)))
+    system[:f, :f] = hess * np.outer(scale, scale)
+    system[:f, f:], system[f:, :f], system[f:, f:] = unit.T, unit, -np.diag(norms[big] ** -2.0)
+    return np.linalg.solve(system, np.concatenate([-grad * scale, np.zeros(len(unit))]))[:f] * scale
+
+
+def _backward_error(hess, rows, grad, d) -> float:
+    """|A d + grad| / (|A| |d| + |grad|) with A = hess + rows' rows and the
+    residual formed exactly, so an ill-conditioned A adds no rounding."""
+    exact = [[Fraction(x) for x in row] for row in rows]
+    A = [[Fraction(h) + sum(r[i] * r[j] for r in exact) for j, h in enumerate(hrow)] for i, hrow in enumerate(hess)]
+    res = [sum(a * Fraction(x) for a, x in zip(row, d)) + Fraction(g) for row, g in zip(A, grad)]
+    norm = lambda xs: math.sqrt(sum(float(x) ** 2 for x in xs))
+    return norm(res) / (norm([a for row in A for a in row]) * norm(d) + norm(grad))
+
+
+class TestNewtonStep:
+    """`_newton_step` on seeded SPD systems of 1-4 unknowns."""
+
+    # Rows of norm >> 1 come from circuits of one bad point near a tie. They
+    # are drawn fewer than the unknowns: rows that span every direction make
+    # the augmented route lose accuracy in the tiny step along them (normwise
+    # backward error up to about 1e-2 on such draws).
+    @pytest.mark.parametrize("big", [0, 1, 2, 3])
+    def test_solves_the_system(self, big):
+        rng = np.random.default_rng(100 + big)
+        for _ in range(50):
+            f = int(rng.integers(big + 1, 5))
+            q = rng.normal(size=(f, f))
+            hess, grad = q @ q.T + 0.1 * np.eye(f), rng.normal(size=f)
+            units = rng.normal(size=(big + int(rng.integers(0, 3)), f))
+            units /= np.linalg.norm(units, axis=1)[:, None]
+            norms = np.concatenate([10.0 ** rng.uniform(2, 8, size=big), rng.uniform(0.0, 1.0, size=len(units) - big)])
+            rows = units * norms[:, None]
+            for r in (rows, np.empty((0, f))):
+                d = bounds._newton_step(hess, r, grad)
+                assert _backward_error(hess, r, grad, d) <= 1e-10
+                assert np.array_equal(d, _augmented_step(hess, r, grad))
+
+
 class TestRoundPieces:
     """`_round_pieces` on hand-built path values."""
 
@@ -504,7 +562,7 @@ class TestCertifyOptimality:
     def test_optimal_point_is_the_dual_points_z(self):
         # p_dual is p(z), computed once: the pairing and a fresh evaluation agree to the bit.
         claimed = 0
-        for p in [motzkin(), parse_polynomial("1 + x1^4 - 3*x1^2"), *_criterion9_polys(), *_bound_sonc_polys()]:
+        for p in [motzkin(), parse_polynomial("1 + x1^4 - 3*x1^2"), *criterion9_polys(), *even_simplex_polys()]:
             r = certify_optimality(p)
             if r.status is not Status.OPTIMALITY_CERTIFIED:
                 continue
@@ -534,7 +592,7 @@ class TestCertifyOptimality:
     def test_weak_duality_to_rounding_on_criterion_9(self):
         # p_dual is p at an explicit point, so it can undercut the certified
         # bound by no more than the rounding of the two sums.
-        for p in [motzkin(), parse_polynomial("1 + x1^4 - 3*x1^2"), *_criterion9_polys()]:
+        for p in [motzkin(), parse_polynomial("1 + x1^4 - 3*x1^2"), *criterion9_polys()]:
             r = certify_optimality(p)
             if math.isfinite(r.p_sonc):
                 scale = 1.0 + max(abs(c) for c in p.coefficients.values())
@@ -573,32 +631,39 @@ class TestCertifyOptimality:
         assert checked >= 10
 
 
-def _criterion9_polys():
-    rng = np.random.default_rng(109)
-    polys = []
-    for _ in range(100):
-        n = int(rng.integers(1, 3))
-        polys.append(random_sparse_poly(rng, n, max_degree=6, max_terms=5))
-    return polys
+#: Bound outputs on criterion 9's inputs and the bound-sonc workload's 18,
+#: recorded before the barrier step was restructured (`bound_record`).
+GOLDEN = Path(__file__).parent / "data" / "bound_golden.json"
 
 
-def _bound_sonc_polys():
-    """The 18 inputs of the bound-sonc benchmark workload: a positive constant
-    and x_i^2d, 2d in 4, 6, 8, over n = 1..3, plus 1..n+3 interior terms of
-    either sign."""
-    rng = np.random.default_rng(0)
-    polys = []
-    for i in range(18):
-        n, two_d = 1 + i % 3, (4, 6, 8)[i // 3 % 3]
-        terms = {(0,) * n: 10.0 ** rng.uniform(-1, 1)}
-        for j in range(n):
-            terms[tuple(two_d if t == j else 0 for t in range(n))] = 10.0 ** rng.uniform(-1, 1)
-        interior = [a for a in product(range(1, two_d), repeat=n) if sum(a) < two_d]
-        k = int(rng.integers(1, n + 4))
-        for idx in rng.choice(len(interior), size=min(k, len(interior)), replace=False):
-            terms[interior[idx]] = float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(-1, 1)
-        polys.append(SparsePolynomial.from_terms(terms, n=n))
-    return polys
+def golden_inputs() -> list[SparsePolynomial]:
+    return [motzkin(), parse_polynomial("1 + x1^4 - 3*x1^2"), *criterion9_polys(), *even_simplex_polys()]
+
+
+def bound_record(p: SparsePolynomial) -> dict:
+    """The input's text, and the status, p_sonc, p_dual and each certificate
+    piece's (vertices, beta) that `certify_optimality` gives for it."""
+    blob = certify_optimality(p).to_json_dict()
+    pieces = [[q["vertices"], q["beta"]] for q in blob["certificate"]["pieces"]] if blob["certificate"] else None
+    keys = ("status", "p_sonc", "p_dual")
+    return {"poly": serialize_polynomial(p), **{key: blob[key] for key in keys}, "pieces": pieces}
+
+
+class TestBoundGolden:
+    def test_outputs_match_the_record(self):
+        # Statuses and circuits exactly; values to 1e-12 of max(|value|, scale),
+        # so a host whose BLAS rounds differently still passes.
+        golden = json.loads(GOLDEN.read_text())
+        polys = golden_inputs()
+        assert len(golden) == len(polys) == 120
+        for p, want in zip(polys, golden):
+            got = bound_record(p)
+            assert (got["poly"], got["status"], got["pieces"]) == (want["poly"], want["status"], want["pieces"])
+            scale = 1.0 + max(map(abs, p.coefficients.values()))
+            for key in ("p_sonc", "p_dual"):
+                assert (got[key] is None) == (want[key] is None), (want["poly"], key)
+                if want[key] is not None:
+                    assert abs(got[key] - want[key]) <= 1e-12 * max(abs(want[key]), scale), (want["poly"], key)
 
 
 def _along_curve(p, w, s):
@@ -615,7 +680,7 @@ def _along_curve(p, w, s):
 class TestNewtonPolytopeShortcut:
     def test_flagged_curves_descend(self):
         flagged = 0
-        for p in _criterion9_polys():
+        for p in criterion9_polys():
             curve = _unbounded_curve(p)
             if curve is None:
                 continue
@@ -652,7 +717,7 @@ class TestNewtonPolytopeShortcut:
         # term and no unbounded curve, and no other.
         calls = _record_solves(monkeypatch)
         without_bad_point = 0
-        for p in [motzkin(), parse_polynomial("1 + x1^4 - 3*x1^2"), *_criterion9_polys(), *_bound_sonc_polys()]:
+        for p in [motzkin(), parse_polynomial("1 + x1^4 - 3*x1^2"), *criterion9_polys(), *even_simplex_polys()]:
             bad = any(c < 0.0 or any(e % 2 for e in exp) for exp, c in p.coefficients.items())
             without_bad_point += not bad
             for solve in (sonc_lower_bound, certify_optimality):
@@ -663,7 +728,7 @@ class TestNewtonPolytopeShortcut:
 
     def test_lower_bound_solves_no_lp(self, monkeypatch):
         lps = _record_lps(monkeypatch)
-        polys = [motzkin(), parse_polynomial("1 + x1^4 - 3*x1^2"), *_criterion9_polys(), *_bound_sonc_polys()]
+        polys = [motzkin(), parse_polynomial("1 + x1^4 - 3*x1^2"), *criterion9_polys(), *even_simplex_polys()]
         for p in polys:
             sonc_lower_bound(p)
             certify_optimality(p)  # the curve of an unbounded input is a nearest-point search
@@ -696,7 +761,7 @@ class TestNewtonPolytopeShortcut:
 
         for name in ("sonc_dual_membership", "_test_group"):  # the oracle and the rule it applies
             monkeypatch.setattr(dual, name, counting(getattr(dual, name)))
-        for p in [motzkin(), parse_polynomial("1 + x1^4 - 3*x1^2"), *_criterion9_polys(), *_bound_sonc_polys()]:
+        for p in [motzkin(), parse_polynomial("1 + x1^4 - 3*x1^2"), *criterion9_polys(), *even_simplex_polys()]:
             certify_optimality(p)
         assert calls == []
 
@@ -731,9 +796,25 @@ class TestNewtonPolytopeShortcut:
         assert r.p_dual < p.coefficients.get((0,) * p.n, 0.0) - (1.0 + max(map(abs, p.coefficients.values())))
 
 
+    # Every x(2^k) of these curves overflows, so the point is x(1 + 2^-j).
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x1^1048575",
+            "-0.03467973175863058*x3^6 - 42.37608618097827*x2^2*x3 + 0.1244089117813604*x2^6"
+            " + 0.014826998243642003*x1^2*x2 - 0.07143013644409962*x1^7*x3",
+        ],
+    )
+    def test_curve_point_past_the_overflow(self, text):
+        p = parse_polynomial(text)
+        r = certify_optimality(p)
+        assert r.status is Status.DUAL_ONLY and r.dual_point is not None
+        assert math.isfinite(r.p_dual) and r.p_dual < -1.0
+        assert r.p_dual == pairing(p, _extended(p).points, r.dual_point.as_tuple())
+
     def test_vertex_filter_skips_searches_and_keeps_curves(self, monkeypatch):
         searches = _record_nearest_points(monkeypatch)
-        polys = _criterion9_polys()
+        polys = criterion9_polys()
         curves = []
         for p in [motzkin(), *polys]:
             before = len(searches)
@@ -869,17 +950,7 @@ class TestBatchedDescent:
     def test_no_worse_than_scipy_bfgs_on_even_simplices(self):
         # Fresh bounded draws over the even simplex conv{0, 2d e_i}, against
         # scipy's BFGS from the 15 starts the batched descent used to take.
-        rng = np.random.default_rng(20271)
-        for count in range(60):
-            n, two_d = 1 + count % 3, (4, 6, 8)[count // 3 % 3]
-            terms = {(0,) * n: 10.0 ** rng.uniform(-1, 1)}
-            for j in range(n):
-                terms[tuple(two_d if t == j else 0 for t in range(n))] = 10.0 ** rng.uniform(-1, 1)
-            interior = [a for a in product(range(1, two_d), repeat=n) if sum(a) < two_d]
-            k = min(int(rng.integers(1, n + 4)), len(interior))
-            for idx in rng.choice(len(interior), size=k, replace=False):
-                terms[interior[idx]] = float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(-1, 1)
-            p = SparsePolynomial.from_terms(terms, n=n)
+        for p in even_simplex_polys(20271, 60):
             want = self.scipy_best(p, random_starts=12)
             tol = 1e-9 * max(1.0 + max(map(abs, p.coefficients.values())), abs(want))
             assert multistart_min(p) <= want + tol, p.coefficients

@@ -330,6 +330,29 @@ class TestSoncDualMembership:
         first = next(i for i, c in enumerate(catalog.circuits) if not circuit_dual_membership(c, v)[0])
         assert report.violated_circuit == catalog.circuits[first]
 
+    def test_non_member_report_builds_only_its_circuit(self, monkeypatch):
+        support = SupportSet.of([a for a in itertools.product(range(9), repeat=2) if sum(a) <= 8])
+        vals = dict(moment_vector((0.7, -1.3), support).values)
+        vals[(2, 2)] *= 1.5
+        v = DualVector(support, vals)
+        built = []
+        post_init = Circuit.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Circuit, "__post_init__", counting)
+        enumerate_circuits.cache_clear()
+        report = sonc_dual_membership(support, v)  # on a cold catalog
+        assert not report.member and built == [report.violated_circuit]
+        catalog = enumerate_circuits(support)
+        first = next(i for i, c in enumerate(catalog.circuits) if not circuit_dual_membership(c, v)[0])
+        assert len(catalog) == 1428 and report.violated_circuit == catalog.circuits[first]
+        built.clear()  # a warm catalog hands out the circuit it kept
+        assert sonc_dual_membership(support, v).violated_circuit is report.violated_circuit
+        assert built == []
+
 
 class TestAgainstLPRoute:
     """The closed form against the per-circuit LP it replaced."""
