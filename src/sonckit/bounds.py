@@ -251,10 +251,11 @@ def _central_path(lam: np.ndarray, grp: np.ndarray, p_host: np.ndarray, free: np
     u_beta <= G_C(v) = prod_a v_a^lambda_a for each circuit C (row C of
     `lam`, bad point grp[C]); its barrier -sum_C log(G_C^2 - u^2) - sum_free
     log v_a has parameter nu = 2 #C + #free.  Each u is eliminated exactly,
-    and damped Newton runs on the free v (Schur-complement Hessian, Jacobi
-    scaling, Armijo while the decrement exceeds 1/4; a Schur term that
-    vanishes, each bad point having one circuit, is skipped).  A stage ends
-    at decrement 1, the last one only when the decrement stops falling."""
+    and damped Newton runs on the free v (Schur-complement Hessian H + R'R,
+    one Jacobi-scaled solve, Armijo while the decrement exceeds 1/4; the
+    Schur rows R vanish, and are skipped, when each bad point has one
+    circuit).  A stage ends at decrement 1, the last one only when the
+    decrement stops falling."""
     first, lf = np.flatnonzero(np.diff(grp, prepend=-1)), lam[:, free]
     lf0, dlf, ph, multi = lf[first], lf - lf[first][grp], p_host[free], len(first) < len(lam)
     nu = 2.0 * len(lam) + float(free.sum())
@@ -350,21 +351,13 @@ def _eliminate(gmin: np.ndarray, d: np.ndarray, first: np.ndarray, grp: np.ndarr
 
 
 def _newton_step(hess: np.ndarray, rows: np.ndarray, grad: np.ndarray) -> np.ndarray | None:
-    """Solve (hess + rows' rows) d = -grad, H scaled to a unit diagonal, as
-    it is unless rows of norm s > 1 enter an augmented system [[H, R'], [R,
-    -diag(1/s^2)]] with unit rows R instead, which stays well conditioned
-    when s^2 dwarfs H (circuits of one bad point near a tie); None when singular."""
-    norms = np.linalg.norm(rows, axis=1)
-    big = norms > 1.0
-    hess = hess + rows[~big].T @ rows[~big]
+    """Solve (hess + rows' rows) d = -grad by one LU solve of the system
+    scaled to a unit diagonal, which is backward stable however large the
+    rows are (circuits of one bad point near a tie); None when singular."""
+    hess = hess + rows.T @ rows
     scale = 1.0 / np.sqrt(np.diag(hess))
-    system, rhs = hess * np.outer(scale, scale), -grad * scale
-    if big.any():
-        unit = rows[big] / norms[big, None] * scale
-        system = np.block([[system, unit.T], [unit, -np.diag(norms[big] ** -2.0)]])
-        rhs = np.concatenate([rhs, np.zeros(len(unit))])
     try:
-        return np.linalg.solve(system, rhs)[: len(hess)] * scale
+        return np.linalg.solve(hess * np.outer(scale, scale), -grad * scale) * scale
     except np.linalg.LinAlgError:
         return None
 

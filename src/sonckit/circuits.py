@@ -242,12 +242,7 @@ class CircuitCatalog:
 
     @cached_property
     def circuits(self) -> tuple[Circuit, ...]:
-        points = self.support.points
-        return tuple(
-            Circuit(tuple(points[i] for i in verts), points[j])
-            for g in self.arity_groups
-            for verts, j in zip(g.vertices.tolist(), g.inner.tolist())
-        )
+        return tuple(self.circuit(g, r) for g in self.arity_groups for r in range(len(g.index)))
 
     def circuit(self, g: ArityGroup, r: int) -> Circuit:
         """Row r of group g, built alone on its first request and kept."""

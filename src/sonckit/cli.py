@@ -49,8 +49,7 @@ def _load_support(text: str) -> SupportSet:
         obj = json.loads(stripped)
         if "points" in obj:
             return SupportSet.from_json_dict(obj)
-        return SparsePolynomial.from_json_dict(obj).support
-    return parse_polynomial(stripped).support
+    return _load_polynomial(text).support
 
 
 def _emit(obj: dict, fmt: str) -> None:

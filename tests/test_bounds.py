@@ -458,52 +458,60 @@ class TestBarrierPoints:
             assert z[1] == 0.0 and z[0] == pytest.approx(math.sqrt(1.5), rel=1e-8)
 
 
-def _augmented_step(hess, rows, grad):
-    """`_newton_step` as it was before the plain solve: every system
-    augmented, by zero extra rows when no row has norm > 1."""
-    norms = np.linalg.norm(rows, axis=1)
-    big = norms > 1.0
-    hess = hess + rows[~big].T @ rows[~big]
-    scale = 1.0 / np.sqrt(np.diag(hess))
-    unit, f = rows[big] / norms[big, None] * scale, len(hess)
-    system = np.zeros((f + len(unit), f + len(unit)))
-    system[:f, :f] = hess * np.outer(scale, scale)
-    system[:f, f:], system[f:, :f], system[f:, f:] = unit.T, unit, -np.diag(norms[big] ** -2.0)
-    return np.linalg.solve(system, np.concatenate([-grad * scale, np.zeros(len(unit))]))[:f] * scale
-
-
 def _backward_error(hess, rows, grad, d) -> float:
     """|A d + grad| / (|A| |d| + |grad|) with A = hess + rows' rows and the
-    residual formed exactly, so an ill-conditioned A adds no rounding."""
+    residual formed exactly, so an ill-conditioned A adds no rounding; 0 for
+    an exact solve (the final steps, where grad and d can both be 0)."""
     exact = [[Fraction(x) for x in row] for row in rows]
     A = [[Fraction(h) + sum(r[i] * r[j] for r in exact) for j, h in enumerate(hrow)] for i, hrow in enumerate(hess)]
     res = [sum(a * Fraction(x) for a, x in zip(row, d)) + Fraction(g) for row, g in zip(A, grad)]
-    norm = lambda xs: math.sqrt(sum(float(x) ** 2 for x in xs))
-    return norm(res) / (norm([a for row in A for a in row]) * norm(d) + norm(grad))
+    norm = lambda xs: math.hypot(*map(float, xs))
+    return norm(res) and norm(res) / (norm([a for row in A for a in row]) * norm(d) + norm(grad))
 
 
 class TestNewtonStep:
-    """`_newton_step` on seeded SPD systems of 1-4 unknowns."""
+    """`_newton_step` on seeded SPD systems of 1-4 unknowns, and on the barrier's own."""
 
-    # Rows of norm >> 1 come from circuits of one bad point near a tie. They
-    # are drawn fewer than the unknowns: rows that span every direction make
-    # the augmented route lose accuracy in the tiny step along them (normwise
-    # backward error up to about 1e-2 on such draws).
+    @staticmethod
+    def check(rng, f, big):
+        """Draw a system of f unknowns with `big` rows of norm 1e2-1e8, as
+        circuits of one bad point near a tie give, and up to two of norm < 1;
+        check the step's backward error with those rows and with none."""
+        q = rng.normal(size=(f, f))
+        hess, grad = q @ q.T + 0.1 * np.eye(f), rng.normal(size=f)
+        units = rng.normal(size=(big + int(rng.integers(0, 3)), f))
+        units /= np.linalg.norm(units, axis=1)[:, None]
+        norms = np.concatenate([10.0 ** rng.uniform(2, 8, size=big), rng.uniform(0.0, 1.0, size=len(units) - big)])
+        rows = units * norms[:, None]
+        for r in (rows, np.empty((0, f))):
+            d = bounds._newton_step(hess, r, grad)
+            assert _backward_error(hess, r, grad, d) <= 1e-12
+
     @pytest.mark.parametrize("big", [0, 1, 2, 3])
     def test_solves_the_system(self, big):
         rng = np.random.default_rng(100 + big)
         for _ in range(50):
-            f = int(rng.integers(big + 1, 5))
-            q = rng.normal(size=(f, f))
-            hess, grad = q @ q.T + 0.1 * np.eye(f), rng.normal(size=f)
-            units = rng.normal(size=(big + int(rng.integers(0, 3)), f))
-            units /= np.linalg.norm(units, axis=1)[:, None]
-            norms = np.concatenate([10.0 ** rng.uniform(2, 8, size=big), rng.uniform(0.0, 1.0, size=len(units) - big)])
-            rows = units * norms[:, None]
-            for r in (rows, np.empty((0, f))):
-                d = bounds._newton_step(hess, r, grad)
-                assert _backward_error(hess, r, grad, d) <= 1e-10
-                assert np.array_equal(d, _augmented_step(hess, r, grad))
+            self.check(rng, int(rng.integers(big + 1, 5)), big)
+
+    @pytest.mark.parametrize("f", [1, 2, 3, 4])
+    def test_big_rows_spanning_every_direction(self, f):
+        # The step along such rows is tiny next to the gradient.
+        rng = np.random.default_rng(200 + f)
+        for _ in range(50):
+            self.check(rng, f, f + int(rng.integers(0, 2)))
+
+    def test_barrier_steps_are_backward_stable(self, monkeypatch):
+        errors, real = [], bounds._newton_step
+
+        def recording(hess, rows, grad):
+            d = real(hess, rows, grad)
+            errors.append(_backward_error(hess, rows, grad, d))
+            return d
+
+        monkeypatch.setattr(bounds, "_newton_step", recording)
+        for p in golden_inputs():
+            certify_optimality(p)
+        assert len(errors) > 500 and max(errors) <= 1e-12
 
 
 class TestRoundPieces:

@@ -357,6 +357,7 @@ class TestArityGroups:
             assert np.concatenate([g.index for g in groups]).tolist() == list(range(len(catalog)))
             for g in groups:
                 cs = [catalog.circuits[i] for i in g.index]
+                assert all(c is catalog.circuit(g, r) for r, c in enumerate(cs))
                 m, k = len(cs), cs[0].k
                 rows = np.array(
                     [[[b - a for a, b in zip(vert, c.inner)] for vert in c.vertices] for c in cs], dtype=float
