@@ -24,10 +24,11 @@ positive even points and the constant leaves its dual coordinate free, so
 the bound is -inf.  By Caratheodory such terms exist iff the Newton
 polytope has an odd or negative nonzero vertex, and every such vertex is
 one, but not every such term is a vertex (x1^3 in 1 + x1^3 - x1^4).  The
-primal settles this while grouping its circuits, and only then does the
-dual look for the curve exposing such a vertex, whose point joins the
-origin as a candidate; its weights come from the point of conv{alpha -
-beta} nearest the origin.  The module imports no scipy.
+primal settles this while grouping its circuits, the one place a catalog
+is built (only when some term is odd or negative), and names those terms;
+the dual searches only them for the curve exposing such a vertex, whose
+point joins the origin as a candidate; its weights come from the point of
+conv{alpha - beta} nearest the origin.  The module imports no scipy.
 
 Values, derivatives and moment vectors come from the polynomial module,
 whose arithmetic never raises or warns on overflow.  A curve or barrier
@@ -46,7 +47,7 @@ from itertools import chain, product
 
 import numpy as np
 
-from .circuits import Circuit, CircuitCatalog, enumerate_circuits, is_even_point
+from .circuits import Circuit, enumerate_circuits, is_even_point
 from .nonneg import CircuitPolynomial, is_nonneg_circuit
 from .polynomials import DualVector, Exponent, SparsePolynomial, SupportSet, moment_vector, value_gradient_hessian
 
@@ -151,45 +152,49 @@ def verify_certificate(p: SparsePolynomial, cert: SoncCertificate) -> bool:
 def sonc_feasibility(p: SparsePolynomial) -> SoncCertificate | None:
     """Decompose p into nonnegative circuit polynomials plus an even
     nonnegative monomial residual, all supported on supp(p), whose circuit
-    catalog this builds (or reads from the cache).
+    catalog this builds (or reads from the cache) when p has an odd or
+    negative term.
 
     p is in the cone when the largest shift at every anchor (`_certify`) is
     >= 0; None means it is not, up to the solve's gap and the checker."""
-    return _certify(p, enumerate_circuits(p.support), None)[0]
+    return _certify(p, p.support, None)[0]
 
 
 def _certify(
-    p: SparsePolynomial, catalog: CircuitCatalog, keep: Exponent | None
-) -> tuple[SoncCertificate | None, dict[Exponent, float]]:
-    """The checked certificate of p - gamma x^keep, gamma the largest shift
-    at keep (0 when keep is None), and the barrier's value at each circuit
-    vertex; (None, {}) when some term has no circuit (p is unbounded below:
-    the module's one boundedness test), the path fails or the checker
-    rejects.  Each odd or negative term (a bad point) is covered by
-    circuits with that inner point and vertices among the positive even
-    points and the constant, read with their weights off the arity groups
-    (no Circuit is built), in the order of the bad points, then of the
-    catalog.  Circuits sharing a vertex or an inner point form a component,
-    anchored at its least vertex.  One barrier path finds the largest shift
-    at every anchor; the other shifts (above 1e-12 scale) and unused
-    positive even points form the residual.  Without a bad point no path
-    runs and the vertex values are {}."""
-    zero, points = (0,) * p.n, catalog.support.points
+    p: SparsePolynomial, support: SupportSet, keep: Exponent | None
+) -> tuple[SoncCertificate | None, dict[Exponent, float], list[Exponent]]:
+    """The checked certificate of p - gamma x^keep over `support`, gamma the
+    largest shift at keep (0 when keep is None), the barrier's value at each
+    circuit vertex, and the sorted odd or negative terms (bad points) that
+    no circuit covers: the module's one boundedness test, as any of them
+    makes p unbounded below.  (None, {}, those terms) when there are some,
+    (None, {}, []) when the path fails or the checker rejects.  The catalog
+    is built only when there is a bad point.  Each is covered by circuits
+    with that inner point and vertices among the positive even points and
+    the constant, read with their weights off the arity groups (no Circuit
+    is built), in the order of the bad points, then of the catalog.
+    Circuits sharing a vertex or an inner point form a component, anchored
+    at its least vertex.  One barrier path finds the largest shift at every
+    anchor; the other shifts (above 1e-12 scale) and unused positive even
+    points form the residual.  Without a bad point no path runs and the
+    vertex values are {}."""
+    zero, points = (0,) * p.n, support.points
     coeff = {exp: p.coefficients.get(exp, 0.0) for exp in points}
     hosts = {exp for exp, c in coeff.items() if is_even_point(exp) and (c > 0.0 or exp == zero)}
     groups: dict[Exponent, list] = {exp: [] for exp, c in coeff.items() if c != 0.0 and exp not in hosts}
-    is_bad, is_host = (np.array([exp in s for exp in points]) for s in (groups, hosts))
-    for g in catalog.arity_groups:  # k = 1 never matches: its inner point is its vertex
-        for r in np.flatnonzero(is_bad[g.inner] & is_host[g.vertices].all(axis=1)).tolist():
-            groups[points[g.inner[r]]].append((tuple(points[j] for j in g.vertices[r].tolist()), g.weights[r]))
-    if any(not g for g in groups.values()):
-        return None, {}
     shifts = {zero: coeff[zero]} if zero in coeff else {}
     residual = {exp: coeff[exp] for exp in hosts if exp != zero}
     pieces: tuple[CertificatePiece, ...] = ()
     vertices: dict[Exponent, float] = {}
     if groups:
         bad = sorted(groups)
+        is_bad, is_host = (np.array([exp in s for exp in points]) for s in (groups, hosts))
+        for g in enumerate_circuits(support).arity_groups:  # k = 1 never matches: its inner point is its vertex
+            for r in np.flatnonzero(is_bad[g.inner] & is_host[g.vertices].all(axis=1)).tolist():
+                groups[points[g.inner[r]]].append((tuple(points[j] for j in g.vertices[r].tolist()), g.weights[r]))
+        uncovered = [beta for beta in bad if not groups[beta]]
+        if uncovered:
+            return None, {}, uncovered
         rows = [(beta, verts, mu) for beta in bad for verts, mu in groups[beta]]
         used = sorted({v for _, verts, _ in rows for v in verts})
         pos = {v: j for j, v in enumerate(used)}
@@ -210,7 +215,7 @@ def _certify(
         p_bad, p_host = np.array([coeff[beta] for beta in bad]), np.array([coeff[v] for v in used])
         path = _central_path(lam, grp, p_host, ~fixed, np.abs(p_bad))
         if path is None:
-            return None, {}
+            return None, {}, []
         vertices = dict(zip(used, path[1].tolist()))
         cs, deltas = _round_pieces(lam, grp, p_bad, p_host, fixed, *path)
         taken = cs.sum(axis=0)
@@ -236,7 +241,7 @@ def _certify(
         shifts[keep] = coeff[keep] - gamma - at_keep
     residual.update({a: shift for a, shift in shifts.items() if shift > 1e-12 * _scale(p)})
     cert = SoncCertificate(gamma, pieces, SparsePolynomial.from_terms(residual, n=p.n))
-    return (cert, vertices) if math.isfinite(gamma) and verify_certificate(p, cert) else (None, {})
+    return (cert, vertices, []) if math.isfinite(gamma) and verify_certificate(p, cert) else (None, {}, [])
 
 
 #: Growth of t per stage; the path stops at gap nu / t <= _GAP max(scale,
@@ -369,7 +374,8 @@ def _round_pieces(lam, grp, p_bad, p_host, fixed, t, v, g, low, high) -> tuple[n
     proportion to y+ y-, and each free vertex gives its full coefficient in
     proportion to c_a.  A piece without an anchor hands a shortfall Theta <
     |delta| to an anchored piece of its bad point, if any, and each anchored
-    piece sets its anchor coefficient where Theta = |delta|."""
+    piece sets its anchor coefficient where Theta = |delta|, rounded up to
+    the least positive float where it underflows (a larger c raises Theta)."""
     first, anchored = np.flatnonzero(np.diff(grp, prepend=-1)), (lam[:, fixed] > 0.0).any(axis=1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
         cs = ((g / low + g / high) / t)[:, None] * lam / v
@@ -386,7 +392,8 @@ def _round_pieces(lam, grp, p_bad, p_host, fixed, t, v, g, low, high) -> tuple[n
                 deltas[takers[0]] += deltas[r] - theta
                 deltas[r] = theta
         r, j = np.nonzero((lam > 0.0) & fixed)
-        cs[r, j] = lam[r, j] * np.exp((np.log(np.abs(deltas[r])) - log_theta[r]) / lam[r, j])
+        least = np.where(deltas[r] != 0.0, np.nextafter(0.0, 1.0), 0.0)
+        cs[r, j] = np.maximum(lam[r, j] * np.exp((np.log(np.abs(deltas[r])) - log_theta[r]) / lam[r, j]), least)
     return np.nan_to_num(cs), deltas
 
 
@@ -497,32 +504,22 @@ def _nearest_point(diffs: list[list[int]]) -> list[Fraction] | None:
 _Curve = tuple[tuple[int, ...], tuple[float, ...]]
 
 
-def _unbounded_curve(p: SparsePolynomial) -> _Curve | None:
+def _unbounded_curve(p: SparsePolynomial, uncovered: list[Exponent]) -> _Curve | None:
     """Integer weights w and signs s with p(s_i t^(w_i)) -> -inf as t -> inf,
-    or None when the Newton polytope test below finds none.  Called only
-    for an input `_certify` found unbounded, or could not certify.
+    or None when none of the `uncovered` terms (`_certify`'s, tried in
+    order) is a vertex that the test below exposes.
 
     p is unbounded below when some nonzero vertex alpha of New(p u {0}) is
     odd or carries a negative coefficient: a weight vector w exposing alpha,
     <w, alpha - beta> > 0 for every other point beta, makes c_alpha s^alpha
     t^<w, alpha> the dominant term along the curve, and s makes it
-    negative.  The point x of conv{alpha - beta} nearest the origin
-    (`_nearest_point`) has <x, alpha - beta> >= |x|^2 > 0, so it proposes w;
-    its rationalization must satisfy the strict inequalities in integers.
-    The inner point of a circuit of the catalog with k >= 2 whose vertices
-    are among the points is no vertex and gets no nearest-point search; by
-    Caratheodory that is every non-vertex of a bounded input, so bounded
-    inputs run none."""
-    zero = (0,) * p.n
-    keys = set(p.coefficients) | {zero}
-    points = sorted(keys)
-    catalog = enumerate_circuits(_extended_support(p))
-    known, ext = np.array([pt in keys for pt in catalog.support.points]), catalog.support.points
-    inner = {ext[j] for g in catalog.arity_groups if g.k >= 2 for j in g.inner[known[g.vertices].all(axis=1)].tolist()}
-    for alpha in points:
-        coef = p.coefficients.get(alpha, 0.0)
-        if alpha == zero or (is_even_point(alpha) and coef > 0.0) or alpha in inner:
-            continue
+    negative.  By Caratheodory every such vertex is an uncovered term, and
+    a bounded input has none, so it runs no search.  The point x of
+    conv{alpha - beta} nearest the origin (`_nearest_point`) has <x, alpha -
+    beta> >= |x|^2 > 0, so it proposes w; its rationalization must satisfy
+    the strict inequalities in integers, which no non-vertex does."""
+    points = sorted(set(p.coefficients) | {(0,) * p.n})
+    for alpha in uncovered:
         diffs = [[a - b for a, b in zip(alpha, beta)] for beta in points if beta != alpha]
         x = _nearest_point(diffs)
         if x is None:
@@ -539,7 +536,7 @@ def _unbounded_curve(p: SparsePolynomial) -> _Curve | None:
         if not all(sum(wi * di for wi, di in zip(w, d)) > 0 for d in diffs):
             continue
         s = [1.0] * p.n
-        if coef > 0.0:  # alpha is odd: flip one odd coordinate so s^alpha = -1
+        if p.coefficients[alpha] > 0.0:  # alpha is odd: flip one odd coordinate so s^alpha = -1
             s[next(i for i, e in enumerate(alpha) if e % 2)] = -1.0
         return w, tuple(s)
     return None
@@ -570,7 +567,7 @@ def sonc_lower_bound(p: SparsePolynomial) -> BoundResult:
     the constant point of one barrier solve (`_certify`).  An odd or
     negative term in no circuit, a solve that fails, or one that fails the
     checker answers infeasible_unbounded.  Solves no LP."""
-    cert = _certify(p, enumerate_circuits(_extended_support(p)), (0,) * p.n)[0]
+    cert = _certify(p, _extended_support(p), (0,) * p.n)[0]
     return BoundResult(cert.gamma, None, cert, None, None, Status.CERTIFIED) if cert else _UNBOUNDED
 
 
@@ -597,12 +594,12 @@ def _barrier_points(p: SparsePolynomial, vertices: dict[Exponent, float]) -> lis
     return [origin, tuple(z.tolist()), tuple(_descend(p, z).tolist())]
 
 
-def _best_moment(p: SparsePolynomial, points: list) -> tuple[float, DualVector, tuple[float, ...]]:
-    """(p(z), moment vector of z, z) at the point z of least finite value
-    with finite moments; p(z) is their pairing with p's coefficients.  A
-    moment vector is a dual member as it is, so no oracle re-tests it;
-    `points` starts with the origin, whose moment vector e_0 always counts."""
-    support = _extended_support(p)
+def _best_moment(p: SparsePolynomial, support: SupportSet, points: list) -> tuple[float, DualVector, tuple[float, ...]]:
+    """(p(z), moment vector of z over `support`, z) at the point z of least
+    finite value with finite moments; p(z) is their pairing with p's
+    coefficients.  A moment vector is a dual member as it is, so no oracle
+    re-tests it; `points` starts with the origin, whose moment vector e_0
+    always counts."""
     best = None
     for z in points:
         try:
@@ -620,21 +617,21 @@ def certify_optimality(p: SparsePolynomial, seed: int = 0) -> BoundResult:
 
     The barrier solve gives the primal, and the candidates for the dual
     point are the barrier points (`_barrier_points`), which without a
-    certificate or a bad point are the origin alone.  Without a certificate,
-    p_sonc is -inf and the point on the curve exposing an odd or negative
-    vertex (`_unbounded_curve`) joins them.  The dual point is the moment
-    vector of the candidate z of least value, p_dual = p(z).  Optimality is
+    certificate or a bad point are the origin alone.  When some odd or
+    negative term has no circuit, p_sonc is -inf and the point on the curve
+    exposing an odd or negative vertex (`_unbounded_curve`) joins them.  The
+    dual point is the moment vector of the candidate z of least value,
+    p_dual = p(z).  Optimality is
     claimed when the certified bound closes the gap to 1e-5 scale, so p_sonc
     <= inf p <= p(z) = p_dual pins the infimum.  The search is
     deterministic: `seed` is accepted for callers that still pass it and
     ignored."""
-    cert, vertices = _certify(p, enumerate_circuits(_extended_support(p)), (0,) * p.n)
+    support = _extended_support(p)
+    cert, vertices, uncovered = _certify(p, support, (0,) * p.n)
     candidates = _barrier_points(p, vertices)
-    if not cert:
-        curve = _unbounded_curve(p)
-        x = _curve_point(p, curve) if curve is not None else None
-        candidates += [x] if x is not None else []
-    p_dual, v, z = _best_moment(p, candidates)
+    curve = _unbounded_curve(p, uncovered)
+    x = _curve_point(p, curve) if curve is not None else None
+    p_dual, v, z = _best_moment(p, support, candidates + ([x] if x is not None else []))
     closed = cert is not None and p_dual - cert.gamma <= 1e-5 * _scale(p)
     status = Status.OPTIMALITY_CERTIFIED if closed else Status.CERTIFIED if cert else Status.DUAL_ONLY
     return BoundResult(cert.gamma if cert else -math.inf, p_dual, cert, v, z if closed else None, status)

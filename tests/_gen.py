@@ -14,7 +14,7 @@ from sonckit import (
     SupportSet,
     barycentric_coordinates,
 )
-from sonckit.bounds import _descend
+from sonckit.bounds import _certify, _descend, _extended_support, _unbounded_curve
 
 
 def random_support(rng: np.random.Generator, n: int, max_points: int = 8, max_entry: int = 8) -> SupportSet:
@@ -133,6 +133,12 @@ def criterion9_polys() -> list[SparsePolynomial]:
     return [random_sparse_poly(rng, int(rng.integers(1, 3)), max_degree=6, max_terms=5) for _ in range(100)]
 
 
+def sweep_draws() -> list[SparsePolynomial]:
+    """The 700 sweep draws (rng 7): n in {1, 2, 3}, degree <= 8, <= 7 terms."""
+    rng = np.random.default_rng(7)
+    return [random_sparse_poly(rng, int(rng.integers(1, 4)), max_degree=8, max_terms=7) for _ in range(700)]
+
+
 def even_simplex_polys(seed: int = 0, count: int = 18) -> list[SparsePolynomial]:
     """Bounded polynomials over the even simplex conv{0, 2d e_i}: a positive
     constant and x_i^2d, (n, 2d) cycling over n = 1..3 within 2d = 4, 6, 8,
@@ -169,6 +175,14 @@ def multistart_min(p: SparsePolynomial) -> float:
     starts = np.vstack([np.zeros(n), np.ones(n), -np.ones(n), draws])
     values = [p.evaluate(x) for start in starts for x in (_descend(p, start), start)]
     return min(val if math.isfinite(val) else 1e300 for val in values)
+
+
+def bound_parts(p: SparsePolynomial) -> tuple:
+    """What `certify_optimality` reads off its one solve at the constant
+    point: the certificate and vertex values of `bounds._certify`, and the
+    curve `bounds._unbounded_curve` finds on the terms no circuit covers."""
+    cert, vertices, uncovered = _certify(p, _extended_support(p), (0,) * p.n)
+    return cert, vertices, _unbounded_curve(p, uncovered)
 
 
 def abs_coefficient_eval(p: SparsePolynomial, x) -> float:

@@ -32,13 +32,14 @@ from sonckit import (
 )
 from sonckit import bounds
 from sonckit import dual
-from sonckit.bounds import _nearest_point, _unbounded_curve
+from sonckit.bounds import _nearest_point
 from sonckit.circuits import SupportTooLargeError, is_even_point
 from sonckit.polynomials import MAX_EXPONENT, serialize_polynomial, value_gradient_hessian
 
 from _gen import (
     MOTZKIN_TEXT,
     RANDOM_STARTS,
+    bound_parts,
     criterion9_polys,
     eval_on_points,
     even_simplex_polys,
@@ -46,6 +47,7 @@ from _gen import (
     pairing,
     random_sparse_poly,
     random_support,
+    sweep_draws,
 )
 
 #: Membership tolerance for the dual points the bound returns.
@@ -431,7 +433,7 @@ class TestBarrierPoints:
 
     @staticmethod
     def barrier_point(p):
-        points = bounds._barrier_points(p, bounds._certify(p, enumerate_circuits(_extended(p)), (0,) * p.n)[1])
+        points = bounds._barrier_points(p, bound_parts(p)[1])
         assert points[0] == (0.0,) * p.n and len(points) == 3
         return points[1]
 
@@ -540,6 +542,42 @@ class TestRoundPieces:
 
 
 class TestCertifyOptimality:
+    # Each bad coefficient is so small that its piece's anchor coefficient
+    # underflows; rounded up to the least float, the piece stays nonnegative.
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x1^2 - 1e-200*x1 + 1",
+            "x1^4 - 1e-300*x1^2 + 1",
+            "x1^2*x2^2 + 1 - 1e-200*x1*x2",
+            "1e300*x1^4 - 1e-300*x1^2 + 1e300",
+            "x1^2 + 1e-300*x1 + 1",
+            "x1^6 + x1^2*x2^4 + 1 - 1e-250*x1*x2 - 1e-250*x1^3",
+        ],
+    )
+    def test_tiny_bad_coefficients_are_certified(self, text):
+        p = parse_polynomial(text)
+        r = certify_optimality(p)
+        assert r.status is Status.OPTIMALITY_CERTIFIED and verify_certificate(p, r.certificate)
+        assert r.p_sonc <= p.evaluate(r.optimal_point)
+        assert sonc_feasibility(p) is not None
+
+    def test_enumerates_at_most_once(self, monkeypatch):
+        # One catalog per call, and none when no term is odd or negative.
+        calls = []
+        real = bounds.enumerate_circuits
+
+        def counting(support):
+            calls.append(support)
+            return real(support)
+
+        monkeypatch.setattr(bounds, "enumerate_circuits", counting)
+        for p in [motzkin(), *criterion9_polys(), *even_simplex_polys(), parse_polynomial("1 + x1^2*x2^4")]:
+            calls.clear()
+            certify_optimality(p)
+            bad = any(c < 0.0 or not is_even_point(exp) for exp, c in p.coefficients.items())
+            assert len(calls) == bad, p.coefficients
+
     def test_quartic(self):
         r = certify_optimality(parse_polynomial("1 + x1^4 - 3*x1^2"))
         assert r.status is Status.OPTIMALITY_CERTIFIED
@@ -640,8 +678,11 @@ class TestCertifyOptimality:
 
 
 #: Bound outputs on criterion 9's inputs and the bound-sonc workload's 18,
-#: recorded before the barrier step was restructured (`bound_record`).
+#: recorded before the barrier step was restructured (`bound_record`), and
+#: on the 700 sweep draws, recorded before the curve search read the
+#: solve's uncovered terms.
 GOLDEN = Path(__file__).parent / "data" / "bound_golden.json"
+SWEEP_GOLDEN = Path(__file__).parent / "data" / "sweep_golden.json"
 
 
 def golden_inputs() -> list[SparsePolynomial]:
@@ -657,21 +698,31 @@ def bound_record(p: SparsePolynomial) -> dict:
     return {"poly": serialize_polynomial(p), **{key: blob[key] for key in keys}, "pieces": pieces}
 
 
+def _matches_record(path: Path, polys: list[SparsePolynomial]) -> None:
+    """Statuses and circuits exactly; values to 1e-12 of max(|value|, scale),
+    so a host whose BLAS rounds differently still passes."""
+    golden = json.loads(path.read_text())
+    assert len(golden) == len(polys)
+    for p, want in zip(polys, golden):
+        got = bound_record(p)
+        assert (got["poly"], got["status"], got["pieces"]) == (want["poly"], want["status"], want["pieces"])
+        scale = 1.0 + max(map(abs, p.coefficients.values()))
+        for key in ("p_sonc", "p_dual"):
+            assert (got[key] is None) == (want[key] is None), (want["poly"], key)
+            if want[key] is not None:
+                assert abs(got[key] - want[key]) <= 1e-12 * max(abs(want[key]), scale), (want["poly"], key)
+
+
 class TestBoundGolden:
     def test_outputs_match_the_record(self):
-        # Statuses and circuits exactly; values to 1e-12 of max(|value|, scale),
-        # so a host whose BLAS rounds differently still passes.
-        golden = json.loads(GOLDEN.read_text())
         polys = golden_inputs()
-        assert len(golden) == len(polys) == 120
-        for p, want in zip(polys, golden):
-            got = bound_record(p)
-            assert (got["poly"], got["status"], got["pieces"]) == (want["poly"], want["status"], want["pieces"])
-            scale = 1.0 + max(map(abs, p.coefficients.values()))
-            for key in ("p_sonc", "p_dual"):
-                assert (got[key] is None) == (want[key] is None), (want["poly"], key)
-                if want[key] is not None:
-                    assert abs(got[key] - want[key]) <= 1e-12 * max(abs(want[key]), scale), (want["poly"], key)
+        assert len(polys) == 120
+        _matches_record(GOLDEN, polys)
+
+    def test_sweep_matches_the_record(self):
+        polys = sweep_draws()
+        assert len(polys) == 700
+        _matches_record(SWEEP_GOLDEN, polys)
 
 
 def _along_curve(p, w, s):
@@ -689,7 +740,7 @@ class TestNewtonPolytopeShortcut:
     def test_flagged_curves_descend(self):
         flagged = 0
         for p in criterion9_polys():
-            curve = _unbounded_curve(p)
+            curve = bound_parts(p)[2]
             if curve is None:
                 continue
             flagged += 1
@@ -718,7 +769,7 @@ class TestNewtonPolytopeShortcut:
 
     @pytest.mark.parametrize("text", [MOTZKIN_TEXT, "1 + x1^4 - 3*x1^2", "1 + x1^2", "7"])
     def test_bounded_not_flagged(self, text):
-        assert _unbounded_curve(parse_polynomial(text)) is None
+        assert bound_parts(parse_polynomial(text))[2] is None
 
     def test_barrier_runs_exactly_on_bounded_inputs(self, monkeypatch):
         # One decision: the barrier solves every input with an odd or negative
@@ -728,10 +779,11 @@ class TestNewtonPolytopeShortcut:
         for p in [motzkin(), parse_polynomial("1 + x1^4 - 3*x1^2"), *criterion9_polys(), *even_simplex_polys()]:
             bad = any(c < 0.0 or any(e % 2 for e in exp) for exp, c in p.coefficients.items())
             without_bad_point += not bad
+            bounded = bound_parts(p)[2] is None
             for solve in (sonc_lower_bound, certify_optimality):
                 calls.clear()
                 solve(p)
-                assert len(calls) == (bad and _unbounded_curve(p) is None), p.coefficients
+                assert len(calls) == (bad and bounded), p.coefficients
         assert without_bad_point == 5
 
     def test_lower_bound_solves_no_lp(self, monkeypatch):
@@ -780,7 +832,7 @@ class TestNewtonPolytopeShortcut:
         p = parse_polynomial(
             "0.17899249700312445*x2^8 + 0.005021853314619841*x1 - 90.09472658570888*x1^3*x2^5 + 276.4450271125257*x1^8"
         )
-        assert _unbounded_curve(p) is None
+        assert bound_parts(p)[2] is None
         blob = certify_optimality(p).to_json_dict()
         assert blob["status"] == "dual_only" and blob["p_sonc"] is None
         point = blob["dual_point"]
@@ -793,7 +845,7 @@ class TestNewtonPolytopeShortcut:
     )
     def test_curve_dual_point(self, text):
         p = parse_polynomial(text)
-        assert _unbounded_curve(p) is not None
+        assert bound_parts(p)[2] is not None
         r = certify_optimality(p)
         assert r.status is Status.DUAL_ONLY and r.p_sonc == -math.inf
         support = _extended(p)
@@ -826,8 +878,8 @@ class TestNewtonPolytopeShortcut:
         curves = []
         for p in [motzkin(), *polys]:
             before = len(searches)
-            curves.append(_unbounded_curve(p))
-            if curves[-1] is None:  # bounded: every non-vertex is a circuit's inner point
+            curves.append(bound_parts(p)[2])
+            if curves[-1] is None:  # bounded: every odd or negative term is a circuit's inner point
                 assert len(searches) == before, p.coefficients
         assert curves[0] is None and sum(c is None for c in curves[1:]) == 17
 
@@ -892,7 +944,7 @@ class TestNewtonPolytopeShortcut:
                 for a in points
                 if a != zero and not (is_even_point(a) and p.coefficients[a] > 0.0)
             }
-            curve = _unbounded_curve(p)
+            curve = bound_parts(p)[2]
             if curve is None:
                 assert 0 not in status.values(), p.coefficients
                 continue
@@ -945,7 +997,7 @@ class TestBatchedDescent:
         rng = np.random.default_rng(109)  # criterion 9's draw
         for _ in range(100):
             p = random_sparse_poly(rng, int(rng.integers(1, 3)), max_degree=6, max_terms=5)
-            if _unbounded_curve(p) is None:
+            if bound_parts(p)[2] is None:
                 polys.append(p)
         assert len(polys) == 19
         for p in polys:

@@ -311,6 +311,18 @@ class TestBound:
         assert err.startswith("error:") and "cap" in err and f"(at position {position})" in err and err.count("\n") == 1
 
 
+    def test_many_even_points_without_a_bad_term(self, files, capsys):
+        # 22 even points with the constant, over the enumeration cap, but no
+        # odd or negative term: settled at the origin without a catalog.
+        path = files("sq.txt", " + ".join(f"x{i}^2" for i in range(1, 22)))
+        code, out, _ = run_main(["bound", path], capsys)
+        assert code == 0
+        blob = json.loads(out)
+        assert blob["status"] == "optimality_certified" and blob["p_sonc"] == 0.0
+        code, out, _ = run_main(["certify", path], capsys)
+        assert code == 0 and json.loads(out)["certified"] is True
+
+
 class TestCertify:
     def test_motzkin_certified(self, files, capsys):
         code, out, _ = run_main(["certify", files("m.txt", MOTZKIN_TEXT)], capsys)

@@ -18,11 +18,10 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from sonckit import Circuit, SparsePolynomial, sonc_lower_bound, verify_certificate
-from sonckit.bounds import _unbounded_curve
 from sonckit.cli import _load_polynomial, main
 from sonckit.polynomials import MAX_VARIABLES, ParseError, parse_polynomial
 
-from _gen import eval_on_points, multistart_min
+from _gen import bound_parts, eval_on_points, multistart_min
 
 #: Zero terms keep x1^60*x2^7 and x1^60*x2^5 in the support, and the moments
 #: of a dual candidate point there leave the float range.
@@ -334,7 +333,7 @@ def test_exact_bound_on_even_simplices(p):
 @settings(FUZZ, suppress_health_check=[HealthCheck.filter_too_much])
 @given(sparse_polynomials())
 def test_exact_bound_on_bounded_sparse_polynomials(p):
-    assume(_unbounded_curve(p) is None)
+    assume(bound_parts(p)[2] is None)
     check_exact_bound(p)
 
 
