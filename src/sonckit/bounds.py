@@ -406,10 +406,11 @@ def _descend(p: SparsePolynomial, x: np.ndarray) -> np.ndarray:
     a non-finite one gives -g / max(1, ||g||_inf).  Armijo steps from 1 (c1
     = 1e-4, at most 60 halvings).  The descent stops at ||g||_inf <= 1e-5, a
     failed line search, a decrease below 1e-15 max(1, |f|), or 200
-    iterations.  A non-finite value reads as 1e300, a gradient entry as 0."""
+    iterations.  Points are judged by `value_gradient_hessian`, whose value
+    is p.evaluate's; a non-finite value reads as 1e300, a gradient entry as 0."""
 
     def derivatives(pt: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        (val,), (grad,), (hess,) = value_gradient_hessian(p, pt[None, :])
+        val, grad, hess = value_gradient_hessian(p, pt)
         return (val if math.isfinite(val) else 1e300), np.where(np.isfinite(grad), grad, 0.0), hess
 
     f, g, h = derivatives(x)

@@ -8,14 +8,13 @@ catalog built on top of a support set.
 Dual vectors (one real value per support point) live here too, together
 with the moment vector (x^alpha)_{alpha in A} induced by a point x.
 
-Evaluation and moment vectors share one monomial kernel, so p(x) is, to
-the bit, the pairing of p with the moment vector of x.  Values, gradients
-and Hessians at a batch of points come from a vectorized kernel, which
-sums the monomials of each term's derivatives.  Both keep one
-overflow rule: polynomial arithmetic never raises or warns on overflow (a
-power beyond the float range enters as +-inf, so a value may come back
-non-finite), and a non-finite moment vector is a ValueError, raised by
-DualVector like any other non-finite dual value.
+Evaluation, moment vectors and the value, gradient and Hessian at a
+point share one monomial kernel, so p(x) is, to the bit, the pairing of p
+with the moment vector of x, and the value the descent reads.  One
+overflow rule holds: polynomial arithmetic never raises or warns on
+overflow (a power beyond the float range enters as +-inf, so a value may
+come back non-finite), and a non-finite moment vector is a ValueError,
+raised by DualVector like any other non-finite dual value.
 
 Text is a token grammar: one regular expression splits it into numbers,
 variables with their index and single characters, and one pass over the
@@ -28,21 +27,19 @@ import math
 import numbers
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 Exponent = tuple[int, ...]
 
-#: Parse-time cap on a single exponent entry.
+#: Cap on a single exponent entry of a polynomial read from text or JSON;
+#: past 2**53 a float power would lose the exponent's parity.
 MAX_EXPONENT = 1 << 20
 
-#: Parse-time cap on the number of variables.  The dimension is the largest
-#: index in the text, and the descent holds an n x n Hessian (the kernel an
-#: n x n block per point and term), so without a cap a
-#: text like ``x1000000`` asks for terabytes.  Sparse SONC inputs have a
-#: handful of variables; 64 keeps that state at a few MB.
+#: Parse-time cap on the number of variables: the descent holds an n x n
+#: Hessian, so a text like ``x1000000`` would ask for terabytes.  Sparse SONC
+#: inputs have a handful of variables; 64 keeps that state at a few MB.
 MAX_VARIABLES = 64
 
 
@@ -162,47 +159,6 @@ class SparsePolynomial:
         support = SupportSet(n, tuple(pts) if pts else ((0,) * n,))
         return cls(support, pts)
 
-    @cached_property
-    def _derivative_terms(self) -> tuple[np.ndarray, ...]:
-        """p, its gradient and its Hessian as weighted sums of monomials,
-        built from each term's own variables: d/dx_i of c x^alpha is
-        (c alpha_i) x^(alpha - e_i), and likewise for second derivatives.
-        Slot 0 is the value, 1 + i the i-th partial and 1 + n + i n + j
-        the (i, j) second partial.  Returns the distinct exponents (U, n)
-        and, per contribution sorted by slot, the monomial it reads and its
-        weight, with the start of each nonempty slot and the slot itself.
-        A derivative with a zero factor gets no contribution, so it stays
-        exactly 0 even where the other powers overflow."""
-        n = self.n
-        index: dict[Exponent, int] = {}
-        rows: list[tuple[int, int, float]] = []  # (slot, monomial, weight)
-
-        def add(slot: int, exp: list[int], w: float) -> None:
-            rows.append((slot, index.setdefault(tuple(exp), len(index)), w))
-
-        for alpha, coef in self.coefficients.items():
-            add(0, list(alpha), coef)
-            for i in range(n):
-                if not alpha[i]:
-                    continue
-                once = list(alpha)
-                once[i] -= 1
-                add(1 + i, once, coef * alpha[i])
-                for j in range(n):
-                    if once[j]:
-                        twice = list(once)
-                        twice[j] -= 1
-                        add(1 + n + i * n + j, twice, coef * (alpha[i] * once[j]))
-        rows.sort(key=lambda r: r[0])  # stable: (i, j) and (j, i) sum alike
-        slots, starts = np.unique(np.array([r[0] for r in rows], dtype=np.intp), return_index=True)
-        return (
-            np.array(list(index), dtype=float).reshape(-1, n),
-            np.array([r[1] for r in rows], dtype=np.intp),
-            np.array([r[2] for r in rows], dtype=float),
-            starts,
-            slots,
-        )
-
     def evaluate(self, x: Sequence[float]) -> float:
         """Evaluate at a real point, with the convention 0**0 = 1; +-inf or
         nan when a term leaves the float range.  Terms are coef * x^exp,
@@ -229,6 +185,8 @@ class SparsePolynomial:
             exp = check_exponent(t["exp"])
             if len(exp) != n:
                 raise ValueError(f"term exponent {exp} does not match n={n}")
+            if max(exp, default=0) > MAX_EXPONENT:
+                raise ValueError(f"exponent {max(exp)} exceeds the cap {MAX_EXPONENT}")
             terms[exp] = terms.get(exp, 0.0) + read_number(t["coef"], "coefficients")
         return cls.from_terms(terms, n=n)
 
@@ -298,23 +256,28 @@ def _monomial(x: list[float], exp: Exponent) -> float:
     return value
 
 
-def value_gradient_hessian(p: SparsePolynomial, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Values, shape (S,), gradients, shape (S, n), and Hessians, shape
-    (S, n, n), of p at the rows of an (S, n) array, with 0**0 = 1.  Like
-    `evaluate` this never raises or warns on overflow: entries beyond the
-    float range come back +-inf or nan."""
-    xs = np.asarray(points, dtype=float)
+def value_gradient_hessian(p: SparsePolynomial, x: Sequence[float]) -> tuple[float, np.ndarray, np.ndarray]:
+    """p(x), bit for bit as `evaluate`, its gradient (n,) and its Hessian
+    (n, n) at x, under `evaluate`'s 0**0 and overflow rules.  d/dx_i of
+    c x^alpha is (c alpha_i) x^(alpha - e_i), and so on; each is added in
+    term order, only where its factor is nonzero, so a zero derivative
+    stays exactly 0 next to overflowing powers."""
     n = p.n
-    if xs.ndim != 2 or xs.shape[1] != n:
-        raise ValueError(f"points have shape {xs.shape}, expected (S, {n})")
-    exps, source, weight, starts, slots = p._derivative_terms
-    out = np.zeros((len(xs), 1 + n + n * n))
-    monomials = np.ones((len(xs), len(exps)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n):  # one variable at a time keeps memory at S x (monomial count)
-            monomials *= xs[:, k, None] ** exps[:, k]
-        out[:, slots] = np.add.reduceat(monomials[:, source] * weight, starts, axis=1)
-    return out[:, 0], out[:, 1 : 1 + n], out[:, 1 + n :].reshape(-1, n, n)
+    xs = _point(x, n)
+    value = 0.0
+    grad = [0.0] * n
+    hess = [[0.0] * n for _ in range(n)]
+    for alpha, coef in p.coefficients.items():
+        value += coef * _monomial(xs, alpha)
+        for i in range(n):
+            if alpha[i]:
+                once = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]
+                grad[i] += coef * alpha[i] * _monomial(xs, once)
+                for j in range(n):
+                    if once[j]:
+                        twice = once[:j] + (once[j] - 1,) + once[j + 1 :]
+                        hess[i][j] += coef * (alpha[i] * once[j]) * _monomial(xs, twice)
+    return value, np.array(grad), np.array(hess).reshape(n, n)
 
 
 def evaluate(p: SparsePolynomial, x: Sequence[float]) -> float:

@@ -1,8 +1,17 @@
-"""Shared random generators and brute-force oracles for the test suite."""
+"""Shared random generators and brute-force oracles for the test suite.
+
+Run as a script, it prints the number of bound inputs (`bound_inputs()`)
+and the sha256 of their `certify_optimality` JSON lines, from whatever
+sonckit is on the path, so two trees compare by one command each:
+
+    PYTHONPATH=src python tests/_gen.py
+"""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -13,6 +22,8 @@ from sonckit import (
     SparsePolynomial,
     SupportSet,
     barycentric_coordinates,
+    certify_optimality,
+    parse_polynomial,
 )
 from sonckit.bounds import _certify, _descend, _extended_support, _unbounded_curve
 
@@ -139,6 +150,18 @@ def sweep_draws() -> list[SparsePolynomial]:
     return [random_sparse_poly(rng, int(rng.integers(1, 4)), max_degree=8, max_terms=7) for _ in range(700)]
 
 
+def golden_inputs() -> list[SparsePolynomial]:
+    """The inputs of tests/data/bound_golden.json: Motzkin, 1 - 3*x1^2 + x1^4,
+    criterion 9's 100 and the bound-sonc workload's 18."""
+    return [parse_polynomial(MOTZKIN_TEXT), parse_polynomial("1 + x1^4 - 3*x1^2"), *criterion9_polys(), *even_simplex_polys()]
+
+
+def bound_inputs() -> list[SparsePolynomial]:
+    """The 820 bound inputs in golden order: `golden_inputs()`, then the 700
+    sweep draws."""
+    return golden_inputs() + sweep_draws()
+
+
 def even_simplex_polys(seed: int = 0, count: int = 18) -> list[SparsePolynomial]:
     """Bounded polynomials over the even simplex conv{0, 2d e_i}: a positive
     constant and x_i^2d, (n, 2d) cycling over n = 1..3 within 2d = 4, 6, 8,
@@ -248,3 +271,9 @@ def near_quartic_boundary(v, margin: float = 1e-4) -> bool:
 
 
 MOTZKIN_TEXT = "1 + x1^2*x2^4 + x1^4*x2^2 - 3*x1^2*x2^2"
+
+
+if __name__ == "__main__":
+    polys = bound_inputs()
+    lines = [json.dumps(certify_optimality(p).to_json_dict(), sort_keys=True) for p in polys]
+    print(len(polys), hashlib.sha256("\n".join(lines).encode()).hexdigest())

@@ -43,6 +43,7 @@ from _gen import (
     criterion9_polys,
     eval_on_points,
     even_simplex_polys,
+    golden_inputs,
     multistart_min,
     pairing,
     random_sparse_poly,
@@ -210,7 +211,7 @@ class TestSelfDescribingCertificate:
 
     def test_checks_on_its_own_json(self):
         checked = 0
-        for p in [motzkin(), parse_polynomial("1 + x1^4 - 3*x1^2"), *criterion9_polys(), *even_simplex_polys()]:
+        for p in golden_inputs():
             cert = certify_optimality(p).certificate
             if cert is None:
                 continue
@@ -685,10 +686,6 @@ GOLDEN = Path(__file__).parent / "data" / "bound_golden.json"
 SWEEP_GOLDEN = Path(__file__).parent / "data" / "sweep_golden.json"
 
 
-def golden_inputs() -> list[SparsePolynomial]:
-    return [motzkin(), parse_polynomial("1 + x1^4 - 3*x1^2"), *criterion9_polys(), *even_simplex_polys()]
-
-
 def bound_record(p: SparsePolynomial) -> dict:
     """The input's text, and the status, p_sonc, p_dual and each certificate
     piece's (vertices, beta) that `certify_optimality` gives for it."""
@@ -967,7 +964,7 @@ class TestNewtonPolytopeShortcut:
             certify_optimality(p)
 
 
-class TestBatchedDescent:
+class TestDescent:
     """The descent, from the multistart oracle's starts, against scipy's BFGS from the same starts."""
 
     @staticmethod
@@ -981,7 +978,7 @@ class TestBatchedDescent:
             return val if math.isfinite(val) else 1e300
 
         def g(x):
-            grad = value_gradient_hessian(p, [x])[1][0]
+            grad = value_gradient_hessian(p, x)[1]
             return np.where(np.isfinite(grad), grad, 0.0)
 
         best = math.inf
@@ -1009,7 +1006,7 @@ class TestBatchedDescent:
 
     def test_no_worse_than_scipy_bfgs_on_even_simplices(self):
         # Fresh bounded draws over the even simplex conv{0, 2d e_i}, against
-        # scipy's BFGS from the 15 starts the batched descent used to take.
+        # scipy's BFGS from 15 starts: 0, +-1 and 12 uniform draws.
         for p in even_simplex_polys(20271, 60):
             want = self.scipy_best(p, random_starts=12)
             tol = 1e-9 * max(1.0 + max(map(abs, p.coefficients.values())), abs(want))

@@ -297,6 +297,19 @@ class TestBound:
         inf_p = big ** (-1.0 / (big - 1.0)) * (1.0 / big - 1.0)
         assert blob["p_sonc"] is None or blob["p_sonc"] <= inf_p + 1e-12
 
+    @pytest.mark.parametrize("command", ["bound", "certify"])
+    def test_json_exponent_cap(self, files, capsys, command):
+        # Past 2^53 a float power loses the exponent's parity, so JSON input
+        # takes the text grammar's cap: 2^20 answers, 2^20 + 1 exits 2.
+        def text(e):
+            return json.dumps({"n": 1, "terms": [{"exp": [e], "coef": 1}, {"exp": [1], "coef": -1}]})
+
+        code, out, _ = run_main([command, files("cap.json", text(1 << 20))], capsys)
+        assert code in (0, 1) and json.loads(out)
+        code, out, err = run_main([command, files("over.json", text((1 << 20) + 1))], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "cap" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("text", ["x1000000", '{"n": 1000000, "terms": [{"exp": [1], "coef": 1}]}'])
     def test_variable_count_beyond_cap_exits_2(self, files, capsys, text):
         code, out, err = run_main(["bound", files("wide.txt", text)], capsys)

@@ -206,18 +206,17 @@ class TestEvaluate:
 
 
 class TestGradient:
-    """Values and gradients of the batch value-gradient-Hessian kernel."""
+    """Values and gradients of the one-point value-gradient-Hessian kernel."""
 
     def test_matches_termwise_numpy_reference(self):
-        # The kernel's array powers and product order round differently
-        # from the reference's scalar **, hence relative 1e-12, not equality.
+        # The kernel multiplies (c alpha_i) by the lowered monomial, the
+        # reference c alpha_i by the powers in turn, hence relative 1e-12.
         rng = np.random.default_rng(13)
         for _ in range(200):
             n = int(rng.integers(1, 4))
             p = random_sparse_poly(rng, n, max_terms=6)
-            xs = rng.uniform(-2, 2, size=(3, n))
-            values, grads, _ = value_gradient_hessian(p, xs)
-            for x, value, grad in zip(xs, values, grads):
+            for x in rng.uniform(-2, 2, size=(3, n)):
+                _, grad, _ = value_gradient_hessian(p, x)
                 want = np.zeros(n)
                 for exp, coef in p.coefficients.items():
                     for i, e in enumerate(exp):
@@ -228,24 +227,33 @@ class TestGradient:
                                 if pw:
                                     term *= x[j] ** pw
                             want[i] += term
+                assert grad.shape == (n,)
                 assert grad.tolist() == pytest.approx(want.tolist(), rel=1e-12, abs=1e-300)
-                assert value == pytest.approx(p.evaluate(x), rel=1e-12, abs=1e-300)
+
+    def test_value_is_evaluate_to_the_bit(self):
+        # The termwise test's draws, 500 of them: 1500 points.
+        rng = np.random.default_rng(13)
+        for _ in range(500):
+            n = int(rng.integers(1, 4))
+            p = random_sparse_poly(rng, n, max_terms=6)
+            for x in rng.uniform(-2, 2, size=(3, n)):
+                assert value_gradient_hessian(p, x)[0] == p.evaluate(x)
 
     def test_zero_power_convention(self):
-        values, grads, _ = value_gradient_hessian(parse_polynomial("3*x1 + x1*x2^2"), [(0.0, 0.0)])
-        assert values.tolist() == [0.0] and grads.tolist() == [[3.0, 0.0]]
+        value, grad, _ = value_gradient_hessian(parse_polynomial("3*x1 + x1*x2^2"), (0.0, 0.0))
+        assert value == 0.0 and grad.tolist() == [3.0, 0.0]
 
     def test_overflow_gives_signed_inf(self):
-        values, grads, _ = value_gradient_hessian(parse_polynomial("x1^3*x2"), [(1e200, -1.0)])
-        assert values.tolist() == [-math.inf] and grads.tolist() == [[-math.inf, math.inf]]
+        value, grad, _ = value_gradient_hessian(parse_polynomial("x1^3*x2"), (1e200, -1.0))
+        assert value == -math.inf and grad.tolist() == [-math.inf, math.inf]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            value_gradient_hessian(parse_polynomial("x1"), [(1.0, 2.0)])
+            value_gradient_hessian(parse_polynomial("x1"), (1.0, 2.0))
 
 
 class TestHessian:
-    """Second derivatives of the batch kernel."""
+    """Second derivatives of the one-point kernel."""
 
     @staticmethod
     def reference(p, x):
@@ -275,9 +283,10 @@ class TestHessian:
         for _ in range(200):
             n = int(rng.integers(1, 4))
             p = random_sparse_poly(rng, n, max_terms=6)
-            xs = rng.uniform(-2, 2, size=(3, n))
-            for x, hess in zip(xs, value_gradient_hessian(p, xs)[2]):
+            for x in rng.uniform(-2, 2, size=(3, n)):
+                hess = value_gradient_hessian(p, x)[2]
                 want = self.reference(p, x)
+                assert hess.shape == (n, n)
                 for row, want_row in zip(hess.tolist(), want):
                     assert row == pytest.approx(want_row, rel=1e-12, abs=1e-300)
 
@@ -286,21 +295,23 @@ class TestHessian:
         for _ in range(50):
             n = int(rng.integers(2, 5))
             p = random_sparse_poly(rng, n, max_terms=8)
-            hess = value_gradient_hessian(p, rng.uniform(-2, 2, size=(4, n)))[2]
-            assert np.array_equal(hess, hess.transpose(0, 2, 1))
+            for x in rng.uniform(-2, 2, size=(4, n)):
+                hess = value_gradient_hessian(p, x)[2]
+                assert np.array_equal(hess, hess.T)
 
     def test_origin_with_exponents_zero_one_two(self):
         p = parse_polynomial("5 + 3*x1 + 2*x1^2 + 7*x1*x2 + x2^2*x3 + 4*x1^2*x2^2")
-        _, _, hess = value_gradient_hessian(p, [(0.0, 0.0, 0.0)])
-        assert hess.tolist() == [[[4.0, 7.0, 0.0], [7.0, 0.0, 0.0], [0.0, 0.0, 0.0]]]
+        _, _, hess = value_gradient_hessian(p, (0.0, 0.0, 0.0))
+        assert hess.tolist() == [[4.0, 7.0, 0.0], [7.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
 
     def test_overflow_without_warning(self):
         # Tier-1 turns RuntimeWarning into an error, so a warning fails here.
         p = parse_polynomial("x1^3*x2 + x2^2 + x1*x3^400")
-        values, grads, hess = value_gradient_hessian(p, [(1e200, -1.0, 0.0), (-1e200, 2.0, 1e10)])
-        assert values[0] == -math.inf and hess[0, 1, 1] == 2.0 and hess[0, 0, 0] == -6e200
-        assert hess[0, 0, 1] == hess[0, 1, 0] == math.inf and hess[0, 2, 2] == 0.0
-        assert hess[1, 2, 2] == -math.inf and hess[1, 0, 2] == hess[1, 2, 0] == math.inf
+        value, _, hess = value_gradient_hessian(p, (1e200, -1.0, 0.0))
+        assert value == -math.inf and hess[1, 1] == 2.0 and hess[0, 0] == -6e200
+        assert hess[0, 1] == hess[1, 0] == math.inf and hess[2, 2] == 0.0
+        _, _, hess = value_gradient_hessian(p, (-1e200, 2.0, 1e10))
+        assert hess[2, 2] == -math.inf and hess[0, 2] == hess[2, 0] == math.inf
 
 
 class TestMomentVector:
