@@ -11,7 +11,6 @@ from .bounds import (
     Status,
     certify_optimality,
     sonc_feasibility,
-    sonc_lower_bound,
     verify_certificate,
 )
 from .circuits import (
@@ -60,7 +59,6 @@ from .polynomials import (
     ParseError,
     SparsePolynomial,
     SupportSet,
-    evaluate,
     moment_vector,
     parse_polynomial,
     serialize_polynomial,
@@ -96,7 +94,6 @@ __all__ = [
     "entropy_iff_expcone",
     "entropy_minimizer",
     "enumerate_circuits",
-    "evaluate",
     "exp_cone_dual_member",
     "exp_cone_member",
     "is_even_point",
@@ -114,7 +111,6 @@ __all__ = [
     "serialize_polynomial",
     "sonc_dual_membership",
     "sonc_feasibility",
-    "sonc_lower_bound",
     "verify_certificate",
     "verify_entropy_witness",
     "xlogx_over",

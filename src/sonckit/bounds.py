@@ -13,12 +13,13 @@ positive is impossible by construction.
 
 Every moment vector (z^alpha) of a real point z is a member of that dual
 cone, with equality or slack in every circuit's condition, and its pairing
-with the coefficients is p(z), which `evaluate` forms in the pairing's
-order.  The dual point is the least such value over explicit candidate
-points, so p_dual >= inf p >= p_sonc by construction, and its z certifies
-optimality when the two meet.  When the bound is exact the paper's optimum
-is such a point evaluation, and the barrier ends near it: the candidates
-are the origin and z read off the barrier's vertex values, polished once.
+with the coefficients is p(z), which `p.evaluate` forms in the pairing's
+order.  `certify_optimality`, the one bound entry, answers with the least
+such value over explicit candidates, the origin always among them, so it
+always has a dual point, p_dual >= inf p >= p_sonc, and its z certifies
+optimality when the two meet.  At an exact bound the paper's optimum is
+such a point evaluation, and the barrier ends near it: the candidates are
+the origin and z read off the barrier's vertex values, polished once.
 An odd or negative term that is the inner point of no circuit over the
 positive even points and the constant leaves its dual coordinate free, so
 the bound is -inf.  By Caratheodory such terms exist iff the Newton
@@ -56,7 +57,6 @@ class Status(str, Enum):
     CERTIFIED = "certified"
     DUAL_ONLY = "dual_only"
     OPTIMALITY_CERTIFIED = "optimality_certified"
-    INFEASIBLE_UNBOUNDED = "infeasible_unbounded"
 
 
 @dataclass(frozen=True)
@@ -91,10 +91,12 @@ class SoncCertificate:
 
 @dataclass(frozen=True)
 class BoundResult:
+    """p_sonc is -inf exactly without a certificate; the dual point is always there."""
+
     p_sonc: float
-    p_dual: float | None
+    p_dual: float
     certificate: SoncCertificate | None
-    dual_point: DualVector | None
+    dual_point: DualVector
     optimal_point: tuple[float, ...] | None
     status: Status
 
@@ -104,18 +106,13 @@ class BoundResult:
             "p_sonc": self.p_sonc if math.isfinite(self.p_sonc) else None,
             "p_dual": self.p_dual,
             "certificate": self.certificate.to_json_dict() if self.certificate else None,
-            "dual_point": self.dual_point.to_json_dict() if self.dual_point else None,
+            "dual_point": self.dual_point.to_json_dict(),
             "optimal_point": list(self.optimal_point) if self.optimal_point is not None else None,
         }
 
 
 def _scale(p: SparsePolynomial) -> float:
     return 1.0 + (max(abs(c) for c in p.coefficients.values()) if p.coefficients else 0.0)
-
-
-def _extended_support(p: SparsePolynomial) -> SupportSet:
-    zero = (0,) * p.n
-    return SupportSet(p.n, tuple(set(p.support.points) | {zero}))
 
 
 def verify_certificate(p: SparsePolynomial, cert: SoncCertificate) -> bool:
@@ -278,8 +275,9 @@ def _central_path(lam: np.ndarray, grp: np.ndarray, p_host: np.ndarray, free: np
         ss = _eliminate(gmin, d, first, grp, tp)[grp]
         low, high = d + ss, d + 2.0 * gg - ss
         u = tp / (2.0 * np.add.reduceat(1.0 / (low * high), first))
-        phi = t * (p_host @ v - p_bad @ u) - np.log(v[free]).sum() - np.log(low).sum() - np.log(high).sum()
-        return point, v, gg + d, gg, low, high, u, phi
+        objective = float(p_host @ v - p_bad @ u)
+        phi = t * objective - np.log(v[free]).sum() - np.log(low).sum() - np.log(high).sum()
+        return point, v, gg + d, gg, low, high, objective, phi
 
     def moved(point: tuple, step: np.ndarray) -> tuple:
         lg0, r, v = point
@@ -294,7 +292,7 @@ def _central_path(lam: np.ndarray, grp: np.ndarray, p_host: np.ndarray, free: np
             final = nu / t <= _GAP * max(scale, abs(objective))
             current, last = state(current[0], t), math.inf
             for _ in range(300):
-                point, v, g, gg, low, high, u, phi = current
+                point, v, g, gg, low, high, objective, phi = current
                 a, b = g / low, g / high
                 aa, bb, ab = a * a, b * b, lf.T @ (a + b)
                 grad = t * ph * v[free] - 1.0 - ab
@@ -313,20 +311,18 @@ def _central_path(lam: np.ndarray, grp: np.ndarray, p_host: np.ndarray, free: np
                     break
                 tau, last = min(1.0, 0.9 / max(float(-step.min()), 1e-300)), (dec if dec <= 0.25 else math.inf)
                 for _ in range(40 if dec > 0.25 else 1):
-                    current = state(moved(point, tau * step), t)
-                    if dec <= 0.25 or current[-1] < phi and current[-1] <= phi - 1e-4 * tau * dec:
+                    trial = state(moved(point, tau * step), t)
+                    if dec <= 0.25 or trial[-1] < phi and trial[-1] <= phi - 1e-4 * tau * dec:
                         break
                     tau *= 0.5
-                else:  # no decrease above phi's float resolution
-                    current = state(point, t)
+                else:  # no decrease above phi's float resolution: the stage ends where it stands
                     break
-                objective = float(p_host @ current[1] - p_bad @ current[6])
-                if first_stage and t * abs(objective) > _FOLLOW * nu:
-                    t = _FOLLOW * nu / abs(objective)
+                current = trial
+                if first_stage and t * abs(current[6]) > _FOLLOW * nu:
+                    t = _FOLLOW * nu / abs(current[6])
                     current, last = state(current[0], t), math.inf
             else:
                 return None
-            objective = float(p_host @ v - p_bad @ u)
             if not math.isfinite(objective):
                 return None
             if final or nu / t <= _GAP * max(scale, abs(objective)):
@@ -559,19 +555,6 @@ def _curve_point(p: SparsePolynomial, curve: _Curve) -> tuple[float, ...] | None
     return None
 
 
-#: The primal answer without a certified bound.
-_UNBOUNDED = BoundResult(-math.inf, None, None, None, None, Status.INFEASIBLE_UNBOUNDED)
-
-
-def sonc_lower_bound(p: SparsePolynomial) -> BoundResult:
-    """The largest gamma with p - gamma certified in the cone: the shift at
-    the constant point of one barrier solve (`_certify`).  An odd or
-    negative term in no circuit, a solve that fails, or one that fails the
-    checker answers infeasible_unbounded.  Solves no LP."""
-    cert = _certify(p, _extended_support(p), (0,) * p.n)[0]
-    return BoundResult(cert.gamma, None, cert, None, None, Status.CERTIFIED) if cert else _UNBOUNDED
-
-
 def _barrier_points(p: SparsePolynomial, vertices: dict[Exponent, float]) -> list[tuple[float, ...]]:
     """The origin, the point z read off the barrier's vertex values and the
     point its descent stops at; the origin alone without vertex values (no
@@ -627,8 +610,9 @@ def certify_optimality(p: SparsePolynomial, seed: int = 0) -> BoundResult:
     <= inf p <= p(z) = p_dual pins the infimum.  The search is
     deterministic: `seed` is accepted for callers that still pass it and
     ignored."""
-    support = _extended_support(p)
-    cert, vertices, uncovered = _certify(p, support, (0,) * p.n)
+    zero = (0,) * p.n
+    support = SupportSet(p.n, tuple(set(p.support.points) | {zero}))
+    cert, vertices, uncovered = _certify(p, support, zero)
     candidates = _barrier_points(p, vertices)
     curve = _unbounded_curve(p, uncovered)
     x = _curve_point(p, curve) if curve is not None else None

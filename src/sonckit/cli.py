@@ -36,17 +36,25 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _json(text: str):
+    """json.loads, where nesting too deep for the decoder is bad input."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input nested too deeply") from None
+
+
 def _load_polynomial(text: str) -> SparsePolynomial:
     stripped = text.strip()
     if stripped.startswith("{"):
-        return SparsePolynomial.from_json_dict(json.loads(stripped))
+        return SparsePolynomial.from_json_dict(_json(stripped))
     return parse_polynomial(stripped)
 
 
 def _load_support(text: str) -> SupportSet:
     stripped = text.strip()
     if stripped.startswith("{"):
-        obj = json.loads(stripped)
+        obj = _json(stripped)
         if "points" in obj:
             return SupportSet.from_json_dict(obj)
     return _load_polynomial(text).support
@@ -92,7 +100,7 @@ def _cmd_circuits(args) -> int:
 def _cmd_check(args) -> int:
     text = _read(args.input)
     if args.kind == "nonneg-circuit":
-        obj = json.loads(text)
+        obj = _json(text)
         circuit = Circuit(obj["vertices"], obj["beta"])
         c = tuple(read_number(x, "circuit coefficients") for x in obj["c"])
         cp = CircuitPolynomial(circuit, c, read_number(obj["delta"], "delta"))
@@ -111,12 +119,12 @@ def _cmd_check(args) -> int:
         )
         return 0 if ok else 1
     if args.kind == "dual-member":
-        v = DualVector.from_json_dict(json.loads(text))
+        v = DualVector.from_json_dict(_json(text))
         report = sonc_dual_membership(v.support, v, tol=args.tol)
         _emit(report.to_json_dict(), args.format)
         return 0 if report.member else 1
     if args.kind == "sage-dual":
-        v = DualVector.from_json_dict(json.loads(text))
+        v = DualVector.from_json_dict(_json(text))
         try:
             member = sage_dual_membership(v.support, v, tol=args.tol)
         except RuntimeError as exc:  # HiGHS rejected an LP (e.g. entries beyond its range): no verdict
@@ -124,7 +132,7 @@ def _cmd_check(args) -> int:
         _emit({"member": member}, args.format)
         return 0 if member else 1
     # quartic-dual
-    obj = json.loads(text)
+    obj = _json(text)
     vec = obj["v"] if isinstance(obj, dict) else obj
     test = psd_dual_quartic if args.psd else quartic_dual_membership
     member = test([read_number(x, "quartic dual values") for x in vec], tol=args.tol)

@@ -52,15 +52,18 @@ class ParseError(ValueError):
 
 
 def read_number(value, what: str, kind: type = float):
-    """kind(value) for a real number.  A string or a boolean is bad input,
-    not the number float() or int() reads from it ("11" as 11, true as 1),
-    and so is a value beyond kind's range (int(inf), float(10**400))."""
+    """kind(value) for a real number.  A string, a boolean or a fraction read
+    as int is bad input, not what float() or int() makes of it ("11" as 11,
+    true or 1.7 as 1), and so is a value beyond kind's range (int(inf))."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"expected a number for {what}, got {value!r}")
     try:
-        return kind(value)
+        out = kind(value)
     except OverflowError:
         raise ValueError(f"{what} must be finite") from None
+    if kind is int and out != value:
+        raise ValueError(f"expected an integer for {what}, got {value!r}")
+    return out
 
 
 def check_exponent(point: Sequence[int]) -> Exponent:
@@ -69,7 +72,7 @@ def check_exponent(point: Sequence[int]) -> Exponent:
     for e in point:
         # Ints, nearly every entry, pass as they are.
         ie = e if type(e) is int else read_number(e, "exponent entries", int)
-        if ie != e or ie < 0:
+        if ie < 0:
             raise ValueError(f"exponent entries must be nonnegative integers, got {tuple(point)!r}")
         out.append(ie)
     return tuple(out)
@@ -278,10 +281,6 @@ def value_gradient_hessian(p: SparsePolynomial, x: Sequence[float]) -> tuple[flo
                         twice = once[:j] + (once[j] - 1,) + once[j + 1 :]
                         hess[i][j] += coef * (alpha[i] * once[j]) * _monomial(xs, twice)
     return value, np.array(grad), np.array(hess).reshape(n, n)
-
-
-def evaluate(p: SparsePolynomial, x: Sequence[float]) -> float:
-    return p.evaluate(x)
 
 
 def moment_vector(x: Sequence[float], support: SupportSet) -> DualVector:

@@ -25,7 +25,7 @@ from sonckit import (
     certify_optimality,
     parse_polynomial,
 )
-from sonckit.bounds import _certify, _descend, _extended_support, _unbounded_curve
+from sonckit.bounds import _certify, _descend, _unbounded_curve
 
 
 def random_support(rng: np.random.Generator, n: int, max_points: int = 8, max_entry: int = 8) -> SupportSet:
@@ -204,7 +204,8 @@ def bound_parts(p: SparsePolynomial) -> tuple:
     """What `certify_optimality` reads off its one solve at the constant
     point: the certificate and vertex values of `bounds._certify`, and the
     curve `bounds._unbounded_curve` finds on the terms no circuit covers."""
-    cert, vertices, uncovered = _certify(p, _extended_support(p), (0,) * p.n)
+    zero = (0,) * p.n
+    cert, vertices, uncovered = _certify(p, SupportSet(p.n, tuple(set(p.support.points) | {zero})), zero)
     return cert, vertices, _unbounded_curve(p, uncovered)
 
 

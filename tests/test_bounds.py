@@ -27,7 +27,6 @@ from sonckit import (
     parse_polynomial,
     sonc_dual_membership,
     sonc_feasibility,
-    sonc_lower_bound,
     verify_certificate,
 )
 from sonckit import bounds
@@ -273,30 +272,30 @@ def _extended(p):
 
 class TestLowerBound:
     def test_motzkin_bound_zero(self):
-        r = sonc_lower_bound(motzkin())
-        assert r.status is Status.CERTIFIED
+        r = certify_optimality(motzkin())
+        assert r.certificate is not None and r.status in (Status.CERTIFIED, Status.OPTIMALITY_CERTIFIED)
         assert abs(r.p_sonc) <= 1e-6
 
     def test_shifted_quadratic(self):
-        r = sonc_lower_bound(parse_polynomial("1 + x1^2"))
+        r = certify_optimality(parse_polynomial("1 + x1^2"))
         assert abs(r.p_sonc - 1.0) <= 1e-6
 
     def test_quartic_closed_form(self):
-        r = sonc_lower_bound(parse_polynomial("1 + x1^4 - 3*x1^2"))
+        r = certify_optimality(parse_polynomial("1 + x1^4 - 3*x1^2"))
         assert abs(r.p_sonc - (-1.25)) <= 1e-6
 
     def test_constant(self):
-        r = sonc_lower_bound(parse_polynomial("7"))
+        r = certify_optimality(parse_polynomial("7"))
         assert r.p_sonc == pytest.approx(7.0, abs=1e-9)
 
     def test_unbounded_reports_infeasible(self):
-        r = sonc_lower_bound(parse_polynomial("x1"))
-        assert r.status is Status.INFEASIBLE_UNBOUNDED
+        r = certify_optimality(parse_polynomial("x1"))
+        assert r.status is Status.DUAL_ONLY and r.certificate is None
         assert r.p_sonc == -math.inf
 
     def test_certificate_matches_reported_gamma(self):
         p = parse_polynomial("1 + x1^4 - 3*x1^2")
-        r = sonc_lower_bound(p)
+        r = certify_optimality(p)
         assert r.certificate.gamma == r.p_sonc
         assert verify_certificate(p, r.certificate)
 
@@ -305,7 +304,7 @@ class TestLowerBound:
         # gamma below it certifies, every gamma above it fails
         for text in (MOTZKIN_TEXT, "1 + x1^4 - 3*x1^2", "1 + x1^6 - 2*x1^3 + 0.5*x1^2"):
             p = parse_polynomial(text)
-            bound = sonc_lower_bound(p).p_sonc
+            bound = certify_optimality(p).p_sonc
             catalog = enumerate_circuits(_extended(p))
             zero = (0,) * p.n
             trace = []
@@ -375,7 +374,7 @@ class TestExactBound:
         rng = np.random.default_rng(20290)
         for _ in range(200):
             terms = _even_simplex_terms(rng)
-            r = sonc_lower_bound(SparsePolynomial.from_terms(terms, n=1))
+            r = certify_optimality(SparsePolynomial.from_terms(terms, n=1))
             want = _simplex_sonc_value(terms)
             scale = 1.0 + max(map(abs, terms.values()))
             assert abs(r.p_sonc - want) <= 1e-6 * max(scale, abs(want)), terms
@@ -668,7 +667,7 @@ class TestCertifyOptimality:
         for _ in range(60):
             n = int(rng.integers(1, 3))
             p = random_sparse_poly(rng, n, max_degree=6, max_terms=5)
-            r = sonc_lower_bound(p)
+            r = certify_optimality(p)
             if not math.isfinite(r.p_sonc):
                 continue
             checked += 1
@@ -687,22 +686,25 @@ SWEEP_GOLDEN = Path(__file__).parent / "data" / "sweep_golden.json"
 
 
 def bound_record(p: SparsePolynomial) -> dict:
-    """The input's text, and the status, p_sonc, p_dual and each certificate
-    piece's (vertices, beta) that `certify_optimality` gives for it."""
+    """The input's text, and the status, p_sonc, p_dual, dual point and each
+    certificate piece's (vertices, beta) that `certify_optimality` gives for it."""
     blob = certify_optimality(p).to_json_dict()
     pieces = [[q["vertices"], q["beta"]] for q in blob["certificate"]["pieces"]] if blob["certificate"] else None
-    keys = ("status", "p_sonc", "p_dual")
+    keys = ("status", "p_sonc", "p_dual", "dual_point")
     return {"poly": serialize_polynomial(p), **{key: blob[key] for key in keys}, "pieces": pieces}
 
 
 def _matches_record(path: Path, polys: list[SparsePolynomial]) -> None:
     """Statuses and circuits exactly; values to 1e-12 of max(|value|, scale),
-    so a host whose BLAS rounds differently still passes."""
+    so a host whose BLAS rounds differently still passes.  Every answer has a
+    finite p_dual and a dual point whose constant entry is 1."""
     golden = json.loads(path.read_text())
     assert len(golden) == len(polys)
     for p, want in zip(polys, golden):
         got = bound_record(p)
         assert (got["poly"], got["status"], got["pieces"]) == (want["poly"], want["status"], want["pieces"])
+        dual = got["dual_point"]
+        assert math.isfinite(got["p_dual"]) and dual["values"][dual["points"].index([0] * p.n)] == 1.0, want["poly"]
         scale = 1.0 + max(map(abs, p.coefficients.values()))
         for key in ("p_sonc", "p_dual"):
             assert (got[key] is None) == (want[key] is None), (want["poly"], key)
@@ -761,7 +763,8 @@ class TestNewtonPolytopeShortcut:
                 k0 += 1
             values = [sum(c * Fraction(2) ** (e * (k0 + k)) for c, e in terms) for k in range(1, 7)]
             assert all(a > b for a, b in zip(values, values[1:]))
-            assert sonc_lower_bound(p).status is Status.INFEASIBLE_UNBOUNDED
+            r = certify_optimality(p)
+            assert r.status is Status.DUAL_ONLY and r.certificate is None and r.p_sonc == -math.inf
         assert flagged == 83
 
     @pytest.mark.parametrize("text", [MOTZKIN_TEXT, "1 + x1^4 - 3*x1^2", "1 + x1^2", "7"])
@@ -777,24 +780,22 @@ class TestNewtonPolytopeShortcut:
             bad = any(c < 0.0 or any(e % 2 for e in exp) for exp, c in p.coefficients.items())
             without_bad_point += not bad
             bounded = bound_parts(p)[2] is None
-            for solve in (sonc_lower_bound, certify_optimality):
-                calls.clear()
-                solve(p)
-                assert len(calls) == (bad and bounded), p.coefficients
+            calls.clear()
+            certify_optimality(p)
+            assert len(calls) == (bad and bounded), p.coefficients
         assert without_bad_point == 5
 
     def test_lower_bound_solves_no_lp(self, monkeypatch):
         lps = _record_lps(monkeypatch)
         polys = [motzkin(), parse_polynomial("1 + x1^4 - 3*x1^2"), *criterion9_polys(), *even_simplex_polys()]
         for p in polys:
-            sonc_lower_bound(p)
             certify_optimality(p)  # the curve of an unbounded input is a nearest-point search
         assert lps == []
 
     def test_settled_without_oracle_calls(self, monkeypatch):
         calls = _record_solves(monkeypatch)
-        r = sonc_lower_bound(parse_polynomial("x1^2*x2 + 1"))
-        assert r.status is Status.INFEASIBLE_UNBOUNDED and r.p_sonc == -math.inf
+        r = certify_optimality(parse_polynomial("x1^2*x2 + 1"))
+        assert r.status is Status.DUAL_ONLY and r.certificate is None and r.p_sonc == -math.inf
         assert calls == []
 
     def test_failed_barrier_answers_the_origin(self, monkeypatch):
@@ -958,8 +959,6 @@ class TestNewtonPolytopeShortcut:
     def test_above_the_cap_raises(self, last):
         # 21 even points, one over the cap; x1^41 and -x1^3 are bad points.
         p = parse_polynomial("1 + " + " + ".join(f"x1^{e}" for e in range(2, 41, 2)) + " " + last)
-        with pytest.raises(SupportTooLargeError):
-            sonc_lower_bound(p)
         with pytest.raises(SupportTooLargeError):
             certify_optimality(p)
 

@@ -15,11 +15,11 @@ from sonckit import (
     SupportTooLargeError,
     affinely_independent,
     barycentric_coordinates,
+    certify_optimality,
     circuit_number,
     enumerate_circuits,
     parse_polynomial,
     sonc_dual_membership,
-    sonc_lower_bound,
 )
 from sonckit import circuits as circuits_module
 from sonckit.circuits import _affine_coordinates
@@ -385,7 +385,7 @@ class TestArityGroups:
         enumerate_circuits.cache_clear()
         A = _dense(2, 6)
         v = DualVector(A, {a: 1.0 for a in A.points})
-        assert sonc_lower_bound(parse_polynomial(MOTZKIN_TEXT)).certificate is not None
+        assert certify_optimality(parse_polynomial(MOTZKIN_TEXT)).certificate is not None
         assert not sonc_dual_membership(A, DualVector(A, {**v.values, (1, 1): 2.0})).member
         assert calls == []
         assert sonc_dual_membership(A, v).member

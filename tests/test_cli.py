@@ -201,8 +201,8 @@ class TestCheck:
         code, out, err = run_main([*command, files("e.json", text)], capsys)
         assert code == 2 and out == "" and "finite" in err
 
-    # JSON converts nothing: a digit string or a boolean is no number, and a
-    # string is no array of numbers.
+    # JSON converts nothing: a digit string or a boolean is no number, a
+    # string is no array of numbers, and a fraction is no dimension.
     @pytest.mark.parametrize(
         "command, blob",
         [
@@ -215,11 +215,25 @@ class TestCheck:
             pytest.param(["bound"], {"n": 1, "terms": [{"exp": [0], "coef": "1"}]}, id="coef"),
             pytest.param(["check", "dual-member"], {"n": 1, "points": [[0], [1]], "values": [True, 1]}, id="true"),
             pytest.param(["circuits"], {"n": "2", "points": [[0, 0], [2, 0]]}, id="n"),
+            pytest.param(["circuits"], {"n": 1.5, "points": [[0], [2]]}, id="fractional-n"),
+            pytest.param(["check", "dual-member"], {"n": 1.5, "points": [[0], [1]], "values": [1, 1]}, id="dual-fractional-n"),
+            pytest.param(["bound"], {"n": 1.5, "terms": [{"exp": [2], "coef": 1}]}, id="bound-fractional-n"),
         ],
     )
     def test_json_strings_and_booleans_exit_2(self, files, capsys, command, blob):
         code, out, err = run_main([*command, files("j.json", json.dumps(blob))], capsys)
         assert code == 2 and out == "" and err.startswith("error:")
+
+    # Nesting past the decoder's recursion limit is bad input, not a verdict.
+    @pytest.mark.parametrize(
+        "command",
+        [["circuits"], *[["check", kind] for kind in ("nonneg-circuit", "dual-member", "sage-dual", "quartic-dual")], ["bound"], ["certify"]],
+        ids=lambda command: command[-1],
+    )
+    def test_deeply_nested_json_exits_2(self, files, capsys, command):
+        text = '{"a": ' + "[" * 100000 + "]" * 100000 + "}"
+        code, out, err = run_main([*command, files("deep.json", text)], capsys)
+        assert code == 2 and out == "" and err.count("\n") == 1 and err.startswith("error:")
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_main(["check", "quartic-dual", "/nonexistent/v.json"], capsys)

@@ -11,7 +11,6 @@ from sonckit import (
     ParseError,
     SparsePolynomial,
     SupportSet,
-    evaluate,
     moment_vector,
     parse_polynomial,
     serialize_polynomial,
@@ -179,7 +178,7 @@ class TestEvaluate:
         assert p.evaluate((0.0, 0.0)) == 4.5
 
     def test_univariate(self):
-        assert evaluate(parse_polynomial("1 + x1^2"), (2.0,)) == 5.0
+        assert parse_polynomial("1 + x1^2").evaluate((2.0,)) == 5.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -17,7 +17,7 @@ import numpy as np
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from sonckit import Circuit, SparsePolynomial, sonc_lower_bound, verify_certificate
+from sonckit import Circuit, SparsePolynomial, certify_optimality, verify_certificate
 from sonckit.cli import _load_polynomial, main
 from sonckit.polynomials import MAX_VARIABLES, ParseError, parse_polynomial
 
@@ -310,7 +310,7 @@ def check_exact_bound(p: SparsePolynomial) -> None:
     value unchanged, moves the bound by no more than the solve's tolerance.
     Tolerances are relative to max(scale, |value|): a tight bound near
     -2.4e11 sits 6e-4 above the computed minimum, p's own rounding there."""
-    r = sonc_lower_bound(p)
+    r = certify_optimality(p)
     if r.certificate is None:
         return
     assert verify_certificate(p, r.certificate)
@@ -320,13 +320,13 @@ def check_exact_bound(p: SparsePolynomial) -> None:
     assert r.p_sonc <= low + 1e-6 * max(scale, abs(low))
     q = SparsePolynomial.from_terms({e: c * (-1.25) ** e[0] for e, c in p.coefficients.items()}, n=p.n)
     tol = 1e-6 * max(scale, 1.0 + max(map(abs, q.coefficients.values())), abs(r.p_sonc))
-    assert abs(sonc_lower_bound(q).p_sonc - r.p_sonc) <= tol
+    assert abs(certify_optimality(q).p_sonc - r.p_sonc) <= tol
 
 
 @FUZZ
 @given(even_simplex_polynomials())
 def test_exact_bound_on_even_simplices(p):
-    assert sonc_lower_bound(p).certificate is not None
+    assert certify_optimality(p).certificate is not None
     check_exact_bound(p)
 
 
