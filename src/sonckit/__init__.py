@@ -29,7 +29,6 @@ from .dual import (
     DualWitness,
     MembershipReport,
     circuit_dual_membership,
-    circuit_row_infeasibility,
     lp_min_infeasibility,
     psd_dual_quartic,
     quartic_dual_membership,
@@ -90,7 +89,6 @@ __all__ = [
     "certify_optimality",
     "circuit_dual_membership",
     "circuit_number",
-    "circuit_row_infeasibility",
     "entropy_iff_expcone",
     "entropy_minimizer",
     "enumerate_circuits",

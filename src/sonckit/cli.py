@@ -127,7 +127,7 @@ def _cmd_check(args) -> int:
         v = DualVector.from_json_dict(_json(text))
         try:
             member = sage_dual_membership(v.support, v, tol=args.tol)
-        except RuntimeError as exc:  # HiGHS rejected an LP (e.g. entries beyond its range): no verdict
+        except RuntimeError as exc:  # HiGHS reported a failure on an LP: no verdict
             raise ValueError(exc) from None
         _emit({"member": member}, args.format)
         return 0 if member else 1

@@ -23,8 +23,12 @@ sum_j lambda_j (b_j - s) = 0).
 
 The test runs vectorized over a catalog, one arity group at a time.  The
 dual SAGE test has no such closed form: it solves one minimax LP per support
-point, on HiGHS, or by the crossing of lines when the support is univariate.
-scipy is imported there, on first use, not with the module.
+point i, on HiGHS, or by the crossing of lines when the support is
+univariate.  Its rows are the log ratios b_j = log v_i - log v_j, so the LP
+sees numbers no larger than the logs of floats; its value times v_i is the
+value over the rows v_i log(v_i/v_j) (tau scales by v_i), which the
+tolerance bounds.  scipy is imported there, on first use, not with the
+module.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .circuits import ArityGroup, Circuit, enumerate_circuits
-from .entropy import DEFAULT_TOL, xlogx_over
+from .entropy import DEFAULT_TOL
 from .polynomials import DualVector, SupportSet
 
 #: |v_beta| at or below this never enters a pairing; v* = 0 certifies.
@@ -70,15 +74,14 @@ class MembershipReport:
         }
 
 
-def lp_min_infeasibility(rows: Sequence[tuple[Sequence[float], float]]) -> tuple[float, tuple[float, ...]]:
-    """min over tau of max_j (b_j - a_j . tau), plus an attaining tau; the
-    LP behind the dual SAGE test.
+def lp_min_infeasibility(rows: Sequence[tuple[Sequence[float], float]]) -> float:
+    """min over tau of max_j (b_j - a_j . tau); the LP behind the dual SAGE
+    test.
 
     One variable solves in closed form (`_minimax_line`); more go to HiGHS
     as the epigraph LP  min t  s.t.  b_j - a_j . tau <= t,  tau and t free.
-    That LP is always feasible; -inf means every row can be satisfied with
-    arbitrarily large slack, and the returned tau, from a second solve with
-    t >= -1, already clears them all by at least 1.
+    That LP is always feasible, so an unbounded one has the value -inf:
+    every row can be satisfied with arbitrarily large slack.
     """
     if not rows:
         raise ValueError("need at least one row")
@@ -91,18 +94,15 @@ def lp_min_infeasibility(rows: Sequence[tuple[Sequence[float], float]]) -> tuple
 
     a_ub = np.hstack([-np.array([a for a, _ in rows], dtype=float), -np.ones((len(rows), 1))])
     b_ub = -np.array([b for _, b in rows], dtype=float)
-    cost = np.eye(n + 1)[n]
-    lp = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=(None, None), method="highs")
-    value = lp.fun
+    lp = linprog(np.eye(n + 1)[n], A_ub=a_ub, b_ub=b_ub, bounds=(None, None), method="highs")
     if lp.status == 3:  # unbounded below
-        lp = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * n + [(-1.0, None)], method="highs")
-        value = -math.inf
+        return -math.inf
     if lp.status != 0:
         raise RuntimeError(f"HiGHS failed on the epigraph LP: {lp.message}")
-    return float(value), tuple(lp.x[:n].tolist())
+    return float(lp.fun)
 
 
-def _minimax_line(rows: list[tuple[float, float]]) -> tuple[float, tuple[float, ...]]:
+def _minimax_line(rows: list[tuple[float, float]]) -> float:
     """1-D minimax of the lines b_j - a_j * tau.
 
     The optimum is the largest crossing of a decreasing with an increasing
@@ -112,26 +112,7 @@ def _minimax_line(rows: list[tuple[float, float]]) -> tuple[float, tuple[float, 
     pos = [(a, b) for a, b in rows if a > 0.0]
     neg = [(a, b) for a, b in rows if a < 0.0]
     flat = max((b for a, b in rows if a == 0.0), default=-math.inf)
-    best = flat
-    best_tau: float | None = None
-    for ai, bi in pos:
-        for aj, bj in neg:
-            val = (ai * bj - aj * bi) / (ai - aj)
-            if val > best:
-                best = val
-                best_tau = (bi - bj) / (ai - aj)
-    if best == -math.inf:
-        if pos:
-            return -math.inf, (max((b + 1.0) / a for a, b in pos),)
-        return -math.inf, (min((b + 1.0) / a for a, b in neg),)
-    if best_tau is None:
-        lo = max(((b - best) / a for a, b in pos), default=-math.inf)
-        hi = min(((b - best) / a for a, b in neg), default=math.inf)
-        if lo > hi:  # float fuzz at a three-way tie
-            best_tau = 0.5 * (lo + hi)
-        else:
-            best_tau = min(max(0.0, lo), hi)
-    return best, (best_tau,)
+    return max([flat] + [(ai * bj - aj * bi) / (ai - aj) for ai, bi in pos for aj, bj in neg])
 
 
 def _gaps(g: ArityGroup, vals: np.ndarray, v_star: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -186,20 +167,6 @@ def _one_circuit(circuit: Circuit, v: DualVector) -> tuple[ArityGroup, np.ndarra
     even = np.array([circuit.beta_even])
     group = ArityGroup(np.array([-1]), np.arange(k)[None], np.array([k]), weights, even, lattice)
     return group, np.array([v[p] for p in points], dtype=float)
-
-
-def circuit_row_infeasibility(circuit: Circuit, v: DualVector, v_star: float) -> tuple[float, tuple[float, ...]]:
-    """min over tau of max_j (v* log(v*/v_alpha(j)) - (beta - alpha(j)) . tau),
-    by the closed form, with an attaining tau.
-
-    +inf when some row is itself +inf, i.e. a zero vertex value with v* > 0.
-    """
-    group, vals = _one_circuit(circuit, v)
-    star = np.array([float(v_star)])
-    s, logs, mean = _gaps(group, vals, star)
-    if math.isinf(s[0]):
-        return math.inf, (0.0,) * circuit.n
-    return float(s[0]), tuple(_taus(group, star, logs, mean)[0].tolist())
 
 
 def circuit_dual_membership(
@@ -305,29 +272,30 @@ def psd_dual_quartic(v: Sequence[float], tol: float = DEFAULT_TOL) -> bool:
 
 def sage_dual_membership(support: SupportSet, v: DualVector, tol: float = DEFAULT_TOL) -> bool:
     """Dual SAGE membership over a finite support: for every index i some
-    tau(i) satisfies v_i log(v_i/v_j) <= (alpha(i) - alpha(j)) . tau(i)."""
+    tau(i) satisfies v_i log(v_i/v_j) <= (alpha(i) - alpha(j)) . tau(i).
+
+    A point with v_i = 0 passes and one with v_j = 0 < v_i fails, under the
+    extended log conventions.  On a positive vector point i fails when
+    v_i g_i > tol, g_i the minimax value over the log-ratio rows
+    (alpha(i) - alpha(j), log v_i - log v_j).
+    """
     if v.support != support:
         raise ValueError("dual vector is not indexed by the given support")
-    pts = support.points
-    vals = [v[p] for p in pts]
-    if any(x < 0.0 for x in vals):
+    vals = np.array([v[p] for p in support.points], dtype=float)
+    if (vals < 0.0).any():
         raise ValueError("dual SAGE vectors must be entrywise nonnegative")
-    if len(pts) == 1:
+    if len(vals) == 1 or not vals.any():
         return True
-    for i, (pi, vi) in enumerate(zip(pts, vals)):
-        rows = []
-        blocked = False
-        for j, (pj, vj) in enumerate(zip(pts, vals)):
-            if i == j:
-                continue
-            b = xlogx_over(vi, vj)
-            if math.isinf(b):
-                blocked = True
-                break
-            rows.append((tuple(float(x - y) for x, y in zip(pi, pj)), b))
-        if blocked:
-            return False
-        gap, _ = lp_min_infeasibility(rows)
-        if gap > tol:
+    if not vals.all():  # some v_j = 0 < v_i
+        return False
+    try:
+        coords = np.array(support.points, dtype=float)
+    except OverflowError:
+        raise ValueError("dual SAGE exponents must lie in the float range") from None
+    logs = np.log(vals)
+    for i, vi in enumerate(vals.tolist()):
+        others = np.arange(len(vals)) != i
+        rows = list(zip((coords[i] - coords[others]).tolist(), (logs[i] - logs[others]).tolist()))
+        if vi * lp_min_infeasibility(rows) > tol:
             return False
     return True

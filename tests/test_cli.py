@@ -131,11 +131,11 @@ class TestCheck:
         ones = dict(SEP_POINT, values=[1, 1, 1, 1, 1])
         assert run_main(["check", "sage-dual", files("s.json", ones)], capsys)[0] == 0
 
-    def test_sage_dual_lp_rejected_exits_2(self, files, capsys):
-        # HiGHS rejects the LP these entries give; that is no verdict.
+    def test_sage_dual_large_entries_member(self, files, capsys):
+        # (1,1) = (2,0)/2 + (0,2)/2 and 1e40 <= sqrt(3e40 * 2e40): a member at any scale.
         obj = {"n": 2, "points": [[0, 0], [2, 0], [0, 2], [1, 1]], "values": [1e40, 3e40, 2e40, 1e40]}
-        code, out, err = run_main(["check", "sage-dual", files("v.json", obj)], capsys)
-        assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
+        code, out, _ = run_main(["check", "sage-dual", files("v.json", obj)], capsys)
+        assert code == 0 and json.loads(out) == {"member": True}
 
     def test_garbage_input_exits_2(self, files, capsys):
         code, _, err = run_main(["check", "dual-member", files("g.json", "{not json")], capsys)

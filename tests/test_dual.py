@@ -19,7 +19,6 @@ from sonckit import (
     as_sparse_polynomial,
     circuit_dual_membership,
     circuit_number,
-    circuit_row_infeasibility,
     enumerate_circuits,
     lp_min_infeasibility,
     moment_vector,
@@ -48,36 +47,24 @@ def dv4(vals) -> DualVector:
     return DualVector(A4, {(i,): float(v) for i, v in enumerate(vals)})
 
 
-def minimax_value(rows, tau) -> float:
-    return max(b - sum(ai * ti for ai, ti in zip(a, tau)) for a, b in rows)
-
-
 class TestMinimaxLP:
     def test_opposed_unit_rows(self):
-        t, tau = lp_min_infeasibility([((1.0,), 0.0), ((-1.0,), 0.0)])
-        assert t == pytest.approx(0.0, abs=1e-12) and tau == (0.0,)
+        assert lp_min_infeasibility([((1.0,), 0.0), ((-1.0,), 0.0)]) == pytest.approx(0.0, abs=1e-12)
 
     def test_infeasible_for_nonpositive(self):
-        t, tau = lp_min_infeasibility([((1.0,), 1.0), ((-1.0,), 1.0)])
-        assert t == pytest.approx(1.0, abs=1e-12) and tau == pytest.approx((0.0,), abs=1e-12)
+        assert lp_min_infeasibility([((1.0,), 1.0), ((-1.0,), 1.0)]) == pytest.approx(1.0, abs=1e-12)
 
     def test_single_row_unbounded(self):
-        t, tau = lp_min_infeasibility([((1.0,), 5.0)])
-        assert t == -math.inf
-        assert minimax_value([((1.0,), 5.0)], tau) <= -1.0 + 1e-12
+        assert lp_min_infeasibility([((1.0,), 5.0)]) == -math.inf
 
     def test_flat_rows(self):
-        t, _ = lp_min_infeasibility([((0.0,), 2.0), ((1.0,), 0.0), ((-1.0,), 0.0)])
-        assert t == pytest.approx(2.0, abs=1e-12)
+        assert lp_min_infeasibility([((0.0,), 2.0), ((1.0,), 0.0), ((-1.0,), 0.0)]) == pytest.approx(2.0, abs=1e-12)
 
     def test_three_way_tie(self):
-        # All three rows meet at tau = 0.1, but rounded, the falling row drops
-        # to the flat level at a larger tau than the rising row leaves it; the
-        # midpoint of the two is taken.
+        # All three rows meet at tau = 0.1; rounded, the sloped rows cross
+        # just below the flat level, which is the value.
         rows = [((0.1,), 0.1 + 0.1 * 0.1), ((-0.3,), 0.1 - 0.3 * 0.1), ((0.0,), 0.1)]
-        t, tau = lp_min_infeasibility(rows)
-        assert t == 0.1 and tau[0] == pytest.approx(0.1, rel=1e-15)
-        assert abs(minimax_value(rows, tau) - t) <= 4 * math.ulp(t)
+        assert lp_min_infeasibility(rows) == 0.1
 
     def test_rejects_empty_and_ragged(self):
         with pytest.raises(ValueError):
@@ -104,13 +91,12 @@ class TestMinimaxLP:
         for _ in range(300):
             m = int(rng.integers(1, 6))
             rows = [((float(rng.integers(-4, 5)),), float(rng.uniform(-5, 5))) for _ in range(m)]
-            t_line, tau_line = lp_min_infeasibility(rows)
+            t_line = lp_min_infeasibility(rows)
             oracle = self._scipy_oracle(rows)
             if math.isinf(oracle):
                 assert t_line == -math.inf
             else:
                 assert t_line == pytest.approx(oracle, abs=1e-8)
-                assert minimax_value(rows, tau_line) == pytest.approx(t_line, abs=1e-9)
 
     def test_simplex_matches_scipy_in_higher_dimension(self):
         rng = np.random.default_rng(42)
@@ -121,14 +107,12 @@ class TestMinimaxLP:
                 (tuple(float(x) for x in rng.integers(-4, 5, size=n)), float(rng.uniform(-5, 5)))
                 for _ in range(m)
             ]
-            t, tau = lp_min_infeasibility(rows)
+            t = lp_min_infeasibility(rows)
             oracle = self._scipy_oracle(rows)
             if math.isinf(oracle):
                 assert t == -math.inf
-                assert minimax_value(rows, tau) <= -1.0 + 1e-9
             else:
                 assert t == pytest.approx(oracle, abs=1e-8)
-                assert minimax_value(rows, tau) == pytest.approx(t, abs=1e-8)
 
 
 def circuit_rows(circuit, v, v_star):
@@ -143,7 +127,7 @@ def lp_gap(circuit, v, v_star) -> float:
     rows = circuit_rows(circuit, v, v_star)
     if any(math.isinf(b) for _, b in rows):
         return math.inf
-    return lp_min_infeasibility(rows)[0]
+    return lp_min_infeasibility(rows)
 
 
 def lp_first_violated(catalog, v, tol):
@@ -190,9 +174,6 @@ class TestCircuitMembership:
     def test_zero_vertex_with_nonzero_inner_rejected(self):
         assert not circuit_dual_membership(self.circuit, self.dv(1.0, 0.5, 0.0))[0]
 
-    def test_zero_vertex_row_is_infinite(self):
-        assert circuit_row_infeasibility(self.circuit, self.dv(1.0, 0.5, 0.0), 0.5) == (math.inf, (0.0,))
-
     def test_matches_scalar_closed_form(self):
         # member iff v1^2 <= v0*v2
         rng = np.random.default_rng(43)
@@ -230,33 +211,28 @@ class TestCircuitMembership:
         assert failing >= 50
 
     def test_closed_form_matches_lp(self):
+        # At v* = |v_beta| the LP value is s = v* (log v* - sum_j lambda_j
+        # log v_alpha(j)), and a member's witness puts every row at slack -s.
         rng = np.random.default_rng(53)
+        members = 0
         for _ in range(300):
             c = random_circuit(rng)
             support = SupportSet.of(sorted(set(c.vertices) | {c.inner}), n=c.n)
             v = DualVector(support, {p: 10.0 ** rng.uniform(-2, 2) for p in support.points})
-            v_star = 10.0 ** rng.uniform(-2, 2)
-            s, tau = circuit_row_infeasibility(c, v, v_star)
+            v_star = v[c.inner]
+            mean = sum(float(mu) * math.log(v[a]) for mu, a in zip(c.barycentric, c.vertices))
+            s = v_star * (math.log(v_star) - mean)
             rows = circuit_rows(c, v, v_star)
             scale = max(1.0, max(abs(b) for _, b in rows))
-            assert s == pytest.approx(lp_min_infeasibility(rows)[0], abs=1e-9 * scale)
-            # every row sits at slack -s: tau attains the minimax value
+            assert s == pytest.approx(lp_gap(c, v, v_star), abs=1e-9 * scale)
+            ok, witness = circuit_dual_membership(c, v)
+            if not ok:
+                continue
+            members += 1
+            assert witness.v_star == v_star
             for a, b in rows:
-                assert b - sum(ai * ti for ai, ti in zip(a, tau)) == pytest.approx(s, abs=1e-9 * scale)
-
-    def test_profile_is_convex(self):
-        rng = np.random.default_rng(45)
-        for _ in range(200):
-            c = random_circuit(rng)
-            support = SupportSet.of(sorted(set(c.vertices) | {c.inner}), n=c.n)
-            vals = {p: 10.0 ** rng.uniform(-1, 1) for p in support.points}
-            v = DualVector(support, vals)
-            lo = abs(v[c.inner])
-            a, b = sorted(10.0 ** rng.uniform(-1, 1, size=2) + lo)
-            fa, _ = circuit_row_infeasibility(c, v, a)
-            fb, _ = circuit_row_infeasibility(c, v, b)
-            fm, _ = circuit_row_infeasibility(c, v, 0.5 * (a + b))
-            assert fm <= 0.5 * (fa + fb) + 1e-8
+                assert b - sum(ai * ti for ai, ti in zip(a, witness.tau)) == pytest.approx(s, abs=1e-9 * scale)
+        assert members >= 50
 
 
 class TestSoncDualMembership:
@@ -617,18 +593,48 @@ class TestSageDual:
                     rows = sage_rows(line.points, vals, i)
                     if not rows:  # a +inf row, or a single point
                         continue
-                    t_line, _ = lp_min_infeasibility(rows)
-                    plane_rows = [((a[0], 0.0), b) for a, b in rows]
-                    t_plane, tau_plane = lp_min_infeasibility(plane_rows)
+                    t_line = lp_min_infeasibility(rows)
+                    t_plane = lp_min_infeasibility([((a[0], 0.0), b) for a, b in rows])
                     if t_line == -math.inf:
                         unbounded += 1
                         assert t_plane == -math.inf
-                        assert minimax_value(plane_rows, tau_plane) <= -1.0 + 1e-9
                     else:
                         scale = max(1.0, max(abs(b) for _, b in rows))
                         assert t_plane == pytest.approx(t_line, abs=1e-8 * scale)
-                        assert minimax_value(plane_rows, tau_plane) == pytest.approx(t_plane, abs=1e-8 * scale)
         assert min(verdicts.values()) >= 40 and unbounded >= 100, (verdicts, unbounded)
+
+    def test_verdict_at_any_scale(self):
+        # By LP duality the value for point i over the log-ratio rows is the
+        # largest log v_i - sum_j lambda_j log v_j over the circuits of A with
+        # inner point alpha(i).  In 2A every point is even, so its catalog
+        # holds them all.  Point i fails when v_i times that value exceeds tol.
+        rng = np.random.default_rng(56)
+        tol = 1e-9
+        decided = dict.fromkeys((True, False), 0)
+        for _ in range(150):
+            n = int(rng.integers(1, 4))
+            A = random_support(rng, n, max_points=8, max_entry=4)
+            index = {tuple(2 * e for e in p): i for i, p in enumerate(A.points)}
+            circuits = [c for c in enumerate_circuits(SupportSet.of(sorted(index), n=n)).circuits if c.k >= 2]
+            x = 10.0 ** rng.uniform(-0.5, 0.5, size=(2, n))
+            base = np.array([moment_vector(tuple(xi), A).as_tuple() for xi in x])
+            if rng.uniform() < 0.3:
+                vals = rng.uniform(0.1, 1.0, size=2) @ base  # a mixture: a member
+            else:
+                vals = base[0] * np.exp(rng.normal(0.0, 0.5, size=len(A)))
+            for k in rng.integers(-30, 31, size=3):
+                v = vals * 10.0 ** float(k)
+                gaps = np.full(len(A), -math.inf)
+                for c in circuits:
+                    i = index[c.inner]
+                    mean = sum(float(mu) * math.log(v[index[a]]) for mu, a in zip(c.barycentric, c.vertices))
+                    gaps[i] = max(gaps[i], math.log(v[i]) - mean)
+                member = sage_dual_membership(A, DualVector(A, dict(zip(A.points, v.tolist()))), tol=tol)
+                scaled = v * gaps
+                if np.all(np.abs(scaled - tol) > 1e-6 * np.maximum(1.0, v)):
+                    assert member == (not np.any(scaled > tol)), (A.points, v.tolist())
+                    decided[member] += 1
+        assert min(decided.values()) >= 40, decided
 
     def test_all_ones(self):
         v = dv4([1, 1, 1, 1, 1])

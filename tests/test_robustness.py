@@ -27,8 +27,12 @@ from _gen import bound_parts, eval_on_points, multistart_min
 #: of a dual candidate point there leave the float range.
 OVERFLOWING_MOMENTS = "-0.0*x1^60*x2^7 + 3.5*x2^7 + x1*x2^1000 - 7*x1^1000*x2^60 - 0.0*x1^60*x2^5"
 
-#: HiGHS rejects the dual SAGE LP built from these entries.
-SAGE_LP_REJECTED = '{"n":2,"points":[[0,0],[2,0],[0,2],[1,1]],"values":[1e40,3e40,2e40,1e40]}'
+#: A dual SAGE member with entries near 1e40: LP rows v_i log(v_i/v_j) would
+#: lie beyond HiGHS's range, the log-ratio rows log v_i - log v_j do not.
+SAGE_LARGE_ENTRIES = '{"n":2,"points":[[0,0],[2,0],[0,2],[1,1]],"values":[1e40,3e40,2e40,1e40]}'
+
+#: An exponent beyond the float range: the dual SAGE LP cannot be built, so sage-dual exits 2.
+HUGE_EXPONENT = '{"n":1,"points":[[0],[1],[%d]],"values":[1,0.5,1]}' % 10**400
 
 FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=150)
 
@@ -209,7 +213,8 @@ def test_polynomial_commands_exit_cleanly(text):
 
 @FUZZ
 @given(dual_vectors())
-@example(SAGE_LP_REJECTED)
+@example(SAGE_LARGE_ENTRIES)
+@example(HUGE_EXPONENT)
 def test_dual_checks_exit_cleanly(text):
     for kind in ("dual-member", "sage-dual"):
         check_clean_exit(["check", kind], text)
