@@ -259,31 +259,40 @@ def _central_path(lam: np.ndarray, grp: np.ndarray, p_host: np.ndarray, free: np
     circuit).  A stage ends at decrement 1, the last one only when the
     decrement stops falling."""
     first, lf = np.flatnonzero(np.diff(grp, prepend=-1)), lam[:, free]
-    lf0, dlf, ph, multi = lf[first], lf - lf[first][grp], p_host[free], len(first) < len(lam)
-    nu = 2.0 * len(lam) + float(free.sum())
+    lf0, dlf, lft, ph, multi = lf[first], lf - lf[first][grp], lf.T, p_host[free], len(first) < len(lam)
+    nu, sizes, no_rows = 2.0 * len(lam) + float(free.sum()), np.bincount(grp), lf[:0]
     scale = 1.0 + max(float(np.abs(p_host).max()), float(p_bad.max()))
-    diagonal = np.diag_indices(lf.shape[1])
 
     # A point is (log G of each bad point's first circuit, log G_C minus that,
     # v), so a tie between circuits resolves to the precision of the difference.
+    # With one circuit per bad point the differences and the gaps d to the
+    # least G are identically 0, and state and moved do not form them.
     def state(point: tuple, t: float) -> tuple:
         lg0, r, v = point
-        rmin = np.minimum.reduceat(r, first)
-        gmin = np.exp(lg0 + rmin)
-        gg, tp = gmin[grp], t * p_bad
-        d = gg * np.expm1(r - rmin[grp])
-        ss = _eliminate(gmin, d, first, grp, tp)[grp]
-        low, high = d + ss, d + 2.0 * gg - ss
-        u = tp / (2.0 * np.add.reduceat(1.0 / (low * high), first))
+        tp = t * p_bad
+        if multi:
+            rmin = np.minimum.reduceat(r, first)
+            gmin = np.exp(lg0 + rmin)
+            gg = gmin[grp]
+            d = gg * np.expm1(r - rmin[grp])
+            ss = _eliminate(gmin, d, first, grp, sizes, tp)[grp]
+            low, high, g = d + ss, d + 2.0 * gg - ss, gg + d
+            inverse = np.add.reduceat(1.0 / (low * high), first)
+        else:
+            g = gg = np.exp(lg0)
+            low = _eliminate(g, None, first, grp, sizes, tp)
+            high = 2.0 * gg - low
+            inverse = 1.0 / (low * high)
+        u = tp / (2.0 * inverse)
         objective = float(p_host @ v - p_bad @ u)
-        phi = t * objective - np.log(v[free]).sum() - np.log(low).sum() - np.log(high).sum()
-        return point, v, gg + d, gg, low, high, objective, phi
+        phi = t * objective - np.add.reduce(np.log(v[free])) - np.add.reduce(np.log(low)) - np.add.reduce(np.log(high))
+        return point, v, g, gg, low, high, objective, phi
 
     def moved(point: tuple, step: np.ndarray) -> tuple:
         lg0, r, v = point
         dz, v = np.log1p(step), v.copy()
         v[free] *= 1.0 + step
-        return lg0 + lf0 @ dz, r + dlf @ dz, v
+        return lg0 + lf0 @ dz, r + dlf @ dz if multi else r, v
 
     t, objective, first_stage = nu / scale, 0.0, True
     current = ((np.zeros(len(first)), np.zeros(len(lam)), np.ones(len(p_host))),)
@@ -294,15 +303,15 @@ def _central_path(lam: np.ndarray, grp: np.ndarray, p_host: np.ndarray, free: np
             for _ in range(300):
                 point, v, g, gg, low, high, objective, phi = current
                 a, b = g / low, g / high
-                aa, bb, ab = a * a, b * b, lf.T @ (a + b)
+                aa, bb, ab = a * a, b * b, lft @ (a + b)
                 grad = t * ph * v[free] - 1.0 - ab
-                ww, rows = aa + bb, lf[:0]
+                ww, rows = aa + bb, no_rows
                 if multi:  # the Schur term of each bad point, as centered rows (no cancellation)
                     rho, kappa = (aa - bb) / ww, gg / g
                     zbar = np.add.reduceat((ww * kappa * rho)[:, None] * lf, first) / np.add.reduceat(ww * kappa**2, first)[:, None]
                     rows = np.sqrt(ww)[:, None] * (rho[:, None] * lf - kappa[:, None] * zbar[grp])
-                hess = lf.T @ ((4.0 * a * a * b * b / ww - a - b)[:, None] * lf)
-                hess[diagonal] += 1.0 + ab
+                hess = lft @ ((4.0 * a * a * b * b / ww - a - b)[:, None] * lf)
+                hess.reshape(-1)[:: len(ab) + 1] += 1.0 + ab  # the diagonal, as a view
                 step = _newton_step(hess, rows, grad)
                 dec = float(-grad @ step) if step is not None else math.nan
                 if not math.isfinite(dec):
@@ -330,21 +339,26 @@ def _central_path(lam: np.ndarray, grp: np.ndarray, p_host: np.ndarray, free: np
             t, first_stage = t * _T_GROWTH, False
 
 
-def _eliminate(gmin: np.ndarray, d: np.ndarray, first: np.ndarray, grp: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _eliminate(
+    gmin: np.ndarray, d: np.ndarray | None, first: np.ndarray, grp: np.ndarray, sizes: np.ndarray, a: np.ndarray
+) -> np.ndarray:
     """The slack s = min_C G_C - u per bad point at the u that minimizes
-    -a u - sum_C log(G_C^2 - u^2), a = t |p_beta|, given d = G_C - min G:
-    for one circuit s = G (1 + 1/(r + A)) / (1 + r), A = a G, r = sqrt(1 +
-    A^2); for k, Newton from there, clipped to [that, k / a], which runs
-    only when some bad point has more than one circuit."""
+    -a u - sum_C log(G_C^2 - u^2), a = t |p_beta|, given d = G_C - min G and
+    the circuit count `sizes` of each bad point: for one circuit s = G (1 +
+    1/(r + A)) / (1 + r), A = a G, r = sqrt(1 + A^2); for k, Newton from
+    there, clipped to [that, k / a], which runs only when some bad point has
+    more than one circuit (d is not read otherwise)."""
     big = a * gmin
     r = np.hypot(1.0, big)
     s = lo = gmin * (1.0 + 1.0 / (r + big)) / (1.0 + r)
     if len(first) < len(grp):
-        sizes = np.bincount(grp)
         hi = np.maximum(np.minimum(sizes / a, gmin), lo)
+        top = d + 2.0 * gmin[grp]
         for _ in range(50):
-            low, high = 1.0 / (d + s[grp]), 1.0 / (d + 2.0 * gmin[grp] - s[grp])
-            new = np.clip(s + (np.add.reduceat(low - high, first) - a) / np.add.reduceat(low**2 + high**2, first), lo, hi)
+            sg = s[grp]
+            low, high = 1.0 / (d + sg), 1.0 / (top - sg)
+            change = (np.add.reduceat(low - high, first) - a) / np.add.reduceat(np.square(low) + np.square(high), first)
+            new = np.minimum(np.maximum(s + change, lo), hi)
             if (np.abs(new - s) <= 1e-15 * s).all():
                 return new
             s = new
@@ -355,10 +369,11 @@ def _newton_step(hess: np.ndarray, rows: np.ndarray, grad: np.ndarray) -> np.nda
     """Solve (hess + rows' rows) d = -grad by one LU solve of the system
     scaled to a unit diagonal, which is backward stable however large the
     rows are (circuits of one bad point near a tie); None when singular."""
-    hess = hess + rows.T @ rows
-    scale = 1.0 / np.sqrt(np.diag(hess))
+    if len(rows):
+        hess = hess + rows.T @ rows
+    scale = 1.0 / np.sqrt(hess.diagonal())
     try:
-        return np.linalg.solve(hess * np.outer(scale, scale), -grad * scale) * scale
+        return np.linalg.solve(hess * (scale[:, None] * scale), -grad * scale) * scale
     except np.linalg.LinAlgError:
         return None
 
@@ -574,26 +589,23 @@ def _barrier_points(p: SparsePolynomial, vertices: dict[Exponent, float]) -> lis
         return [origin]
     zs = np.tile(mags, (2 ** len(odd), 1))
     zs[:, odd] *= np.array(list(product((1.0, -1.0), repeat=len(odd))))
-    z = min(zs, key=lambda x: np.nan_to_num(p.evaluate(x), nan=math.inf))
+    z = min(zs, key=lambda x: (math.isnan(val := p.evaluate(x)), val))  # nan last
     return [origin, tuple(z.tolist()), tuple(_descend(p, z).tolist())]
 
 
 def _best_moment(p: SparsePolynomial, support: SupportSet, points: list) -> tuple[float, DualVector, tuple[float, ...]]:
     """(p(z), moment vector of z over `support`, z) at the point z of least
-    finite value with finite moments; p(z) is their pairing with p's
-    coefficients.  A moment vector is a dual member as it is, so no oracle
-    re-tests it; `points` starts with the origin, whose moment vector e_0
-    always counts."""
-    best = None
-    for z in points:
+    finite value with finite moments, the first such in `points` on a tie;
+    p(z) is their pairing with p's coefficients.  A moment vector is a dual
+    member as it is, so no oracle re-tests it, and only the chosen one is
+    built; `points` starts with the origin, whose moment vector e_0 always
+    counts."""
+    values = [p.evaluate(z) for z in points]
+    for i in sorted((i for i, val in enumerate(values) if math.isfinite(val)), key=values.__getitem__):
         try:
-            v = moment_vector(z, support)
+            return values[i], moment_vector(points[i], support), points[i]
         except ValueError:  # a moment beyond the float range
             continue
-        val = p.evaluate(z)
-        if math.isfinite(val) and (best is None or val < best[0]):
-            best = val, v, z
-    return best
 
 
 def certify_optimality(p: SparsePolynomial, seed: int = 0) -> BoundResult:

@@ -276,8 +276,10 @@ def sage_dual_membership(support: SupportSet, v: DualVector, tol: float = DEFAUL
 
     A point with v_i = 0 passes and one with v_j = 0 < v_i fails, under the
     extended log conventions.  On a positive vector point i fails when
-    v_i g_i > tol, g_i the minimax value over the log-ratio rows
-    (alpha(i) - alpha(j), log v_i - log v_j).
+    v_i g_i > tol max(1, v_i), g_i the minimax value over the log-ratio rows
+    (alpha(i) - alpha(j), log v_i - log v_j): relative to v_i once v_i >= 1,
+    as in `_test_group`, since v_i scales the rounding of g_i too, which an
+    absolute tol read as a violation on exact moment vectors from 1e6 up.
     """
     if v.support != support:
         raise ValueError("dual vector is not indexed by the given support")
@@ -296,6 +298,6 @@ def sage_dual_membership(support: SupportSet, v: DualVector, tol: float = DEFAUL
     for i, vi in enumerate(vals.tolist()):
         others = np.arange(len(vals)) != i
         rows = list(zip((coords[i] - coords[others]).tolist(), (logs[i] - logs[others]).tolist()))
-        if vi * lp_min_infeasibility(rows) > tol:
+        if vi * lp_min_infeasibility(rows) > tol * max(1.0, vi):
             return False
     return True

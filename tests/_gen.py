@@ -1,8 +1,11 @@
 """Shared random generators and brute-force oracles for the test suite.
 
-Run as a script, it prints the number of bound inputs (`bound_inputs()`)
-and the sha256 of their `certify_optimality` JSON lines, from whatever
-sonckit is on the path, so two trees compare by one command each:
+Run as a script, it prints the number of bound inputs (`bound_inputs()`),
+the sha256 of their `certify_optimality` JSON lines, and the barrier's
+Newton steps and state evaluations over them (calls of
+`bounds._newton_step` and `bounds._eliminate`), from whatever sonckit is on
+the path, so two trees compare their outputs and their barrier paths by
+one command each:
 
     PYTHONPATH=src python tests/_gen.py
 """
@@ -274,7 +277,19 @@ def near_quartic_boundary(v, margin: float = 1e-4) -> bool:
 MOTZKIN_TEXT = "1 + x1^2*x2^4 + x1^4*x2^2 - 3*x1^2*x2^2"
 
 
+def _counted(fn, calls: list[int]):
+    def wrapper(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    return wrapper
+
+
 if __name__ == "__main__":
+    from sonckit import bounds
+
+    steps, states = [0], [0]
+    bounds._newton_step, bounds._eliminate = _counted(bounds._newton_step, steps), _counted(bounds._eliminate, states)
     polys = bound_inputs()
     lines = [json.dumps(certify_optimality(p).to_json_dict(), sort_keys=True) for p in polys]
-    print(len(polys), hashlib.sha256("\n".join(lines).encode()).hexdigest())
+    print(len(polys), hashlib.sha256("\n".join(lines).encode()).hexdigest(), f"steps={steps[0]} states={states[0]}")

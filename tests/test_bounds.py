@@ -695,9 +695,13 @@ def bound_record(p: SparsePolynomial) -> dict:
 
 
 def _matches_record(path: Path, polys: list[SparsePolynomial]) -> None:
-    """Statuses and circuits exactly; values to 1e-12 of max(|value|, scale),
-    so a host whose BLAS rounds differently still passes.  Every answer has a
-    finite p_dual and a dual point whose constant entry is 1."""
+    """Statuses and circuits exactly; values to 1e-12 of max(|value|, scale).
+    That absorbs no reordering of the barrier's float operations: forming
+    its Newton step's scaled matrix as hess * scale * scale[:, None] in
+    place of hess * (scale[:, None] * scale) moves sweep draw 634's p_sonc
+    by 1.9e-12 of that, so a host whose BLAS rounds differently need not
+    pass.  Every answer has a finite p_dual and a dual point whose constant
+    entry is 1."""
     golden = json.loads(path.read_text())
     assert len(golden) == len(polys)
     for p, want in zip(polys, golden):

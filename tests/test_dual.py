@@ -648,6 +648,15 @@ class TestSageDual:
             x = tuple(10.0 ** rng.uniform(-0.5, 0.5, size=n))
             assert sage_dual_membership(A, moment_vector(x, A))
 
+    def test_large_moment_vectors(self):
+        # v_i times the LP value carries v_i's rounding, so an absolute tol
+        # fails 3 of these 12 members at scale 1e12: the tolerance is
+        # relative to v_i once v_i >= 1.
+        A = SupportSet.of(sorted(a for a in itertools.product(range(7), repeat=2) if sum(a) <= 6), n=2)
+        for x in 10.0 ** np.random.default_rng(3).uniform(-0.5, 0.5, size=(12, 2)):
+            m = moment_vector(tuple(x), A)
+            assert sage_dual_membership(A, DualVector(A, {p: 1e12 * m[p] for p in A.points}))
+
     def test_univariate_pair_always_member(self):
         A = SupportSet.of([(0,), (2,)])
         for y in (0.5, 1.0, 7.3, 100.0):
