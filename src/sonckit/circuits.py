@@ -200,7 +200,10 @@ class ArityGroup:
     points in the order of the value arrays the tests read.  `solve`, built
     on first read, maps each r with weights . r = 0 to the minimum-norm tau
     with (beta - alpha(j)) . tau = r_j for every j: on such r it acts as the
-    pseudo-inverse of the matrix with rows beta - alpha(j).
+    pseudo-inverse of the matrix with rows beta - alpha(j).  It is exact,
+    every entry the correctly rounded value of the rational pseudo-inverse,
+    from fraction-free elimination on the integer Gram matrix of those rows
+    under enumeration's int64 rule.
     """
 
     index: np.ndarray  # (m,) positions in the catalog
@@ -216,14 +219,35 @@ class ArityGroup:
 
     @cached_property
     def solve(self) -> np.ndarray:  # (m, n, k)
+        """R' adj(R R') / det(R R') for the rows R of every circuit, by
+        Gauss-Jordan on the integers [R R' | I] through _pivot_step.
+
+        The weights are the only dependency among the k rows and they are
+        all positive, so any k - 1 rows are independent and the last one
+        holds whenever the others do: R drops it and its column stays 0.
+        R R' is then a positive definite Gram matrix, so each pivot is a
+        positive leading minor and no row moves.  After the last step the
+        left block is det I and the right block adj(R R'), and one division
+        of the integers R' adj by det rounds each entry once.
+        """
         m, k = self.vertices.shape
-        solve = np.zeros((m, self.lattice.shape[1], k))
-        if k > 1:
-            # The weights are the only dependency among the k rows and they
-            # are all positive, so any k - 1 rows are independent and the
-            # last one holds whenever the others do.
-            rows = (self.lattice[self.inner, None, :] - self.lattice[self.vertices[:, :-1]]).astype(float)
-            solve[:, :, :-1] = np.linalg.pinv(rows)
+        n = self.lattice.shape[1]
+        solve = np.zeros((m, n, k))
+        if k == 1:
+            return solve
+        rows = self.lattice[self.inner, None, :] - self.lattice[self.vertices[:, :-1]]
+        top = int(np.abs(rows).max())
+        if n * top**2 >= _INT64_SAFE:  # a Gram entry sums n products r_i r_j
+            rows = rows.astype(object)
+        eye = np.broadcast_to(np.eye(k - 1, dtype=rows.dtype), (m, k - 1, k - 1))
+        mats = np.concatenate((rows @ rows.transpose(0, 2, 1), eye), axis=2)
+        prev, sets = np.ones(m, dtype=mats.dtype), np.arange(m)
+        for col in range(k - 1):
+            mats, prev = _pivot_step(_exact(mats, _INT64_SAFE), prev, sets, np.full(m, col), col)
+        # An entry of R' adj sums k - 1 products: with it and det below 2**53
+        # both are exact floats, and the float division rounds once.
+        mats = _exact(mats, 2**53 // ((k - 1) * top))
+        solve[:, :, :-1] = (rows.transpose(0, 2, 1) @ mats[:, :, k - 1 :]) / prev[:, None, None]
         return solve
 
 
@@ -261,6 +285,13 @@ MAX_EVEN_POINTS = 20
 #: Entries in one batch of stacked elimination matrices.  Enumeration runs
 #: depth first a batch at a time, so its memory is O(depth * batch).
 _BATCH_ENTRIES = 1 << 18
+
+
+def _exact(mats: np.ndarray, bound: int) -> np.ndarray:
+    """mats, on Python ints unless every entry is below bound in magnitude."""
+    if mats.dtype == object or np.abs(mats).max() < bound:
+        return mats
+    return mats.astype(object)
 
 
 def _pivot_step(mats: np.ndarray, prev: np.ndarray, sets: np.ndarray, cols: np.ndarray, k: int):
@@ -337,8 +368,8 @@ def enumerate_circuits(support: SupportSet) -> CircuitCatalog:
 
     def extend(mats: np.ndarray, prev: np.ndarray, chosen: np.ndarray, sets: np.ndarray, nxt: np.ndarray) -> None:
         """Add even[nxt[t]] to set sets[t] of the batch, a chunk of children at a time."""
-        if len(sets) and mats.dtype != object and np.abs(mats).max() >= _INT64_SAFE:
-            mats = mats.astype(object)
+        if len(sets):
+            mats = _exact(mats, _INT64_SAFE)
         for lo in range(0, len(sets), per_batch):
             s, e = sets[lo : lo + per_batch], nxt[lo : lo + per_batch]
             child, pivots = _pivot_step(mats, prev, s, even[e], chosen.shape[1])

@@ -15,11 +15,14 @@ v* <= prod_j v_alpha(j)^lambda_j, pinning v* = |v_beta| is optimal: the
 test is the quantifier-free condition |v_beta| <= prod_j v_alpha(j)^lambda_j
 of the dual cone, decided as s <= tol max(1, v*) in the log domain: for
 v* >= 1 that bounds the log slack log v* - sum_j lambda_j log v_alpha(j) by
-tol, so an exact moment vector passes at any scale.  The witness keeps
-v* = |v_beta| and takes the minimum-norm tau with every row at slack -s,
-from one linear map per circuit, built on first use (the system is
-consistent since sum_j lambda_j (beta - alpha(j)) = 0 and
-sum_j lambda_j (b_j - s) = 0).
+tol, so an exact moment vector passes at any scale.  The witness, a
+`DualWitness` NamedTuple, keeps v* = |v_beta| and takes the minimum-norm
+tau with every row at slack -s, from one linear map per circuit, built on
+first use (the system is consistent since sum_j lambda_j (beta - alpha(j))
+= 0 and sum_j lambda_j (b_j - s) = 0).  The map is the exact pseudo-inverse
+of the integer rows beta - alpha(j), every entry correctly rounded: it
+comes from fraction-free elimination on their Gram matrix, under the same
+int64 rule as catalog enumeration (`ArityGroup.solve`).
 
 The test runs vectorized over a catalog, one arity group at a time.  The
 dual SAGE test has no such closed form: it solves one minimax LP per support
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,8 +50,7 @@ from .polynomials import DualVector, SupportSet
 _ZERO_INNER = 1e-12
 
 
-@dataclass(frozen=True)
-class DualWitness:
+class DualWitness(NamedTuple):
     """A certifying (v*, tau) pair for one circuit's dual condition."""
 
     circuit_index: int
@@ -67,7 +69,8 @@ class MembershipReport:
 
     def to_json_dict(self) -> dict:
         if self.member:
-            return {"member": True, "witnesses": [w.to_json_dict() for w in self.witnesses]}
+            witnesses = [{"circuit": i, "v_star": star, "tau": list(tau)} for i, star, tau in self.witnesses]
+            return {"member": True, "witnesses": witnesses}
         return {
             "member": False,
             "violated_circuit": self.violated_circuit.to_json_dict() if self.violated_circuit else None,
@@ -217,10 +220,8 @@ def sonc_dual_membership(
             return MembershipReport(False, (), catalog.circuit(group, int(failed.argmax())))
     witnesses = []
     for group, v_star, logs, mean in passed:
-        taus = _taus(group, v_star, logs, mean).tolist()
-        witnesses.extend(
-            DualWitness(idx, star, tuple(tau)) for idx, star, tau in zip(group.index.tolist(), v_star.tolist(), taus)
-        )
+        taus = map(tuple, _taus(group, v_star, logs, mean).tolist())
+        witnesses.extend(map(DualWitness, group.index.tolist(), v_star.tolist(), taus))
     return MembershipReport(True, tuple(witnesses), None)
 
 

@@ -1,11 +1,14 @@
 """Shared random generators and brute-force oracles for the test suite.
 
-Run as a script, it prints the number of bound inputs (`bound_inputs()`),
-the sha256 of their `certify_optimality` JSON lines, and the barrier's
-Newton steps and state evaluations over them (calls of
-`bounds._newton_step` and `bounds._eliminate`), from whatever sonckit is on
-the path, so two trees compare their outputs and their barrier paths by
-one command each:
+Run as a script, it prints two lines from whatever sonckit is on the path,
+so two trees compare their outputs by one command each.  The first holds
+the number of bound inputs (`bound_inputs()`), the sha256 of their
+`certify_optimality` JSON lines, and the barrier's Newton steps and state
+evaluations over them (calls of `bounds._newton_step` and
+`bounds._eliminate`).  The second holds the number of dual vectors
+(`dual_inputs()`), the sha256 of their `sonc_dual_membership` verdicts,
+violated circuits, witness circuit indices and v* (tau left out), the
+member count and the largest witness-row residual (`witness_residual`):
 
     PYTHONPATH=src python tests/_gen.py
 """
@@ -16,17 +19,21 @@ import hashlib
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from sonckit import (
     AffinelyDependentError,
     Circuit,
+    DualVector,
     SparsePolynomial,
     SupportSet,
     barycentric_coordinates,
     certify_optimality,
+    enumerate_circuits,
     parse_polynomial,
+    sonc_dual_membership,
 )
 from sonckit.bounds import _certify, _descend, _unbounded_curve
 
@@ -277,6 +284,50 @@ def near_quartic_boundary(v, margin: float = 1e-4) -> bool:
 MOTZKIN_TEXT = "1 + x1^2*x2^4 + x1^4*x2^2 - 3*x1^2*x2^2"
 
 
+def dense_support(n: int, d: int) -> SupportSet:
+    return SupportSet.of([a for a in itertools.product(range(d + 1), repeat=n) if sum(a) <= d], n=n)
+
+
+def dual_inputs(per_support: int = 16) -> list[DualVector]:
+    """A fixed draw (rng 5) on dense n1d8, n2d6 and n3d4: per support,
+    `per_support` mixtures of one to three moment vectors at points of
+    [-1.5, 1.5]^n, every second one with its odd coordinates then scaled by
+    one U(0.8, 1.6) factor, which may push it out of the dual cone."""
+    rng = np.random.default_rng(5)
+    vectors = []
+    for n, d in ((1, 8), (2, 6), (3, 4)):
+        A = dense_support(n, d)
+        exps = np.array(A.points, dtype=float)
+        odd = np.array([any(e % 2 for e in p) for p in A.points])
+        for i in range(per_support):
+            v = np.zeros(len(exps))
+            for _ in range(int(rng.integers(1, 4))):
+                v += rng.uniform(0.0, 1.0) * np.prod(rng.uniform(-1.5, 1.5, size=n) ** exps, axis=1)
+            if i % 2:
+                v[odd] *= rng.uniform(0.8, 1.6)
+            vectors.append(DualVector(A, dict(zip(A.points, v.tolist()))))
+    return vectors
+
+
+def witness_residual(circuit: Circuit, v: DualVector, v_star: float, tau) -> float:
+    """max_j |b_j - s - (beta - alpha(j)) . tau| relative to the rows' scale,
+    max_j of |b_j - s| + sum_i |(beta - alpha(j))_i tau_i|.  The residual is
+    exact, with b_j - s = v* (sum_i lambda_i g_i - g_j) for the floats
+    g_j = log v_alpha(j) and the exact weights lambda, so the rows are
+    consistent and only the witness's own rounding shows."""
+    if v_star == 0.0:
+        return 0.0
+    logs = [Fraction(math.log(v[a])) for a in circuit.vertices]
+    mean = sum(mu * g for mu, g in zip(circuit.barycentric, logs))
+    residual = scale = Fraction(0)
+    for a, g in zip(circuit.vertices, logs):
+        rhs = Fraction(v_star) * (mean - g)
+        terms = [(b - x) * Fraction(t) for b, x, t in zip(circuit.inner, a, tau)]
+        residual = max(residual, abs(rhs - sum(terms)))
+        scale = max(scale, abs(rhs) + sum(map(abs, terms)))
+    return float(residual / scale) if scale else 0.0
+
+
 def _counted(fn, calls: list[int]):
     def wrapper(*args):
         calls[0] += 1
@@ -293,3 +344,15 @@ if __name__ == "__main__":
     polys = bound_inputs()
     lines = [json.dumps(certify_optimality(p).to_json_dict(), sort_keys=True) for p in polys]
     print(len(polys), hashlib.sha256("\n".join(lines).encode()).hexdigest(), f"steps={steps[0]} states={states[0]}")
+
+    vectors, lines, members, residual = dual_inputs(), [], 0, 0.0
+    for v in vectors:
+        report = sonc_dual_membership(v.support, v)
+        members += report.member
+        circuits = enumerate_circuits(v.support).circuits
+        blob = report.to_json_dict()
+        for w, entry in zip(report.witnesses, blob.get("witnesses", ())):
+            residual = max(residual, witness_residual(circuits[w.circuit_index], v, w.v_star, w.tau))
+            del entry["tau"]
+        lines.append(json.dumps(blob, sort_keys=True))
+    print(len(vectors), hashlib.sha256("\n".join(lines).encode()).hexdigest(), f"members={members} residual={residual:.1e}")

@@ -27,6 +27,7 @@ from sonckit.circuits import _affine_coordinates
 from _gen import (
     MOTZKIN_TEXT,
     brute_force_circuits,
+    dense_support,
     exact_circuits,
     random_circuit,
     random_support,
@@ -36,10 +37,6 @@ from _gen import (
 
 def _pairs(catalog) -> list:
     return [(c.vertices, c.inner) for c in catalog.circuits]
-
-
-def _dense(n: int, d: int) -> SupportSet:
-    return SupportSet.of([a for a in itertools.product(range(d + 1), repeat=n) if sum(a) <= d], n=n)
 
 
 def _huge_exponent_supports() -> list[SupportSet]:
@@ -338,19 +335,42 @@ _WEIGHTS_PAST_2_53 = [
 ]
 
 
+def _exact_map(rows: list[list[int]]) -> list[list[Fraction]]:
+    """R'(R R')^-1 for independent integer rows R, by Gauss-Jordan in Fractions."""
+    m = len(rows)
+    gram = [[Fraction(sum(a * b for a, b in zip(u, v))) for v in rows] for u in rows]
+    system = [row + [Fraction(i == j) for j in range(m)] for i, row in enumerate(gram)]
+    for col in range(m):
+        system[col] = [x / system[col][col] for x in system[col]]
+        for i in range(m):
+            if i != col:
+                system[i] = [x - system[i][col] * y for x, y in zip(system[i], system[col])]
+    return [[sum(rows[j][t] * system[j][m + l] for j in range(m)) for l in range(m)] for t in range(len(rows[0]))]
+
+
+def _reference_solve(cs: list) -> np.ndarray:
+    """Each circuit's map with the rows beta - alpha(j), the last one dropped
+    and its column 0: float() of the exact entries, so correctly rounded."""
+    solve = np.zeros((len(cs), cs[0].n, cs[0].k))
+    for r, c in enumerate(cs):
+        if c.k > 1:
+            rows = [[b - a for a, b in zip(vert, c.inner)] for vert in c.vertices[:-1]]
+            solve[r, :, :-1] = [[float(x) for x in row] for row in _exact_map(rows)]
+    return solve
+
+
 class TestArityGroups:
     @pytest.mark.parametrize(
         "supports",
         [
-            pytest.param([_dense(2, 6)], id="2-6"),
-            pytest.param([_dense(3, 4)], id="3-4"),
+            pytest.param([dense_support(2, 6)], id="2-6"),
+            pytest.param([dense_support(3, 4)], id="3-4"),
             pytest.param([A for A in _huge_exponent_supports() if A.even_points()], id="huge-exponents"),
             pytest.param(_WEIGHTS_PAST_2_53, id="weights-past-2^53"),
         ],
     )
     def test_arrays_match_a_per_circuit_reference(self, supports):
         for A in supports:
-            n = A.n
             catalog = enumerate_circuits(A)
             position = {p: i for i, p in enumerate(A.points)}
             groups = catalog.arity_groups
@@ -358,37 +378,53 @@ class TestArityGroups:
             for g in groups:
                 cs = [catalog.circuits[i] for i in g.index]
                 assert all(c is catalog.circuit(g, r) for r, c in enumerate(cs))
-                m, k = len(cs), cs[0].k
-                rows = np.array(
-                    [[[b - a for a, b in zip(vert, c.inner)] for vert in c.vertices] for c in cs], dtype=float
-                ).reshape(m, k, n)
-                solve = np.zeros((m, n, k))
-                if k > 1:
-                    solve[:, :, :-1] = np.linalg.pinv(rows[:, :-1, :])
                 assert np.array_equal(g.vertices, [[position[a] for a in c.vertices] for c in cs])
                 assert np.array_equal(g.inner, [position[c.inner] for c in cs])
                 assert np.array_equal(g.weights, [[float(mu) for mu in c.barycentric] for c in cs])
                 assert np.array_equal(g.beta_even, [c.beta_even for c in cs])
-                assert np.array_equal(g.solve, solve)
+                assert np.array_equal(g.solve, _reference_solve(cs))
 
-    def test_solve_is_built_on_first_read(self, monkeypatch):
+    def test_map_on_both_sides_of_the_int64_guard(self, monkeypatch):
+        # Each case records the dtype the map's steps and final product run
+        # on.  The first support's lattice is int64, but its Gram entries
+        # reach 3 * 2**62, so the map starts on Python ints.  In the second,
+        # every step stays in int64, but the final product reads cofactors
+        # near 2**56 that no step shows.  Dense n2d6 stays in int64.
+        M = 2**31
+        int64 = np.dtype(np.int64)
+        cases = [
+            (SupportSet.of([(0, 0, 0), (M - 2, 0, 0), (M - 2, M - 2, 0), (M - 2, M - 2, M - 2), (M - 3, M - 5, M - 7)]),
+             [np.dtype(object)] * 4),
+            (SupportSet.of([(1, 2, 2**14), (0, 2, 2**14), (2**14, 0, 2**14), (2**14, 0, 2**15), (2**14 + 2, 6, 0)]),
+             [int64] * 3 + [np.dtype(object)]),
+            (dense_support(2, 6), [int64] * 5),
+        ]
+        exact = circuits_module._exact
+        for A, dtypes in cases:
+            catalog = enumerate_circuits.__wrapped__(A)
+            seen = []
+
+            def recording(mats, bound):
+                out = exact(mats, bound)
+                seen.append(out.dtype)
+                return out
+
+            monkeypatch.setattr(circuits_module, "_exact", recording)
+            for g in catalog.arity_groups:
+                assert g.lattice.dtype == int64
+                assert np.array_equal(g.solve, _reference_solve([catalog.circuits[i] for i in g.index]))
+            monkeypatch.setattr(circuits_module, "_exact", exact)
+            assert seen == dtypes
+
+    def test_solve_is_built_on_first_read(self):
         # Only a member's witnesses read `solve`: enumeration, the barrier
-        # solve and a non-member report take no pseudo-inverse.
-        calls = []
-        real = np.linalg.pinv
-
-        def counting(a, *args, **kwargs):
-            calls.append(a.shape)
-            return real(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "pinv", counting)
+        # solve and a non-member report build no map.
         enumerate_circuits.cache_clear()
-        A = _dense(2, 6)
+        A = dense_support(2, 6)
         v = DualVector(A, {a: 1.0 for a in A.points})
         assert certify_optimality(parse_polynomial(MOTZKIN_TEXT)).certificate is not None
         assert not sonc_dual_membership(A, DualVector(A, {**v.values, (1, 1): 2.0})).member
-        assert calls == []
-        assert sonc_dual_membership(A, v).member
         groups = [g for g in enumerate_circuits(A).arity_groups if g.k > 1]
-        assert len(calls) == len(groups)
-        assert all(g.solve is g.solve for g in groups) and len(calls) == len(groups)
+        assert groups and all("solve" not in g.__dict__ for g in groups)
+        assert sonc_dual_membership(A, v).member
+        assert all("solve" in g.__dict__ for g in groups)
