@@ -260,7 +260,8 @@ def _central_path(lam: np.ndarray, grp: np.ndarray, p_host: np.ndarray, free: np
     decrement stops falling."""
     first, lf = np.flatnonzero(np.diff(grp, prepend=-1)), lam[:, free]
     lf0, dlf, lft, ph, multi = lf[first], lf - lf[first][grp], lf.T, p_host[free], len(first) < len(lam)
-    nu, sizes, no_rows = 2.0 * len(lam) + float(free.sum()), np.bincount(grp), lf[:0]
+    nu, no_rows = 2.0 * len(lam) + float(free.sum()), lf[:0]
+    spans = list(zip(first.tolist(), [*first[1:].tolist(), len(lam)])) if multi else None
     scale = 1.0 + max(float(np.abs(p_host).max()), float(p_bad.max()))
 
     # A point is (log G of each bad point's first circuit, log G_C minus that,
@@ -275,12 +276,12 @@ def _central_path(lam: np.ndarray, grp: np.ndarray, p_host: np.ndarray, free: np
             gmin = np.exp(lg0 + rmin)
             gg = gmin[grp]
             d = gg * np.expm1(r - rmin[grp])
-            ss = _eliminate(gmin, d, first, grp, sizes, tp)[grp]
+            ss = _eliminate(gmin, tp, d, spans)[grp]
             low, high, g = d + ss, d + 2.0 * gg - ss, gg + d
             inverse = np.add.reduceat(1.0 / (low * high), first)
         else:
             g = gg = np.exp(lg0)
-            low = _eliminate(g, None, first, grp, sizes, tp)
+            low = _eliminate(g, tp)
             high = 2.0 * gg - low
             inverse = 1.0 / (low * high)
         u = tp / (2.0 * inverse)
@@ -332,37 +333,59 @@ def _central_path(lam: np.ndarray, grp: np.ndarray, p_host: np.ndarray, free: np
                     current, last = state(current[0], t), math.inf
             else:
                 return None
-            if not math.isfinite(objective):
+            if not (t and math.isfinite(objective)):  # the first stage takes t to 0 after an infinite objective
                 return None
             if final or nu / t <= _GAP * max(scale, abs(objective)):
                 return t, v, g, low, high
             t, first_stage = t * _T_GROWTH, False
 
 
-def _eliminate(
-    gmin: np.ndarray, d: np.ndarray | None, first: np.ndarray, grp: np.ndarray, sizes: np.ndarray, a: np.ndarray
-) -> np.ndarray:
+def _eliminate(gmin: np.ndarray, a: np.ndarray, d: np.ndarray | None = None, spans: list | None = None) -> np.ndarray:
     """The slack s = min_C G_C - u per bad point at the u that minimizes
-    -a u - sum_C log(G_C^2 - u^2), a = t |p_beta|, given d = G_C - min G and
-    the circuit count `sizes` of each bad point: for one circuit s = G (1 +
-    1/(r + A)) / (1 + r), A = a G, r = sqrt(1 + A^2); for k, Newton from
-    there, clipped to [that, k / a], which runs only when some bad point has
-    more than one circuit (d is not read otherwise)."""
+    -a u - sum_C log(G_C^2 - u^2), a = t |p_beta|: for one circuit s = lo =
+    G (1 + 1/(r + A)) / (1 + r), A = a G, r = sqrt(1 + A^2), with G = gmin.
+    When some bad point has more than one circuit, `spans` holds each bad
+    point's circuit range [f, e) and d = G_C - min G, and a Newton from lo
+    runs on Python floats, one bad point at a time, each step clipped to
+    [lo, max(lo, min(k / a, min G))] for k = e - f circuits, until every bad
+    point moves by at most 1e-15 s in the same step (at most 50 steps).
+    Its sums over a bad point's circuits add as np.add.reduceat does up to
+    8 circuits, x_f + (((0.0 + x_f+1) + x_f+2) + ...), so the floats are
+    those of the array form; from 9 circuits on, NumPy sums pairwise and the
+    last bits may differ.  A zero divisor gives the signed infinity (or nan)
+    of IEEE division, and a nan stays nan through the clip."""
     big = a * gmin
     r = np.hypot(1.0, big)
-    s = lo = gmin * (1.0 + 1.0 / (r + big)) / (1.0 + r)
-    if len(first) < len(grp):
-        hi = np.maximum(np.minimum(sizes / a, gmin), lo)
-        top = d + 2.0 * gmin[grp]
-        for _ in range(50):
-            sg = s[grp]
-            low, high = 1.0 / (d + sg), 1.0 / (top - sg)
-            change = (np.add.reduceat(low - high, first) - a) / np.add.reduceat(np.square(low) + np.square(high), first)
-            new = np.minimum(np.maximum(s + change, lo), hi)
-            if (np.abs(new - s) <= 1e-15 * s).all():
-                return new
-            s = new
-    return s
+    lo = gmin * (1.0 + 1.0 / (r + big)) / (1.0 + r)
+    if spans is None:
+        return lo
+    ds, s, points = d.tolist(), lo.tolist(), []
+    for (f, e), g, ai, li in zip(spans, gmin.tolist(), a.tolist(), s):
+        cap = (e - f) / ai if ai else math.inf
+        hi = cap if cap < g else g  # np.minimum, then np.maximum: a tie takes the second
+        hi = hi if hi > li else li
+        points.append((li, hi, ai, ds[f], ds[f] + 2.0 * g, [(x, x + 2.0 * g) for x in ds[f + 1 : e]]))
+    for _ in range(50):
+        done = True
+        for i, (li, hi, ai, x0, top0, rest) in enumerate(points):
+            si, num, den = s[i], 0.0, 0.0
+            for x, top in rest:
+                x, y = x + si, top - si
+                low = 1.0 / x if x else math.copysign(math.inf, x)
+                high = 1.0 / y if y else math.copysign(math.inf, y)
+                num += low - high
+                den += low * low + high * high
+            x, y = x0 + si, top0 - si  # the first circuit's terms come last, as reduceat adds them
+            low = 1.0 / x if x else math.copysign(math.inf, x)
+            high = 1.0 / y if y else math.copysign(math.inf, y)
+            num, den = low - high + num - ai, low * low + high * high + den
+            x = si + (num / den if den else num * math.inf)
+            new = li if x <= li else hi if x >= hi else x  # nan passes through
+            done = done and abs(new - si) <= 1e-15 * si
+            s[i] = new
+        if done:
+            break
+    return np.array(s)
 
 
 def _newton_step(hess: np.ndarray, rows: np.ndarray, grad: np.ndarray) -> np.ndarray | None:

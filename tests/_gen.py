@@ -3,12 +3,15 @@
 Run as a script, it prints two lines from whatever sonckit is on the path,
 so two trees compare their outputs by one command each.  The first holds
 the number of bound inputs (`bound_inputs()`), the sha256 of their
-`certify_optimality` JSON lines, and the barrier's Newton steps and state
-evaluations over them (calls of `bounds._newton_step` and
-`bounds._eliminate`).  The second holds the number of dual vectors
-(`dual_inputs()`), the sha256 of their `sonc_dual_membership` verdicts,
-violated circuits, witness circuit indices and v* (tau left out), the
-member count and the largest witness-row residual (`witness_residual`):
+`certify_optimality` JSON lines, and the barrier's Newton steps, state
+evaluations and multi-circuit states over them: calls of
+`bounds._newton_step`, of `bounds._eliminate`, and of `bounds._eliminate`
+with the gaps d given, the states whose slacks take its Newton solve
+because some bad point has more than one circuit.  The second holds the
+number of dual vectors (`dual_inputs()`), the sha256 of their
+`sonc_dual_membership` verdicts, violated circuits, witness circuit
+indices and v* (tau left out), the member count and the largest
+witness-row residual (`witness_residual`):
 
     PYTHONPATH=src python tests/_gen.py
 """
@@ -328,9 +331,11 @@ def witness_residual(circuit: Circuit, v: DualVector, v_star: float, tau) -> flo
     return float(residual / scale) if scale else 0.0
 
 
-def _counted(fn, calls: list[int]):
+def _counted(fn, calls: list[int], multi: list[int] | None = None):
     def wrapper(*args):
         calls[0] += 1
+        if multi is not None:
+            multi[0] += len(args) > 2 and args[2] is not None
         return fn(*args)
 
     return wrapper
@@ -339,11 +344,11 @@ def _counted(fn, calls: list[int]):
 if __name__ == "__main__":
     from sonckit import bounds
 
-    steps, states = [0], [0]
-    bounds._newton_step, bounds._eliminate = _counted(bounds._newton_step, steps), _counted(bounds._eliminate, states)
+    steps, states, multi = [0], [0], [0]
+    bounds._newton_step, bounds._eliminate = _counted(bounds._newton_step, steps), _counted(bounds._eliminate, states, multi)
     polys = bound_inputs()
     lines = [json.dumps(certify_optimality(p).to_json_dict(), sort_keys=True) for p in polys]
-    print(len(polys), hashlib.sha256("\n".join(lines).encode()).hexdigest(), f"steps={steps[0]} states={states[0]}")
+    print(len(polys), hashlib.sha256("\n".join(lines).encode()).hexdigest(), f"steps={steps[0]} states={states[0]} multi={multi[0]}")
 
     vectors, lines, members, residual = dual_inputs(), [], 0, 0.0
     for v in vectors:

@@ -516,6 +516,97 @@ class TestNewtonStep:
         assert len(errors) > 500 and max(errors) <= 1e-12
 
 
+def _eliminate_arrays(gmin, a, d, sizes) -> np.ndarray:
+    """The array form of `bounds._eliminate` that its scalar loop replaced:
+    one Newton over every bad point at once, its sums by np.add.reduceat."""
+    grp = np.repeat(np.arange(len(sizes)), sizes)
+    first = np.flatnonzero(np.diff(grp, prepend=-1))
+    big = a * gmin
+    r = np.hypot(1.0, big)
+    s = lo = gmin * (1.0 + 1.0 / (r + big)) / (1.0 + r)
+    if len(first) < len(grp):
+        hi = np.maximum(np.minimum(sizes / a, gmin), lo)
+        top = d + 2.0 * gmin[grp]
+        for _ in range(50):
+            sg = s[grp]
+            low, high = 1.0 / (d + sg), 1.0 / (top - sg)
+            change = (np.add.reduceat(low - high, first) - a) / np.add.reduceat(np.square(low) + np.square(high), first)
+            new = np.minimum(np.maximum(s + change, lo), hi)
+            if (np.abs(new - s) <= 1e-15 * s).all():
+                return new
+            s = new
+    return s
+
+
+class TestEliminate:
+    """`_eliminate` against its array form, on seeded states of 1-6 bad
+    points: min G = 10^U(-4, 4), a min G = 10^U(-8, 8), and gaps d to the
+    least G that are exact ties (d = 0) for the first circuit and 3 in 10
+    others, else min G 10^U(-12, 3).  Up to 8 circuits per bad point the
+    floats must be the same, bit for bit, and also on degenerate states."""
+
+    @staticmethod
+    def draw(rng, sizes):
+        gmin = 10.0 ** rng.uniform(-4.0, 4.0, size=len(sizes))
+        a = 10.0 ** rng.uniform(-8.0, 8.0, size=len(sizes)) / gmin
+        starts = np.cumsum(sizes) - sizes
+        d = np.repeat(gmin, sizes) * 10.0 ** rng.uniform(-12.0, 3.0, size=int(sizes.sum()))
+        d[rng.random(len(d)) < 0.3] = 0.0
+        d[starts] = 0.0
+        return gmin, a, d
+
+    @staticmethod
+    def eliminate(gmin, a, d, sizes):
+        """The call `_central_path` makes: d and the spans only when some bad point has more than one circuit."""
+        if (sizes == 1).all():
+            return bounds._eliminate(gmin, a)
+        ends = np.cumsum(sizes).tolist()
+        return bounds._eliminate(gmin, a, d, list(zip([0, *ends[:-1]], ends)))
+
+    def test_matches_the_array_form(self):
+        rng = np.random.default_rng(29)
+        with np.errstate(all="ignore"):
+            for _ in range(400):
+                sizes = rng.integers(1, 9, size=int(rng.integers(1, 7)))
+                gmin, a, d = self.draw(rng, sizes)
+                assert np.array_equal(self.eliminate(gmin, a, d, sizes), _eliminate_arrays(gmin, a, d, sizes))
+
+    @pytest.mark.parametrize("case", ["zero", "subnormal", "inf", "nan d", "a zero"])
+    def test_degenerate_states(self, case):
+        # min G of 0 divides by d + s = 0, which Python raises on; inf makes
+        # lo nan, and nan must stay nan through the clip.
+        rng = np.random.default_rng(30)
+        with np.errstate(all="ignore"):
+            for _ in range(100):
+                sizes = rng.integers(1, 9, size=int(rng.integers(1, 7)))
+                sizes[0] = max(sizes[0], 2)
+                gmin, a, d = self.draw(rng, sizes)
+                i = int(rng.integers(len(sizes)))
+                if case == "nan d":
+                    d[int(rng.integers(len(d)))] = math.nan
+                elif case == "a zero":
+                    a[i] = 0.0
+                else:
+                    gmin[i] = {"zero": 0.0, "subnormal": 5e-324, "inf": math.inf}[case]
+                want = _eliminate_arrays(gmin, a, d, sizes)
+                assert np.array_equal(self.eliminate(gmin, a, d, sizes), want, equal_nan=True)
+
+    def test_many_circuits_within_4_ulps(self):
+        """From 9 circuits on NumPy sums pairwise and the loop in order, so
+        a sum may differ in its last bits, and the stop at a move of 1e-15 s
+        (about 4.5 ulps) may then come a step earlier or later: on these
+        draws, with 9-20 circuits at the first bad point, the slacks agree
+        within 4 ulps."""
+        rng = np.random.default_rng(31)
+        with np.errstate(all="ignore"):
+            for _ in range(200):
+                sizes = rng.integers(1, 9, size=int(rng.integers(1, 7)))
+                sizes[0] = rng.integers(9, 21)
+                gmin, a, d = self.draw(rng, sizes)
+                want = _eliminate_arrays(gmin, a, d, sizes)
+                assert (np.abs(self.eliminate(gmin, a, d, sizes) - want) <= 4 * np.spacing(want)).all()
+
+
 class TestRoundPieces:
     """`_round_pieces` on hand-built path values."""
 

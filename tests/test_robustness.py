@@ -17,7 +17,7 @@ import numpy as np
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from sonckit import Circuit, SparsePolynomial, certify_optimality, verify_certificate
+from sonckit import Circuit, SparsePolynomial, SupportSet, certify_optimality, enumerate_circuits, verify_certificate
 from sonckit.cli import _load_polynomial, main
 from sonckit.polynomials import MAX_VARIABLES, ParseError, parse_polynomial
 
@@ -340,6 +340,43 @@ def test_exact_bound_on_even_simplices(p):
 def test_exact_bound_on_bounded_sparse_polynomials(p):
     assume(bound_parts(p)[2] is None)
     check_exact_bound(p)
+
+
+@st.composite
+def multi_circuit_polynomials(draw) -> SparsePolynomial:
+    """An even simplex (n <= 2, 2d <= 10) with 1-3 positive even interior
+    terms and 1-3 odd or negative interior terms, each the inner point of
+    2-4 circuits over the positive even points and the constant, and each
+    coefficient then scaled by its own 2^e, e in [-1000, 1000] (exactly:
+    no coefficient leaves the normal range).  The barrier's multi-circuit
+    slack solve then runs on G from about 1e-7 to 1e154, and the path
+    meets objectives beyond the float range."""
+    n = draw(st.integers(1, 2))
+    two_d = 2 * draw(st.integers(n + 1, 5))
+    terms = {v: draw(MAGNITUDES_3) for v in [(0,) * n] + [tuple(two_d * (i == j) for j in range(n)) for i in range(n)]}
+    interior = [a for a in product(range(1, two_d), repeat=n) if sum(a) < two_d]
+    even = [a for a in interior if not any(x % 2 for x in a)]
+    for a in draw(st.lists(st.sampled_from(even), min_size=1, max_size=3, unique=True)):
+        terms[a] = draw(MAGNITUDES_3)
+    bad = draw(st.lists(st.sampled_from([a for a in interior if a not in terms]), min_size=1, max_size=3, unique=True))
+    for a in bad:
+        c = draw(SIGNED_3)
+        terms[a] = -abs(c) if a in even else c
+    hosts = {a for a, c in terms.items() if c > 0.0 and not any(x % 2 for x in a)}
+    catalog = enumerate_circuits(SupportSet.of(sorted(terms), n=n)).circuits
+    for beta in bad:
+        assume(2 <= sum(c.inner == beta and set(c.vertices) <= hosts for c in catalog) <= 4)
+    return SparsePolynomial.from_terms({a: c * 2.0 ** draw(st.integers(-1000, 1000)) for a, c in terms.items()}, n=n)
+
+
+@settings(FUZZ, suppress_health_check=[HealthCheck.filter_too_much])
+@given(multi_circuit_polynomials())
+@example(SparsePolynomial.from_terms({(0,): 1.0, (1,): -7.61352657140625e286, (2,): 4.626864469947544e223, (4,): 1.0}, n=1))
+def test_multi_circuit_barrier_at_any_scale(p):
+    # The example's objective reaches -inf in the first stage; t followed it
+    # to 0, and the stage end divided by t.
+    r = certify_optimality(p)
+    assert r.certificate is None or verify_certificate(p, r.certificate)
 
 
 @FUZZ
