@@ -48,7 +48,7 @@ from itertools import chain, product
 
 import numpy as np
 
-from .circuits import Circuit, enumerate_circuits, is_even_point
+from .circuits import Circuit, _gauss_jordan, enumerate_circuits, is_even_point
 from .nonneg import CircuitPolynomial, is_nonneg_circuit
 from .polynomials import DualVector, Exponent, SparsePolynomial, SupportSet, moment_vector, value_gradient_hessian
 
@@ -481,58 +481,48 @@ def _descend(p: SparsePolynomial, x: np.ndarray) -> np.ndarray:
 def _nearest_point(diffs: list[list[int]]) -> list[Fraction] | None:
     """The point x of the convex hull of the rows d nearest the origin,
     scaled so that its least pairing <x, d> is 1, or None when some pairing
-    is <= 0 (the origin is in the hull) or Wolfe's algorithm does not settle
-    in 100 major cycles.  Unscaled, <x, d> >= |x|^2 for every row.
+    is <= 0 (the origin is in the hull).  Unscaled, <x, d> >= |x|^2 for
+    every row.
 
-    Wolfe's algorithm (Math. Program. 11, 1976) runs in floats to find the
-    corral: affinely independent rows holding x as a convex combination
-    lam.  A major cycle adds the row of least pairing with x; a minor cycle
-    moves lam toward the corral's affine minimizer until that is convex,
-    dropping a row each time lam reaches 0 there.  A cycle that does not
-    shrink |x|^2 ends the search.  Then x is solved exactly over the corral
-    S, whose rows all pair to |x|^2 with x: x = S' y with S S' y = 1, by
-    fraction-free elimination on Python ints, so every pairing is exact."""
-    rows = np.array(diffs, dtype=float)
-    corral, lam = [int(np.einsum("ij,ij->i", rows, rows).argmin())], np.ones(1)
-    x, last = rows[corral[0]], math.inf
-    for _ in range(100):
-        pairing = rows @ x
-        j, xx = int(pairing.argmin()), float(x @ x)
-        if pairing[j] >= (1.0 - 1e-12) * xx or not xx < last:
+    Wolfe's algorithm (Math. Program. 11, 1976) in exact integers: x =
+    S' lam over a corral S of affinely independent rows, lam convex and
+    kept as integer numerators over one denominator.  A major cycle adds
+    the row of least pairing with x while that is below |x|^2, so off
+    aff(S).  A minor cycle solves [S S' 1; 1' 0][mu; -nu] = [0; 1] by
+    `_gauss_jordan`, mu over a pivot made positive: S' mu is aff(S)'s
+    nearest point.  If mu > 0 it becomes lam; else lam moves toward mu
+    until weights reach 0, and those rows leave S.  |x| falls at every
+    major cycle and fixes its corral, so no corral comes back and the
+    search ends with no cap and no tolerance."""
+
+    def dot(u: list[int], v: list[int]) -> int:
+        return sum(a * b for a, b in zip(u, v))
+
+    corral = [min(range(len(diffs)), key=lambda i: dot(diffs[i], diffs[i]))]
+    lam, den = [1], 1
+    while True:
+        x = [sum(l * diffs[c][i] for l, c in zip(lam, corral)) for i in range(len(diffs[0]))]
+        pairings = [dot(x, d) for d in diffs]
+        j = min(range(len(diffs)), key=pairings.__getitem__)
+        if pairings[j] * den >= dot(x, x):
             break
-        corral, lam, last = [*corral, j], np.append(lam, 0.0), xx
+        corral, lam = [*corral, j], [*lam, 0]
         while True:
-            pts = rows[corral]
-            t = np.linalg.lstsq((pts[1:] - pts[0]).T, -pts[0], rcond=None)[0]
-            mu = np.concatenate([[1.0 - t.sum()], t])
-            if (mu > 0.0).all():
-                lam = mu
+            k = len(corral)
+            system = [[dot(diffs[a], diffs[b]) for b in corral] + [1, 0] for a in corral] + [[1] * k + [0, 1]]
+            det = _gauss_jordan(system, k + 1)
+            mu = [row[-1] if det > 0 else -row[-1] for row in system[:k]]
+            det = abs(det)
+            if all(m > 0 for m in mu):
+                lam, den = mu, det
                 break
-            # The step to the first lam_i = 0 on the way; where mu_i <= 0, lam_i - mu_i >= lam_i.
-            ratio = np.where(mu > 0.0, np.inf, lam / np.maximum(lam - mu, 1e-300))
-            k = int(ratio.argmin())
-            lam = lam + ratio[k] * (mu - lam)
-            lam[k] = 0.0
-            keep = lam > 0.0
-            corral, lam = [c for c, kept in zip(corral, keep) if kept], lam[keep] / lam[keep].sum()
-        x = lam @ rows[corral]
-    else:
-        return None
-    basis = [diffs[c] for c in dict.fromkeys(corral)]  # a stalled cycle can add a row twice
-    # [S S' | 1], Gauss-Jordan by Bareiss: S S' is a Gram matrix, so its pivots
-    # are its leading minors, positive unless the corral spans the origin.
-    system = [[sum(a * b for a, b in zip(u, v)) for v in basis] + [1] for u in basis]
-    prev = 1
-    for col in range(len(system)):
-        top = system[col]
-        pivot = top[col]
-        if pivot <= 0:
-            return None
-        system = [row if row is top else [(pivot * a - row[col] * b) // prev for a, b in zip(row, top)] for row in system]
-        prev = pivot
-    x = [sum(row[-1] * u[i] for row, u in zip(system, basis)) for i in range(len(diffs[0]))]
-    least = min(sum(a * b for a, b in zip(x, d)) for d in diffs)
-    return [Fraction(xi, least) for xi in x] if least > 0 else None
+            # The step theta = a / b to the first lam_i = 0 on the way; then lam
+            # = (1 - theta) lam + theta mu over den * b * det.
+            theta = min(Fraction(l * det, l * det - m * den) for l, m in zip(lam, mu) if m <= 0)
+            a, b = theta.numerator, theta.denominator
+            lam, den = [(b - a) * l * det + a * m * den for l, m in zip(lam, mu)], den * b * det
+            corral, lam = [c for c, l in zip(corral, lam) if l > 0], [l for l in lam if l > 0]
+    return [Fraction(xi, pairings[j]) for xi in x] if pairings[j] > 0 else None
 
 
 #: Integer weights w and signs s of the curve x(t) = (s_i t^(w_i)), t > 0.

@@ -6,13 +6,15 @@ vertices) together with one more lattice point lying in the relative
 interior of their convex hull.  Barycentric coordinates come from a
 fraction-free (Bareiss) elimination, so they are exact at any exponent size
 and strict positivity (hence relative-interior membership) never depends on
-a float tolerance.  `_affine_coordinates` is the kernel for a single
-circuit, on Python ints.  Catalog enumeration runs the same elimination
-batched and incrementally over all vertex sets at once, on stacked NumPy
-arrays: in int64 while a batch's entries are below 2**31 in magnitude, so
-that no product in a pivot step can overflow, and on Python ints otherwise.
-It writes the catalog as per-arity arrays (`ArityGroup`), the form the dual
-cone test reads; Circuit objects are built only when asked for.
+a float tolerance.  `_gauss_jordan` is the one such elimination on Python
+ints: `_affine_coordinates` runs it for a single circuit, and the bound's
+nearest-point search for its bordered systems.  Catalog enumeration runs
+the same elimination batched and incrementally over all vertex sets at
+once, on stacked NumPy arrays: in int64 while a batch's entries are below
+2**31 in magnitude, so that no product in a pivot step can overflow, and
+on Python ints otherwise.  It writes the catalog as per-arity arrays
+(`ArityGroup`), the form the dual cone test reads; Circuit objects are
+built only when asked for.
 """
 
 from __future__ import annotations
@@ -46,39 +48,48 @@ def is_even_point(point: Sequence[int]) -> bool:
 _INT64_SAFE = 1 << 31
 
 
-def _affine_coordinates(
-    vertices: Sequence[Exponent], targets: Sequence[Sequence[int]]
-) -> tuple[list[bool], dict[int, list[int]], int]:
-    """Where every target lies relative to affinely independent vertices.
-
-    One fraction-free (Bareiss) Gauss-Jordan elimination on Python ints over
-    the lifted matrix [1 ... 1; vertices | 1 ... 1; targets], so entries stay
-    exact at any exponent size.  The affine weights mu of a target (sum(mu)
-    = 1, sum(mu_i * v_i) = target) are integer numerators over one common
-    denominator, the last pivot.  Returns, per target, whether it lies
-    outside the affine hull; the numerators of the targets in the relative
-    interior (every mu_i > 0), keyed by target position; and the common
-    denominator.  The signs are read off the integers, so no Fraction is
-    built here.  Raises AffinelyDependentError when some vertex column gets
-    no pivot.
+def _gauss_jordan(rows: list[list[int]], k: int) -> int | None:
+    """Fraction-free (Bareiss) Gauss-Jordan on the first k columns of
+    integer rows, in place; column col pivots on the first nonzero entry at
+    or below row col, swapped up.  Entries stay minors of the input, so each
+    division is exact, and every diagonal entry ends as the last pivot, the
+    common denominator of each row's other entries.  Returns that pivot, or
+    None when some column gets no pivot.
     """
-    k = len(vertices)
-    rows = [[1] * (k + len(targets)), *map(list, zip(*vertices, *targets))]
     prev = 1
     for col in range(k):
         pivot = next((i for i in range(col, len(rows)) if rows[i][col]), None)
         if pivot is None:
-            raise AffinelyDependentError(f"vertices {tuple(vertices)} are affinely dependent")
+            return None
         rows[col], rows[pivot] = rows[pivot], rows[col]
         top = rows[col]
         p = top[col]
         for i, row in enumerate(rows):
             if i != col:
                 a = row[col]
-                # Bareiss: every entry is a minor of the input, so prev divides exactly.
                 rows[i] = [(p * x - a * y) // prev for x, y in zip(row, top)]
         prev = p
-    # Each step scales the earlier pivot rows by p / prev, so every diagonal entry ends as prev.
+    return prev
+
+
+def _affine_coordinates(
+    vertices: Sequence[Exponent], targets: Sequence[Sequence[int]]
+) -> tuple[list[bool], dict[int, list[int]], int]:
+    """Where every target lies relative to affinely independent vertices.
+
+    `_gauss_jordan` over the lifted matrix [1 ... 1; vertices | 1 ... 1;
+    targets] gives the affine weights mu of each target (sum(mu) = 1,
+    sum(mu_i * v_i) = target) as integer numerators over the last pivot.
+    Returns, per target, whether it lies outside the affine hull; the
+    numerators of the targets in the relative interior (every mu_i > 0),
+    keyed by target position; and the common denominator.  Raises
+    AffinelyDependentError when some vertex column gets no pivot.
+    """
+    k = len(vertices)
+    rows = [[1] * (k + len(targets)), *map(list, zip(*vertices, *targets))]
+    prev = _gauss_jordan(rows, k)
+    if prev is None:
+        raise AffinelyDependentError(f"vertices {tuple(vertices)} are affinely dependent")
     outside = [any(row[j] for row in rows[k:]) for j in range(k, k + len(targets))]
     interior = {
         j - k: [rows[i][j] for i in range(k)]
@@ -106,11 +117,7 @@ def barycentric_coordinates(vertices: Sequence[Exponent], beta: Sequence[int]) -
 
 def affinely_independent(points: Sequence[Exponent]) -> bool:
     """Exact affine-independence test: every lifted point gets a pivot."""
-    try:
-        _affine_coordinates(points, [])
-    except AffinelyDependentError:
-        return False
-    return True
+    return _gauss_jordan([[1] * len(points), *map(list, zip(*points))], len(points)) is not None
 
 
 @dataclass(frozen=True)
@@ -309,7 +316,7 @@ def _pivot_step(mats: np.ndarray, prev: np.ndarray, sets: np.ndarray, cols: np.n
     top, p = child[t, row], a[t, row]
     out = child * p[:, None, None]
     out -= a[:, :, None] * top[:, None, :]
-    out //= prev[sets, None, None]  # Bareiss: exact, as in _affine_coordinates
+    out //= prev[sets, None, None]  # Bareiss: exact, as in _gauss_jordan
     out[t, row] = out[:, k]  # the swap: row k, reduced, where the pivot row was
     out[:, k] = top
     return out, p

@@ -1,6 +1,6 @@
 """Shared random generators and brute-force oracles for the test suite.
 
-Run as a script, it prints two lines from whatever sonckit is on the path,
+Run as a script, it prints three lines from whatever sonckit is on the path,
 so two trees compare their outputs by one command each.  The first holds
 the number of bound inputs (`bound_inputs()`), the sha256 of their
 `certify_optimality` JSON lines, and the barrier's Newton steps, state
@@ -11,7 +11,9 @@ because some bad point has more than one circuit.  The second holds the
 number of dual vectors (`dual_inputs()`), the sha256 of their
 `sonc_dual_membership` verdicts, violated circuits, witness circuit
 indices and v* (tau left out), the member count and the largest
-witness-row residual (`witness_residual`):
+witness-row residual (`witness_residual`).  The third holds the number
+of row sets (`nearest_point_inputs()`), the sha256 of the points
+`bounds._nearest_point` gives them and the count of None among those:
 
     PYTHONPATH=src python tests/_gen.py
 """
@@ -38,7 +40,8 @@ from sonckit import (
     parse_polynomial,
     sonc_dual_membership,
 )
-from sonckit.bounds import _certify, _descend, _unbounded_curve
+from sonckit.bounds import _certify, _descend, _nearest_point, _unbounded_curve
+from sonckit.polynomials import MAX_EXPONENT
 
 
 def random_support(rng: np.random.Generator, n: int, max_points: int = 8, max_entry: int = 8) -> SupportSet:
@@ -331,6 +334,30 @@ def witness_residual(circuit: Circuit, v: DualVector, v_star: float, tau) -> flo
     return float(residual / scale) if scale else 0.0
 
 
+def nearest_point_inputs() -> list[list[list[int]]]:
+    """The 500 seeded row sets (rng 20) of the nearest-point oracle test:
+    m <= 12 rows of n <= 4 entries in [-8, 8], cycling over five families:
+    as drawn; duplicated rows; collinear, through the origin or on one side
+    of it; each entry shifted by -2^20, 0 or 2^20; and every row shifted by
+    one vector of entries -2^20 or 2^20, so the rows cluster far from the
+    origin."""
+    rng = np.random.default_rng(20)
+    sets = []
+    for i in range(500):
+        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 13))
+        rows = rng.integers(-8, 9, size=(m, n))
+        if i % 5 == 1:
+            rows = rows[rng.integers(0, max(1, m // 2), size=m)]
+        elif i % 5 == 2:
+            rows = rng.integers(-4 if i % 10 == 2 else 1, 5, size=(m, 1)) * rows[:1]
+        elif i % 5 == 3:
+            rows = rows + rng.choice([-MAX_EXPONENT, 0, MAX_EXPONENT], size=(m, n))
+        elif i % 5 == 4:
+            rows = rows + rng.choice([-MAX_EXPONENT, MAX_EXPONENT], size=n)
+        sets.append(rows.tolist())
+    return sets
+
+
 def _counted(fn, calls: list[int], multi: list[int] | None = None):
     def wrapper(*args):
         calls[0] += 1
@@ -361,3 +388,7 @@ if __name__ == "__main__":
             del entry["tau"]
         lines.append(json.dumps(blob, sort_keys=True))
     print(len(vectors), hashlib.sha256("\n".join(lines).encode()).hexdigest(), f"members={members} residual={residual:.1e}")
+
+    points = [_nearest_point(diffs) for diffs in nearest_point_inputs()]
+    lines = [json.dumps(None if x is None else [str(xi) for xi in x]) for x in points]
+    print(len(points), hashlib.sha256("\n".join(lines).encode()).hexdigest(), f"none={points.count(None)}")

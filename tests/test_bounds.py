@@ -44,6 +44,7 @@ from _gen import (
     even_simplex_polys,
     golden_inputs,
     multistart_min,
+    nearest_point_inputs,
     pairing,
     random_sparse_poly,
     random_support,
@@ -103,6 +104,17 @@ def _exposing_lp(diffs: list) -> int:
     rows = np.array(diffs, dtype=float)
     c = np.ones(2 * rows.shape[1])
     return scipy.optimize.linprog(c, A_ub=np.hstack([-rows, rows]), b_ub=-np.ones(len(rows)), method="highs").status
+
+
+def _assert_nearest(diffs: list, x: list) -> None:
+    """x has least pairing exactly 1 with the rows d and is a nonnegative
+    combination of the rows it pairs to 1 with: the point of their hull
+    nearest the origin, scaled."""
+    pairings = [sum(a * b for a, b in zip(x, d)) for d in diffs]
+    assert min(pairings) == 1, diffs
+    active = np.array([d for d, q in zip(diffs, pairings) if q == 1], dtype=float)
+    residual = scipy.optimize.nnls(active.T, np.array(x, dtype=float))[1]
+    assert residual <= 1e-9 * math.hypot(*map(float, x)), diffs
 
 
 def _extended_support_of(A: SupportSet) -> SupportSet:
@@ -982,19 +994,23 @@ class TestNewtonPolytopeShortcut:
         # combination of the rows it pairs to 1 with); where it is infeasible
         # (the origin is in the hull), None.  Other statuses are HiGHS failing
         # on rows near 2^20; x must then still be exact.
-        rng = np.random.default_rng(20)
         face = [[3 - a, 5 - b] for a, b in [(0, 0), (1, 0), (8, 0), (0, 8)]]  # x1^3 x2^5 on an edge
         sets = [face, [[3, 5]], [[2, 0], [2, 0], [-1, 0]], [[1, 1], [2, 2], [3, 3]]]
-        for i in range(400):
-            n, m = int(rng.integers(1, 4)), int(rng.integers(1, 9))
-            rows = rng.integers(-8, 9, size=(m, n))
-            if i % 4 == 1:  # duplicated rows
-                rows = rows[rng.integers(0, max(1, m // 2), size=m)]
-            elif i % 4 == 2:  # collinear, through the origin or on one side of it
-                rows = rng.integers(-4 if i % 8 == 2 else 1, 5, size=(m, 1)) * rows[:1]
-            elif i % 4 == 3:  # entries near +-MAX_EXPONENT
-                rows = rows + rng.choice([-MAX_EXPONENT, 0, MAX_EXPONENT], size=(m, n))
-            sets.append(rows.tolist())
+        # Rows near 2^20 that a float search got wrong: a point that is not
+        # the nearest (nnls residual 1.41), and None where HiGHS finds w.
+        sets += [
+            [[-1048583, -1048583], [-1048575, -1048575], [-7, 1048571], [1048580, 1048582]],
+            [
+                [1048584, -1048584, -6, -1048576],
+                [1, 1048574, -1, -1],
+                [-1048574, 1048580, -1, 1048573],
+                [1048583, 6, 0, -1048578],
+                [-1048574, -8, 1048574, -8],
+                [-1048569, -1048574, -1048583, -1048573],
+                [1048581, 1048577, -1048580, 5],
+            ],
+        ]
+        sets += nearest_point_inputs()
         statuses = []
         for diffs in sets:
             status = _exposing_lp(diffs)
@@ -1003,12 +1019,23 @@ class TestNewtonPolytopeShortcut:
             assert status != 0 or x is not None, diffs
             assert status != 2 or x is None, diffs
             if x is not None:
-                pairings = [sum(a * b for a, b in zip(x, d)) for d in diffs]
-                assert min(pairings) == 1, diffs
-                active = np.array([d for d, q in zip(diffs, pairings) if q == 1], dtype=float)
-                residual = scipy.optimize.nnls(active.T, np.array(x, dtype=float))[1]
-                assert residual <= 1e-9 * math.hypot(*map(float, x)), diffs
+                _assert_nearest(diffs, x)
         assert statuses.count(0) > 200 and statuses.count(2) > 150
+
+    @pytest.mark.parametrize("n, m", [(10, 300), (20, 500)])
+    def test_nearest_point_on_large_vertex_sets(self, n, m):
+        # alpha - beta over m random points beta and the origin, alpha the
+        # vertex a random direction exposes: the search has no cycle cap and
+        # still ends on the nearest point.
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            points = sorted({tuple(b) for b in rng.integers(0, 9, size=(m, n)).tolist()} | {(0,) * n})
+            c = rng.normal(size=n)
+            alpha = max(points, key=lambda b: float(c @ b))
+            diffs = [[a - b for a, b in zip(alpha, beta)] for beta in points if beta != alpha]
+            x = _nearest_point(diffs)
+            assert x is not None
+            _assert_nearest(diffs, x)
 
     def test_curve_matches_lp_per_vertex(self):
         # _unbounded_curve tries the candidate points in order: every one the

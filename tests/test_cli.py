@@ -419,7 +419,7 @@ class TestEntryPoint:
         assert proc.stdout.strip() == "[]"
 
     def test_bound_path_loads_no_scipy(self):
-        # The unbounded curve is a nearest-point search in numpy: bounding
+        # The unbounded curve is a nearest-point search in integers: bounding
         # criterion 9's inputs, 83 of them unbounded, loads no scipy module.
         code = """if True:
             import sys
