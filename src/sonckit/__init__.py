@@ -9,9 +9,11 @@ from .bounds import (
     CertificatePiece,
     SoncCertificate,
     Status,
+    UnboundedWitness,
     certify_optimality,
     sonc_feasibility,
     verify_certificate,
+    verify_unbounded,
 )
 from .circuits import (
     AffinelyDependentError,
@@ -83,6 +85,7 @@ __all__ = [
     "Status",
     "SupportSet",
     "SupportTooLargeError",
+    "UnboundedWitness",
     "affinely_independent",
     "as_sparse_polynomial",
     "barycentric_coordinates",
@@ -111,5 +114,6 @@ __all__ = [
     "sonc_feasibility",
     "verify_certificate",
     "verify_entropy_witness",
+    "verify_unbounded",
     "xlogx_over",
 ]

@@ -14,12 +14,13 @@ positive is impossible by construction.
 Every moment vector (z^alpha) of a real point z is a member of that dual
 cone, with equality or slack in every circuit's condition, and its pairing
 with the coefficients is p(z), which `p.evaluate` forms in the pairing's
-order.  `certify_optimality`, the one bound entry, answers with the least
-such value over explicit candidates, the origin always among them, so it
-always has a dual point, p_dual >= inf p >= p_sonc, and its z certifies
-optimality when the two meet.  At an exact bound the paper's optimum is
-such a point evaluation, and the barrier ends near it: the candidates are
-the origin and z read off the barrier's vertex values, polished once.
+order.  `certify_optimality`, the one bound entry, answers an input with
+no unbounded witness (below) with the least such value over explicit
+candidates, the origin always among them, so it has a dual point, p_dual
+>= inf p >= p_sonc, and its z certifies optimality when the two meet.  At
+an exact bound the paper's optimum is such a point evaluation, and the
+barrier ends near it: the candidates are the origin and z read off the
+barrier's vertex values, polished once.
 An odd or negative term that is the inner point of no circuit over the
 positive even points and the constant leaves its dual coordinate free, so
 the bound is -inf.  By Caratheodory such terms exist iff the Newton
@@ -27,15 +28,16 @@ polytope has an odd or negative nonzero vertex, and every such vertex is
 one, but not every such term is a vertex (x1^3 in 1 + x1^3 - x1^4).  The
 primal settles this while grouping its circuits, the one place a catalog
 is built (only when some term is odd or negative), and names those terms;
-the dual searches only them for the curve exposing such a vertex, whose
-point joins the origin as a candidate; its weights come from the point of
-conv{alpha - beta} nearest the origin.  The module imports no scipy.
+the dual searches only them for a vertex and the integer curve exposing
+it, whose weights come from the point of conv{alpha - beta} nearest the
+origin.  That curve is the answer: an `UnboundedWitness`, re-checked in
+integers by `verify_unbounded`, with p_sonc = p_dual = -inf and no dual
+point.  The module imports no scipy.
 
 Values, derivatives and moment vectors come from the polynomial module,
-whose arithmetic never raises or warns on overflow.  A curve or barrier
-point whose moment vector leaves the float range is skipped on the
-ValueError that DualVector raises.  Forming the curve point x(t) itself is
-the one place an OverflowError is caught.
+whose arithmetic never raises or warns on overflow.  A barrier point whose
+moment vector leaves the float range is skipped on the ValueError that
+DualVector raises.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, product
+from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,25 +92,42 @@ class SoncCertificate:
         }
 
 
+class UnboundedWitness(NamedTuple):
+    """A nonzero vertex alpha of New(p u {0}), integer weights w exposing it
+    and signs s in {-1, 1}^n with c_alpha s^alpha < 0, so that p(s_i
+    t^(w_i)) -> -inf as t -> inf; `verify_unbounded` re-checks it."""
+
+    vertex: Exponent
+    w: tuple[int, ...]
+    s: tuple[int, ...]
+
+    def to_json_dict(self) -> dict:
+        return {"vertex": list(self.vertex), "w": list(self.w), "s": list(self.s)}
+
+
 @dataclass(frozen=True)
 class BoundResult:
-    """p_sonc is -inf exactly without a certificate; the dual point is always there."""
+    """p_sonc is -inf exactly without a certificate.  p_dual is -inf, and
+    dual_point None, exactly when `unbounded` holds a witness; otherwise
+    the dual point is the moment vector of a real point, p_dual its pairing."""
 
     p_sonc: float
     p_dual: float
     certificate: SoncCertificate | None
-    dual_point: DualVector
+    dual_point: DualVector | None
     optimal_point: tuple[float, ...] | None
     status: Status
+    unbounded: UnboundedWitness | None = None
 
     def to_json_dict(self) -> dict:
         return {
             "status": self.status.value,
             "p_sonc": self.p_sonc if math.isfinite(self.p_sonc) else None,
-            "p_dual": self.p_dual,
+            "p_dual": self.p_dual if math.isfinite(self.p_dual) else None,
             "certificate": self.certificate.to_json_dict() if self.certificate else None,
-            "dual_point": self.dual_point.to_json_dict(),
+            "dual_point": self.dual_point.to_json_dict() if self.dual_point is not None else None,
             "optimal_point": list(self.optimal_point) if self.optimal_point is not None else None,
+            "unbounded": self.unbounded.to_json_dict() if self.unbounded else None,
         }
 
 
@@ -525,14 +545,26 @@ def _nearest_point(diffs: list[list[int]]) -> list[Fraction] | None:
     return [Fraction(xi, pairings[j]) for xi in x] if pairings[j] > 0 else None
 
 
-#: Integer weights w and signs s of the curve x(t) = (s_i t^(w_i)), t > 0.
-_Curve = tuple[tuple[int, ...], tuple[float, ...]]
+def verify_unbounded(p: SparsePolynomial, witness: UnboundedWitness) -> bool:
+    """Exact re-check of an unbounded witness, in integers, no tolerance:
+    the lengths are n, alpha is a nonzero point of supp p, s is in {-1,
+    1}^n with c_alpha s^alpha < 0, and <w, alpha - beta> > 0 for every
+    other beta in supp p u {0}.  Then c_alpha s^alpha t^<w, alpha> is the
+    dominant term of p(s_i t^(w_i)), so p -> -inf along the curve."""
+    alpha, w, s = witness
+    shape = len(alpha) == len(w) == len(s) == p.n and all(type(x) is int for x in (*w, *s)) and set(s) <= {1, -1}
+    if not (shape and alpha in p.coefficients and any(alpha)):
+        return False
+    odd = sum(a for a, si in zip(alpha, s) if si == -1) % 2  # s^alpha = (-1)^odd
+    others = (set(p.coefficients) | {(0,) * p.n}) - {alpha}
+    negative = (p.coefficients[alpha] < 0.0) != bool(odd)
+    return negative and all(sum(wi * (a - b) for wi, a, b in zip(w, alpha, beta)) > 0 for beta in others)
 
 
-def _unbounded_curve(p: SparsePolynomial, uncovered: list[Exponent]) -> _Curve | None:
-    """Integer weights w and signs s with p(s_i t^(w_i)) -> -inf as t -> inf,
-    or None when none of the `uncovered` terms (`_certify`'s, tried in
-    order) is a vertex that the test below exposes.
+def _unbounded_curve(p: SparsePolynomial, uncovered: list[Exponent]) -> UnboundedWitness | None:
+    """The witness that p is unbounded below, or None when none of the
+    `uncovered` terms (`_certify`'s, tried in order) is a vertex that the
+    test below exposes.
 
     p is unbounded below when some nonzero vertex alpha of New(p u {0}) is
     odd or carries a negative coefficient: a weight vector w exposing alpha,
@@ -541,8 +573,8 @@ def _unbounded_curve(p: SparsePolynomial, uncovered: list[Exponent]) -> _Curve |
     negative.  By Caratheodory every such vertex is an uncovered term, and
     a bounded input has none, so it runs no search.  The point x of
     conv{alpha - beta} nearest the origin (`_nearest_point`) has <x, alpha -
-    beta> >= |x|^2 > 0, so it proposes w; its rationalization must satisfy
-    the strict inequalities in integers, which no non-vertex does."""
+    beta> >= |x|^2 > 0, so it proposes w; its rationalization must pass
+    `verify_unbounded`, which no non-vertex does."""
     points = sorted(set(p.coefficients) | {(0,) * p.n})
     for alpha in uncovered:
         diffs = [[a - b for a, b in zip(alpha, beta)] for beta in points if beta != alpha]
@@ -557,29 +589,12 @@ def _unbounded_curve(p: SparsePolynomial, uncovered: list[Exponent]) -> _Curve |
         lcm = math.lcm(*(f.denominator for f in frac))
         w = [int(f * lcm) for f in frac]
         g = math.gcd(*w) or 1
-        w = tuple(wi // g for wi in w)
-        if not all(sum(wi * di for wi, di in zip(w, d)) > 0 for d in diffs):
-            continue
-        s = [1.0] * p.n
+        s = [1] * p.n
         if p.coefficients[alpha] > 0.0:  # alpha is odd: flip one odd coordinate so s^alpha = -1
-            s[next(i for i, e in enumerate(alpha) if e % 2)] = -1.0
-        return w, tuple(s)
-    return None
-
-
-def _curve_point(p: SparsePolynomial, curve: _Curve) -> tuple[float, ...] | None:
-    """The first x(t) = (s_i t^(w_i)), t = 1, 2, 4, ..., 2^64, then t = 1 +
-    2^-j, j = 1, ..., 52 (for weights too large for those), with finite p(x(t))
-    < p(0) - scale, or None; `_best_moment` drops it if its moments overflow."""
-    w, s = curve
-    target = p.coefficients.get((0,) * p.n, 0.0) - _scale(p)
-    for base, k in chain(((2.0, k) for k in range(65)), ((1.0 + 2.0**-j, 1) for j in range(1, 53))):
-        try:
-            x = tuple(si * base ** (k * wi) for si, wi in zip(s, w))
-        except OverflowError:  # x beyond the float range
-            continue
-        if -math.inf < p.evaluate(x) < target:
-            return x
+            s[next(i for i, e in enumerate(alpha) if e % 2)] = -1
+        witness = UnboundedWitness(alpha, tuple(wi // g for wi in w), tuple(s))
+        if verify_unbounded(p, witness):
+            return witness
     return None
 
 
@@ -624,24 +639,23 @@ def _best_moment(p: SparsePolynomial, support: SupportSet, points: list) -> tupl
 def certify_optimality(p: SparsePolynomial, seed: int = 0) -> BoundResult:
     """Primal bound, dual point, and an optimal point where the two meet.
 
-    The barrier solve gives the primal, and the candidates for the dual
-    point are the barrier points (`_barrier_points`), which without a
-    certificate or a bad point are the origin alone.  When some odd or
-    negative term has no circuit, p_sonc is -inf and the point on the curve
-    exposing an odd or negative vertex (`_unbounded_curve`) joins them.  The
-    dual point is the moment vector of the candidate z of least value,
-    p_dual = p(z).  Optimality is
-    claimed when the certified bound closes the gap to 1e-5 scale, so p_sonc
-    <= inf p <= p(z) = p_dual pins the infimum.  The search is
-    deterministic: `seed` is accepted for callers that still pass it and
-    ignored."""
+    When some odd or negative term has no circuit and the curve exposing an
+    odd or negative vertex exists (`_unbounded_curve`), that witness is the
+    answer: p_sonc = p_dual = -inf, with no certificate and no dual point.
+    Otherwise the barrier solve gives the primal, and the dual point is the
+    moment vector of the candidate z of least value among the barrier
+    points (`_barrier_points`), which without a certificate or a bad point
+    are the origin alone, p_dual = p(z).  Optimality is claimed when the
+    certified bound closes the gap to 1e-5 scale, so p_sonc <= inf p <=
+    p(z) = p_dual pins the infimum.  The search is deterministic: `seed` is
+    accepted for callers that still pass it and ignored."""
     zero = (0,) * p.n
     support = SupportSet(p.n, tuple(set(p.support.points) | {zero}))
     cert, vertices, uncovered = _certify(p, support, zero)
-    candidates = _barrier_points(p, vertices)
-    curve = _unbounded_curve(p, uncovered)
-    x = _curve_point(p, curve) if curve is not None else None
-    p_dual, v, z = _best_moment(p, support, candidates + ([x] if x is not None else []))
+    witness = _unbounded_curve(p, uncovered)
+    if witness is not None:
+        return BoundResult(-math.inf, -math.inf, None, None, None, Status.DUAL_ONLY, witness)
+    p_dual, v, z = _best_moment(p, support, _barrier_points(p, vertices))
     closed = cert is not None and p_dual - cert.gamma <= 1e-5 * _scale(p)
     status = Status.OPTIMALITY_CERTIFIED if closed else Status.CERTIFIED if cert else Status.DUAL_ONLY
     return BoundResult(cert.gamma if cert else -math.inf, p_dual, cert, v, z if closed else None, status)

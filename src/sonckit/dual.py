@@ -69,8 +69,7 @@ class MembershipReport:
 
     def to_json_dict(self) -> dict:
         if self.member:
-            witnesses = [{"circuit": i, "v_star": star, "tau": list(tau)} for i, star, tau in self.witnesses]
-            return {"member": True, "witnesses": witnesses}
+            return {"member": True, "witnesses": [w.to_json_dict() for w in self.witnesses]}
         return {
             "member": False,
             "violated_circuit": self.violated_circuit.to_json_dict() if self.violated_circuit else None,

@@ -60,20 +60,19 @@ def _within_theta(mag: float, log_theta: float) -> bool:
     return mag <= 1.0 or math.log(mag) <= log_theta + math.log1p(DECISION_TOL)
 
 
-def _witness(p: CircuitPolynomial, log_theta: float) -> EntropyWitness | None:
-    """The entropy minimizer Theta * mu; None when it exceeds the float range."""
-    if log_theta >= _LOG_FLOAT_MAX:
-        return None
-    nu, _ = entropy_minimizer(p.circuit, p.c)
-    return EntropyWitness(nu)
+def _decide(p: CircuitPolynomial, mag: float) -> tuple[bool, EntropyWitness | None]:
+    """mag <= Theta, mag the signed magnitude of delta that the orthant or
+    the parity condition bounds; when it holds, the witness is the entropy
+    minimizer Theta * mu, or None when Theta exceeds the float range."""
+    log_theta = log_circuit_number(p.c, p.circuit)
+    if not _within_theta(mag, log_theta):
+        return False, None
+    return True, EntropyWitness(entropy_minimizer(p.circuit, p.c)[0]) if log_theta < _LOG_FLOAT_MAX else None
 
 
 def is_nonneg_on_positive_orthant(p: CircuitPolynomial) -> tuple[bool, EntropyWitness | None]:
     """Decide nonnegativity on the positive orthant: delta >= -Theta."""
-    log_theta = log_circuit_number(p.c, p.circuit)
-    if _within_theta(-p.delta, log_theta):
-        return True, _witness(p, log_theta)
-    return False, None
+    return _decide(p, -p.delta)
 
 
 def is_nonneg_circuit(p: CircuitPolynomial) -> tuple[bool, EntropyWitness | None]:
@@ -82,11 +81,7 @@ def is_nonneg_circuit(p: CircuitPolynomial) -> tuple[bool, EntropyWitness | None
     A nonnegative circuit polynomial comes with its witness, unless the
     circuit number overflows the float range (witness None).
     """
-    log_theta = log_circuit_number(p.c, p.circuit)
-    mag = -p.delta if p.circuit.beta_even else abs(p.delta)
-    if not _within_theta(mag, log_theta):
-        return False, None
-    return True, _witness(p, log_theta)
+    return _decide(p, -p.delta if p.circuit.beta_even else abs(p.delta))
 
 
 def verify_entropy_witness(p: CircuitPolynomial, w: EntropyWitness, tol: float = 1e-9) -> bool:

@@ -3,12 +3,13 @@
 Run as a script, it prints three lines from whatever sonckit is on the path,
 so two trees compare their outputs by one command each.  The first holds
 the number of bound inputs (`bound_inputs()`), the sha256 of their
-`certify_optimality` JSON lines, and the barrier's Newton steps, state
-evaluations and multi-circuit states over them: calls of
+`certify_optimality` JSON lines, the barrier's Newton steps, state
+evaluations and multi-circuit states over them (calls of
 `bounds._newton_step`, of `bounds._eliminate`, and of `bounds._eliminate`
 with the gaps d given, the states whose slacks take its Newton solve
-because some bad point has more than one circuit.  The second holds the
-number of dual vectors (`dual_inputs()`), the sha256 of their
+because some bad point has more than one circuit), and the number of
+answers that carry an unbounded witness (`unbounded` not null).  The
+second holds the number of dual vectors (`dual_inputs()`), the sha256 of their
 `sonc_dual_membership` verdicts, violated circuits, witness circuit
 indices and v* (tau left out), the member count and the largest
 witness-row residual (`witness_residual`).  The third holds the number
@@ -219,7 +220,8 @@ def multistart_min(p: SparsePolynomial) -> float:
 def bound_parts(p: SparsePolynomial) -> tuple:
     """What `certify_optimality` reads off its one solve at the constant
     point: the certificate and vertex values of `bounds._certify`, and the
-    curve `bounds._unbounded_curve` finds on the terms no circuit covers."""
+    unbounded witness `bounds._unbounded_curve` finds on the terms no
+    circuit covers (None when there is none)."""
     zero = (0,) * p.n
     cert, vertices, uncovered = _certify(p, SupportSet(p.n, tuple(set(p.support.points) | {zero})), zero)
     return cert, vertices, _unbounded_curve(p, uncovered)
@@ -374,8 +376,11 @@ if __name__ == "__main__":
     steps, states, multi = [0], [0], [0]
     bounds._newton_step, bounds._eliminate = _counted(bounds._newton_step, steps), _counted(bounds._eliminate, states, multi)
     polys = bound_inputs()
-    lines = [json.dumps(certify_optimality(p).to_json_dict(), sort_keys=True) for p in polys]
-    print(len(polys), hashlib.sha256("\n".join(lines).encode()).hexdigest(), f"steps={steps[0]} states={states[0]} multi={multi[0]}")
+    blobs = [certify_optimality(p).to_json_dict() for p in polys]
+    lines = [json.dumps(blob, sort_keys=True) for blob in blobs]
+    unbounded = sum(blob["unbounded"] is not None for blob in blobs)
+    counts = f"steps={steps[0]} states={states[0]} multi={multi[0]} unbounded={unbounded}"
+    print(len(polys), hashlib.sha256("\n".join(lines).encode()).hexdigest(), counts)
 
     vectors, lines, members, residual = dual_inputs(), [], 0, 0.0
     for v in vectors:

@@ -1,6 +1,7 @@
 """Feasibility decomposition, lower bounds, dual program, optimality."""
 
 import dataclasses
+import itertools
 import json
 import math
 import warnings
@@ -20,6 +21,7 @@ from sonckit import (
     Status,
     SparsePolynomial,
     SupportSet,
+    UnboundedWitness,
     certify_optimality,
     enumerate_circuits,
     is_nonneg_circuit,
@@ -28,6 +30,7 @@ from sonckit import (
     sonc_dual_membership,
     sonc_feasibility,
     verify_certificate,
+    verify_unbounded,
 )
 from sonckit import bounds
 from sonckit import dual
@@ -109,12 +112,39 @@ def _exposing_lp(diffs: list) -> int:
 def _assert_nearest(diffs: list, x: list) -> None:
     """x has least pairing exactly 1 with the rows d and is a nonnegative
     combination of the rows it pairs to 1 with: the point of their hull
-    nearest the origin, scaled."""
+    nearest the origin, scaled.  Where float nnls cannot confirm the
+    combination (active rows nearly antiparallel near 2^20), it must hold
+    exactly (`_exact_cone_combination`)."""
     pairings = [sum(a * b for a, b in zip(x, d)) for d in diffs]
     assert min(pairings) == 1, diffs
-    active = np.array([d for d, q in zip(diffs, pairings) if q == 1], dtype=float)
-    residual = scipy.optimize.nnls(active.T, np.array(x, dtype=float))[1]
-    assert residual <= 1e-9 * math.hypot(*map(float, x)), diffs
+    active = [d for d, q in zip(diffs, pairings) if q == 1]
+    residual = scipy.optimize.nnls(np.array(active, dtype=float).T, np.array(x, dtype=float))[1]
+    assert residual <= 1e-9 * math.hypot(*map(float, x)) or _exact_cone_combination(active, x), diffs
+
+
+def _exact_cone_combination(rows: list, x: list) -> bool:
+    """Whether x = sum_i c_i r_i exactly, with every c_i >= 0, over some
+    linearly independent subset of the rows (Caratheodory: one exists when
+    any nonnegative combination does).  Each subset's c solves its Gram
+    system R R' c = R x in Fractions."""
+    x = [Fraction(xi) for xi in x]
+    for k in range(1, len(x) + 1):
+        for subset in itertools.combinations(rows, k):
+            system = [[Fraction(sum(a * b for a, b in zip(r, q))) for q in (*subset, x)] for r in subset]
+            for i in range(k):  # Gauss-Jordan; a zero pivot column means dependent rows
+                pivot = next((j for j in range(i, k) if system[j][i]), None)
+                if pivot is None:
+                    break
+                system[i], system[pivot] = system[pivot], system[i]
+                for j in range(k):
+                    if j != i and system[j][i]:
+                        f = system[j][i] / system[i][i]
+                        system[j] = [a - f * b for a, b in zip(system[j], system[i])]
+            else:
+                c = [system[i][k] / system[i][i] for i in range(k)]
+                if min(c) >= 0 and [sum(ci * r[t] for ci, r in zip(c, subset)) for t in range(len(x))] == x:
+                    return True
+    return False
 
 
 def _extended_support_of(A: SupportSet) -> SupportSet:
@@ -426,12 +456,19 @@ class TestDualProgram:
         assert v[(2,)] == pytest.approx(0.0, abs=1e-6)
 
     def test_returned_point_is_always_feasible(self):
+        # A returned dual point is feasible; an unbounded answer returns its
+        # witness in place of one.  The draw runs on until 20 dual points.
         rng = np.random.default_rng(62)
-        for _ in range(20):
+        points = 0
+        while points < 20:
             n = int(rng.integers(1, 3))
             p = random_sparse_poly(rng, n, max_degree=6, max_terms=5)
             r = certify_optimality(p)
             value, v = r.p_dual, r.dual_point
+            if r.unbounded is not None:
+                assert v is None and value == -math.inf and verify_unbounded(p, r.unbounded)
+                continue
+            points += 1
             support = _extended(p)
             assert sonc_dual_membership(support, v, tol=1e-7).member
             assert v[(0,) * n] == 1.0
@@ -783,35 +820,46 @@ class TestCertifyOptimality:
 #: Bound outputs on criterion 9's inputs and the bound-sonc workload's 18,
 #: recorded before the barrier step was restructured (`bound_record`), and
 #: on the 700 sweep draws, recorded before the curve search read the
-#: solve's uncovered terms.
+#: solve's uncovered terms.  The answers with an unbounded witness were
+#: re-recorded when the witness replaced their curve point: p_dual null and
+#: the witness under "unbounded", a key the other answers do not carry.
 GOLDEN = Path(__file__).parent / "data" / "bound_golden.json"
 SWEEP_GOLDEN = Path(__file__).parent / "data" / "sweep_golden.json"
 
 
 def bound_record(p: SparsePolynomial) -> dict:
     """The input's text, and the status, p_sonc, p_dual, dual point and each
-    certificate piece's (vertices, beta) that `certify_optimality` gives for it."""
+    certificate piece's (vertices, beta) that `certify_optimality` gives for
+    it, and its unbounded witness where it has one."""
     blob = certify_optimality(p).to_json_dict()
     pieces = [[q["vertices"], q["beta"]] for q in blob["certificate"]["pieces"]] if blob["certificate"] else None
     keys = ("status", "p_sonc", "p_dual", "dual_point")
-    return {"poly": serialize_polynomial(p), **{key: blob[key] for key in keys}, "pieces": pieces}
+    record = {"poly": serialize_polynomial(p), **{key: blob[key] for key in keys}, "pieces": pieces}
+    return record | ({"unbounded": blob["unbounded"]} if blob["unbounded"] else {})
 
 
 def _matches_record(path: Path, polys: list[SparsePolynomial]) -> None:
-    """Statuses and circuits exactly; values to 1e-12 of max(|value|, scale).
-    That absorbs no reordering of the barrier's float operations: forming
-    its Newton step's scaled matrix as hess * scale * scale[:, None] in
-    place of hess * (scale[:, None] * scale) moves sweep draw 634's p_sonc
-    by 1.9e-12 of that, so a host whose BLAS rounds differently need not
-    pass.  Every answer has a finite p_dual and a dual point whose constant
-    entry is 1."""
+    """Statuses, circuits and unbounded witnesses exactly; values to 1e-12 of
+    max(|value|, scale).  That absorbs no reordering of the barrier's float
+    operations: forming its Newton step's scaled matrix as hess * scale *
+    scale[:, None] in place of hess * (scale[:, None] * scale) moves sweep
+    draw 634's p_sonc by 1.9e-12 of that, so a host whose BLAS rounds
+    differently need not pass.  An answer with a witness has p_dual and
+    dual_point null, and `verify_unbounded` accepts the witness; every other
+    answer has a finite p_dual and a dual point whose constant entry is 1."""
     golden = json.loads(path.read_text())
     assert len(golden) == len(polys)
     for p, want in zip(polys, golden):
         got = bound_record(p)
         assert (got["poly"], got["status"], got["pieces"]) == (want["poly"], want["status"], want["pieces"])
+        witness = got.get("unbounded")
+        assert witness == want.get("unbounded"), want["poly"]
         dual = got["dual_point"]
-        assert math.isfinite(got["p_dual"]) and dual["values"][dual["points"].index([0] * p.n)] == 1.0, want["poly"]
+        if witness:
+            assert got["p_dual"] is None and dual is None, want["poly"]
+            assert verify_unbounded(p, UnboundedWitness(tuple(witness["vertex"]), tuple(witness["w"]), tuple(witness["s"])))
+        else:
+            assert math.isfinite(got["p_dual"]) and dual["values"][dual["points"].index([0] * p.n)] == 1.0, want["poly"]
         scale = 1.0 + max(map(abs, p.coefficients.values()))
         for key in ("p_sonc", "p_dual"):
             assert (got[key] is None) == (want[key] is None), (want["poly"], key)
@@ -846,18 +894,19 @@ class TestNewtonPolytopeShortcut:
     def test_flagged_curves_descend(self):
         flagged = 0
         for p in criterion9_polys():
-            curve = bound_parts(p)[2]
-            if curve is None:
+            witness = bound_parts(p)[2]
+            if witness is None:
                 continue
             flagged += 1
-            w, s = curve
-            assert all(type(wi) is int for wi in w) and all(si in (1.0, -1.0) for si in s)
-            # w exposes a single point alpha of supp(p) u {0}, exactly in integers;
-            # its term is negative along the curve, so it drives p to -inf.
+            vertex, w, s = witness
+            assert all(type(x) is int for x in (*w, *s)) and set(s) <= {1, -1}
+            # w exposes a single point alpha of supp(p) u {0}, exactly in integers,
+            # the witness's vertex; its term is negative along the curve, so it
+            # drives p to -inf.
             points = set(p.coefficients) | {(0,) * p.n}
             height = {beta: sum(wi * b for wi, b in zip(w, beta)) for beta in points}
             top = max(height.values())
-            (alpha,) = [beta for beta in points if height[beta] == top]
+            assert [beta for beta in points if height[beta] == top] == [vertex]
             assert top > 0
             terms = _along_curve(p, w, s)
             (lead,) = [c for c, e in terms if e == top]
@@ -871,7 +920,8 @@ class TestNewtonPolytopeShortcut:
             values = [sum(c * Fraction(2) ** (e * (k0 + k)) for c, e in terms) for k in range(1, 7)]
             assert all(a > b for a, b in zip(values, values[1:]))
             r = certify_optimality(p)
-            assert r.status is Status.DUAL_ONLY and r.certificate is None and r.p_sonc == -math.inf
+            assert r.status is Status.DUAL_ONLY and r.certificate is None and r.unbounded == witness
+            assert r.p_sonc == r.p_dual == -math.inf and r.dual_point is None and r.optimal_point is None
         assert flagged == 83
 
     @pytest.mark.parametrize("text", [MOTZKIN_TEXT, "1 + x1^4 - 3*x1^2", "1 + x1^2", "7"])
@@ -946,22 +996,32 @@ class TestNewtonPolytopeShortcut:
     # The last text keeps a zero term's slot at x1^8: the catalog's circuit
     # ((0,), (8,); 3) must not hide the odd vertex 3.
     @pytest.mark.parametrize(
-        "text", ["x1", "38.18*x2", "x1^2*x2 + 1", "1 - x1^2 + x2^4", "2 - 3*x1^3*x2 + x1^2", "1 + x1^3 + 0*x1^8"]
+        "text, vertex",
+        [
+            ("x1", (1,)),
+            ("38.18*x2", (0, 1)),
+            ("x1^2*x2 + 1", (2, 1)),
+            ("1 - x1^2 + x2^4", (2, 0)),
+            ("2 - 3*x1^3*x2 + x1^2", (3, 1)),
+            ("1 + x1^3 + 0*x1^8", (3,)),
+        ],
+        ids=["x1", "38.18*x2", "x1^2*x2 + 1", "1 - x1^2 + x2^4", "2 - 3*x1^3*x2 + x1^2", "1 + x1^3 + 0*x1^8"],
     )
-    def test_curve_dual_point(self, text):
+    def test_curve_dual_point(self, text, vertex):
+        # The curve is the dual answer: p_dual = -inf with the witness, and no
+        # dual point.
         p = parse_polynomial(text)
-        assert bound_parts(p)[2] is not None
         r = certify_optimality(p)
-        assert r.status is Status.DUAL_ONLY and r.p_sonc == -math.inf
-        support = _extended(p)
-        assert sonc_dual_membership(support, r.dual_point, tol=DUAL_FEAS_TOL).member
-        assert r.dual_point[(0,) * p.n] == 1.0
-        assert r.p_dual == pairing(p, support.points, r.dual_point.as_tuple())
-        # the curve point already lies below p(0) - scale
-        assert r.p_dual < p.coefficients.get((0,) * p.n, 0.0) - (1.0 + max(map(abs, p.coefficients.values())))
+        assert r.unbounded == bound_parts(p)[2] and r.unbounded.vertex == vertex
+        assert verify_unbounded(p, r.unbounded)
+        assert r.status is Status.DUAL_ONLY and r.p_sonc == r.p_dual == -math.inf
+        assert r.certificate is r.dual_point is r.optimal_point is None
+        blob = r.to_json_dict()
+        assert blob["p_sonc"] is blob["p_dual"] is blob["dual_point"] is None
+        assert blob["unbounded"] == {"vertex": list(vertex), "w": list(r.unbounded.w), "s": list(r.unbounded.s)}
 
-
-    # Every x(2^k) of these curves overflows, so the point is x(1 + 2^-j).
+    # Every float point x(2^k) of these curves overflows; the witness is
+    # exact integers all the same.
     @pytest.mark.parametrize(
         "text",
         [
@@ -973,9 +1033,11 @@ class TestNewtonPolytopeShortcut:
     def test_curve_point_past_the_overflow(self, text):
         p = parse_polynomial(text)
         r = certify_optimality(p)
-        assert r.status is Status.DUAL_ONLY and r.dual_point is not None
-        assert math.isfinite(r.p_dual) and r.p_dual < -1.0
-        assert r.p_dual == pairing(p, _extended(p).points, r.dual_point.as_tuple())
+        assert r.status is Status.DUAL_ONLY and r.p_dual == -math.inf and r.dual_point is None
+        assert verify_unbounded(p, r.unbounded)
+        vertex, w, s = r.unbounded
+        assert sum(wi * a for wi, a in zip(w, vertex)) > 1024  # the leading term at t = 2 is 2^that
+        assert "Infinity" not in json.dumps(r.to_json_dict())
 
     def test_vertex_filter_skips_searches_and_keeps_curves(self, monkeypatch):
         searches = _record_nearest_points(monkeypatch)
@@ -1010,6 +1072,14 @@ class TestNewtonPolytopeShortcut:
                 [1048581, 1048577, -1048580, 5],
             ],
         ]
+        # Exact, but float nnls on its two nearly antiparallel active rows
+        # leaves residual 0.052 against the bound 7.0e-5.
+        sets.append(
+            [
+                [4, 3, 1048576], [-1048584, -1048580, -1], [-4, -3, -1048570], [4, -4, 1048568], [-1048583, -5, 1048568],
+                [-1048583, -5, -5], [-1048568, 1048582, 6], [-1048582, -1048574, 7], [-6, -1048582, 1048584],
+            ]
+        )
         sets += nearest_point_inputs()
         statuses = []
         for diffs in sets:
@@ -1064,14 +1134,14 @@ class TestNewtonPolytopeShortcut:
                 for a in points
                 if a != zero and not (is_even_point(a) and p.coefficients[a] > 0.0)
             }
-            curve = bound_parts(p)[2]
-            if curve is None:
+            witness = bound_parts(p)[2]
+            if witness is None:
                 assert 0 not in status.values(), p.coefficients
                 continue
             exposed += 1
-            w, s = curve
+            alpha, w, s = witness
             height = {b: sum(wi * bi for wi, bi in zip(w, b)) for b in points}
-            (alpha,) = [b for b in points if height[b] == max(height.values())]
+            assert [b for b in points if height[b] == max(height.values())] == [alpha]
             assert all(type(wi) is int for wi in w) and status[alpha] != 2, p.coefficients
             assert p.coefficients[alpha] * math.prod(si**e for si, e in zip(s, alpha)) < 0.0
             assert all(st != 0 for a, st in status.items() if a < alpha), p.coefficients

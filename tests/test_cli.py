@@ -4,6 +4,7 @@ import json
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
@@ -438,12 +439,39 @@ class TestEntryPoint:
         assert proc.stdout.strip() == "85 []"
 
     def test_readme_quickstart_runs(self):
+        # Each line "expr  # value" (or "# value; remark") shows repr(expr).
         readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
         blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
         assert len(blocks) == 1
         namespace: dict = {}
         exec(blocks[0], namespace)
-        assert sonckit.circuit_number((1, 1, 1), namespace["circuit"]) == pytest.approx(3.0, rel=1e-12)
+        shown = [line.partition("  #")[::2] for line in blocks[0].splitlines()]
+        shown = [(code, comment.split(";")[0].strip()) for code, comment in shown if code.strip() and comment]
+        assert [repr(eval(code, namespace)) for code, _ in shown] == [value for _, value in shown]
+        assert len(shown) == 4
+
+    def test_readme_commands_exit_as_stated(self, tmp_path, monkeypatch, capsys):
+        # The command-line block, run through main in a scratch directory:
+        # each "echo '...' > file" writes its file, and each command whose
+        # comment states "exit N" exits N.
+        readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+        (block,) = [b for b in re.findall(r"```sh\n(.*?)```", readme, re.S) if "sonckit bound" in b]
+        monkeypatch.chdir(tmp_path)
+        outputs = {}
+        for line in block.splitlines():
+            code, _, comment = line.partition("  #")
+            words = shlex.split(code)
+            if words[:1] == ["echo"]:
+                pathlib.Path(words[3]).write_text(words[1] + "\n")
+            elif words[:1] == ["sonckit"] and (stated := re.match(r"\s*exit (\d)", comment)):
+                exit_code, out, _ = run_main(words[1:], capsys)
+                assert exit_code == int(stated[1]), line
+                outputs[" ".join(words[1:])] = json.loads(out)
+        assert {"bound p.txt", "bound u.txt", "certify p.txt"} <= set(outputs)
+        assert outputs["bound p.txt"]["p_sonc"] == -1.25
+        unbounded = outputs["bound u.txt"]
+        assert unbounded["status"] == "dual_only" and unbounded["p_dual"] is None and unbounded["dual_point"] is None
+        assert unbounded["unbounded"] == {"vertex": [3], "w": [1], "s": [-1]}
 
     def test_exports_resolve(self):
         missing = [name for name in sonckit.__all__ if not hasattr(sonckit, name)]

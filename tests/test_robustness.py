@@ -17,7 +17,16 @@ import numpy as np
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from sonckit import Circuit, SparsePolynomial, SupportSet, certify_optimality, enumerate_circuits, verify_certificate
+from sonckit import (
+    Circuit,
+    SparsePolynomial,
+    SupportSet,
+    UnboundedWitness,
+    certify_optimality,
+    enumerate_circuits,
+    verify_certificate,
+    verify_unbounded,
+)
 from sonckit.cli import _load_polynomial, main
 from sonckit.polynomials import MAX_VARIABLES, ParseError, parse_polynomial
 
@@ -188,13 +197,23 @@ def check_clean_exit(argv: list[str], text: str) -> tuple[int, dict | None]:
     return code, json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
-def check_pieces(text: str, blob: dict | None) -> None:
+def check_answer(text: str, blob: dict | None) -> None:
     """Each piece of a `bound` or `certify` certificate names its circuit:
     its vertices and beta build a Circuit over supp(p) and the constant
-    point, with one coefficient per vertex."""
-    if blob is None or blob["certificate"] is None:
+    point, with one coefficient per vertex.  A `bound` answer's unbounded
+    witness passes `verify_unbounded`, and p_dual and dual_point are null
+    exactly when it is there."""
+    if blob is None:
         return
     p = _load_polynomial(text)
+    if "unbounded" in blob:
+        witness = blob["unbounded"]
+        assert (witness is None) == (blob["p_dual"] is not None) == (blob["dual_point"] is not None), text
+        if witness is not None:
+            witness = UnboundedWitness(tuple(witness["vertex"]), tuple(witness["w"]), tuple(witness["s"]))
+            assert verify_unbounded(p, witness), text
+    if blob["certificate"] is None:
+        return
     allowed = set(p.support.points) | {(0,) * p.n}
     for piece in blob["certificate"]["pieces"]:
         circuit = Circuit(piece["vertices"], piece["beta"])
@@ -207,7 +226,7 @@ def check_pieces(text: str, blob: dict | None) -> None:
 @example(OVERFLOWING_MOMENTS)
 def test_polynomial_commands_exit_cleanly(text):
     for command in ("bound", "certify"):
-        check_pieces(text, check_clean_exit([command], text)[1])
+        check_answer(text, check_clean_exit([command], text)[1])
     check_clean_exit(["circuits"], text)
 
 
@@ -263,7 +282,7 @@ def test_malformed_text_parses_or_raises_parse_error(text):
 @given(polynomial_jsons())
 def test_polynomial_json_commands_exit_cleanly(text):
     for command in ("bound", "certify"):
-        check_pieces(text, check_clean_exit([command], text)[1])
+        check_answer(text, check_clean_exit([command], text)[1])
     check_clean_exit(["circuits"], text)
 
 
@@ -384,4 +403,48 @@ def test_multi_circuit_barrier_at_any_scale(p):
 def test_certificate_pieces_name_their_circuits(p):
     text = json.dumps(p.to_json_dict())
     for command in ("bound", "certify"):
-        check_pieces(text, check_clean_exit([command], text)[1])
+        check_answer(text, check_clean_exit([command], text)[1])
+
+
+@FUZZ
+@given(sparse_polynomials(), st.data())
+def test_unbounded_witness_rejects_tampering(p, data):
+    # Every witness certify_optimality emits passes the exact check, and no
+    # tampered copy does.
+    witness = certify_optimality(p).unbounded
+    assume(witness is not None)
+    assert verify_unbounded(p, witness)
+    alpha, w, s = witness
+    tampered = []
+    odd = [i for i, a in enumerate(alpha) if a % 2]
+    if odd:  # flipping the sign of an odd coordinate flips s^alpha
+        i = data.draw(st.sampled_from(odd))
+        tampered.append(witness._replace(s=tuple(-si if j == i else si for j, si in enumerate(s))))
+    # Weights with some pairing <= 0: zero, negated, and w' = <w, d> u - <u, d> w,
+    # which pairs to exactly 0 with d = alpha - beta.
+    beta = data.draw(st.sampled_from(sorted((set(p.coefficients) | {(0,) * p.n}) - {alpha})))
+    u = data.draw(st.lists(st.integers(-5, 5), min_size=p.n, max_size=p.n))
+    d = [a - b for a, b in zip(alpha, beta)]
+    wd, ud = sum(x * y for x, y in zip(w, d)), sum(x * y for x, y in zip(u, d))
+    for bad_w in ((0,) * p.n, tuple(-wi for wi in w), tuple(wd * ui - ud * wi for ui, wi in zip(u, w))):
+        tampered.append(witness._replace(w=bad_w))
+    outside = tuple(data.draw(st.lists(st.integers(0, 9), min_size=p.n, max_size=p.n)))
+    if outside not in p.coefficients:
+        tampered.append(witness._replace(vertex=outside))
+    tampered.append(witness._replace(vertex=(0,) * p.n))
+    for field in ("vertex", "w", "s"):
+        value = getattr(witness, field)
+        tampered += [witness._replace(**{field: value[:-1]}), witness._replace(**{field: (*value, value[-1])})]
+    # Not integers, or a sign outside {-1, 1}.
+    tampered += [witness._replace(w=(w[0] + 0.5, *w[1:]))]
+    tampered += [witness._replace(s=(bad, *s[1:])) for bad in (0, 2 * s[0])]
+    for bad in tampered:
+        assert not verify_unbounded(p, bad), bad
+
+
+def test_unbounded_witness_at_the_origin_rejected():
+    # -1 + x1^2 is bounded below, yet the constant's witness (w = -1) passes
+    # every other test: along t^-1 the constant term dominates, and p -> -1.
+    p = parse_polynomial("-1 + x1^2")
+    assert certify_optimality(p).unbounded is None
+    assert not verify_unbounded(p, UnboundedWitness((0,), (-1,), (1,)))
