@@ -266,23 +266,97 @@ def _certify(
 _T_GROWTH, _GAP, _FOLLOW = 30.0, 1e-8, 100.0
 
 
+# The barrier runs on Python floats.  Where NumPy gives an IEEE value (a
+# zero divisor, exp past the float range, log of 0 or less), math raises,
+# so these give NumPy's value and a nan or inf flows on as it did there.
+# Sums run left to right, as NumPy adds up to 8 terms (builtin sum() rounds
+# otherwise from Python 3.12 on).
+def _div(x: float, y: float) -> float:
+    return x / y if y else x * math.copysign(math.inf, y)
+
+
+def _exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _expm1(x: float) -> float:
+    try:
+        return math.expm1(x)
+    except OverflowError:
+        return math.inf
+
+
+def _log1p(x: float) -> float:
+    return math.log1p(x) if x > -1.0 else -math.inf if x == -1.0 else math.nan
+
+
+def _log_sum(xs: list) -> float:
+    total = 0.0
+    for x in xs:
+        total += math.log(x) if x > 0.0 else -math.inf if x == 0.0 else math.nan
+    return total
+
+
+def _dot(x: list, y: list) -> float:
+    total = 0.0
+    for a, b in zip(x, y):
+        total += a * b
+    return total
+
+
+def _dots(rows: list, x: list) -> list:
+    out = []
+    for row in rows:
+        total = 0.0
+        for a, b in zip(row, x):
+            total += a * b
+        out.append(total)
+    return out
+
+
+def _span_sums(xs: list, spans: list) -> list:
+    """Each span's sum as np.add.reduceat adds up to 8 terms: x_f + (((0.0 +
+    x_f+1) + x_f+2) + ...), or x_f alone."""
+    sums = []
+    for f, e in spans:
+        total = xs[f]
+        if e - f > 1:
+            rest = 0.0
+            for x in xs[f + 1 : e]:
+                rest += x
+            total += rest
+        sums.append(total)
+    return sums
+
+
 def _central_path(lam: np.ndarray, grp: np.ndarray, p_host: np.ndarray, free: np.ndarray, p_bad: np.ndarray):
-    """(t, v, G, G - u, G + u) at the end of the central path of the dual,
-    or None when a stage does not settle in 300 steps.  The dual is min
-    sum_a p_a v_a - sum_beta |p_beta| u_beta with v = 1 at the anchors and
-    u_beta <= G_C(v) = prod_a v_a^lambda_a for each circuit C (row C of
-    `lam`, bad point grp[C]); its barrier -sum_C log(G_C^2 - u^2) - sum_free
-    log v_a has parameter nu = 2 #C + #free.  Each u is eliminated exactly,
-    and damped Newton runs on the free v (Schur-complement Hessian H + R'R,
-    one Jacobi-scaled solve, Armijo while the decrement exceeds 1/4; the
-    Schur rows R vanish, and are skipped, when each bad point has one
-    circuit).  A stage ends at decrement 1, the last one only when the
-    decrement stops falling."""
-    first, lf = np.flatnonzero(np.diff(grp, prepend=-1)), lam[:, free]
-    lf0, dlf, lft, ph, multi = lf[first], lf - lf[first][grp], lf.T, p_host[free], len(first) < len(lam)
-    nu, no_rows = 2.0 * len(lam) + float(free.sum()), lf[:0]
-    spans = list(zip(first.tolist(), [*first[1:].tolist(), len(lam)])) if multi else None
-    scale = 1.0 + max(float(np.abs(p_host).max()), float(p_bad.max()))
+    """(t, v, G, G - u, G + u), as arrays, at the end of the central path of
+    the dual, or None when a stage does not settle in 300 steps or a step is
+    not finite.  The dual is min sum_a p_a v_a - sum_beta |p_beta| u_beta
+    with v = 1 at the anchors and u_beta <= G_C(v) = prod_a v_a^lambda_a for
+    each circuit C (row C of `lam`, bad point grp[C]); its barrier -sum_C
+    log(G_C^2 - u^2) - sum_free log v_a has parameter nu = 2 #C + #free.
+    Each u is eliminated exactly (`_eliminate`), and damped Newton runs on
+    the free v (Schur-complement Hessian H + R'R, one `_newton_step`, Armijo
+    while the decrement exceeds 1/4; the Schur rows R vanish, and are
+    skipped, when each bad point has one circuit).  A stage ends at
+    decrement 1, the last one only when the decrement stops falling.
+
+    The arrays are read once.  A system has a few free vertices and
+    circuits, so the path runs on Python floats, where a step is a few
+    hundred operations and no array call."""
+    first = np.flatnonzero(np.diff(grp, prepend=-1)).tolist()
+    free_at, grp, p_host, p_bad = np.flatnonzero(free).tolist(), grp.tolist(), p_host.tolist(), p_bad.tolist()
+    lf = lam[:, free].tolist()
+    lft, lf0, ph = [list(col) for col in zip(*lf)], [lf[f] for f in first], [p_host[j] for j in free_at]
+    dlf = [[x - y for x, y in zip(row, lf0[i])] for row, i in zip(lf, grp)]
+    outer = [[[x * y for x, y in zip(ci, cj)] for cj in lft] for ci in lft]  # H = sum_C coef_C lf_C lf_C'
+    spans, multi = list(zip(first, [*first[1:], len(lf)])), len(first) < len(lf)
+    nu = 2.0 * len(lf) + len(free_at)
+    scale = 1.0 + max(max(map(abs, p_host)), max(p_bad))
 
     # A point is (log G of each bad point's first circuit, log G_C minus that,
     # v), so a tie between circuits resolves to the precision of the difference.
@@ -290,101 +364,129 @@ def _central_path(lam: np.ndarray, grp: np.ndarray, p_host: np.ndarray, free: np
     # least G are identically 0, and state and moved do not form them.
     def state(point: tuple, t: float) -> tuple:
         lg0, r, v = point
-        tp = t * p_bad
+        tp = [t * x for x in p_bad]
         if multi:
-            rmin = np.minimum.reduceat(r, first)
-            gmin = np.exp(lg0 + rmin)
-            gg = gmin[grp]
-            d = gg * np.expm1(r - rmin[grp])
-            ss = _eliminate(gmin, tp, d, spans)[grp]
-            low, high, g = d + ss, d + 2.0 * gg - ss, gg + d
-            inverse = np.add.reduceat(1.0 / (low * high), first)
+            gmin, d = [], []
+            for (f, e), x in zip(spans, lg0):
+                least = r[f]
+                for y in r[f + 1 : e]:  # np.minimum: a nan wins
+                    least = y if y < least or y != y else least
+                gmin.append(_exp(x + least))
+                d += [gmin[-1] * _expm1(y - least) for y in r[f:e]]
+            s = _eliminate(gmin, tp, d, spans)
+            gg, low, high, g = [], [], [], []
+            for x, i in zip(d, grp):
+                y = gmin[i]
+                gg.append(y)
+                low.append(x + s[i])
+                high.append(x + 2.0 * y - s[i])
+                g.append(y + x)
         else:
-            g = gg = np.exp(lg0)
+            g = gg = [_exp(x) for x in lg0]
             low = _eliminate(g, tp)
-            high = 2.0 * gg - low
-            inverse = 1.0 / (low * high)
-        u = tp / (2.0 * inverse)
-        objective = float(p_host @ v - p_bad @ u)
-        phi = t * objective - np.add.reduce(np.log(v[free])) - np.add.reduce(np.log(low)) - np.add.reduce(np.log(high))
+            high = [2.0 * x - y for x, y in zip(g, low)]
+        inverse = _span_sums([_div(1.0, x * y) for x, y in zip(low, high)], spans)
+        pu = 0.0  # p_bad . u, u = t p_bad / (2 inverse)
+        for x, y, z in zip(p_bad, tp, inverse):
+            pu += x * _div(y, 2.0 * z)
+        objective = _dot(p_host, v) - pu
+        phi = t * objective - _log_sum([v[j] for j in free_at]) - _log_sum(low) - _log_sum(high)
         return point, v, g, gg, low, high, objective, phi
 
-    def moved(point: tuple, step: np.ndarray) -> tuple:
+    def moved(point: tuple, step: list) -> tuple:
         lg0, r, v = point
-        dz, v = np.log1p(step), v.copy()
-        v[free] *= 1.0 + step
-        return lg0 + lf0 @ dz, r + dlf @ dz if multi else r, v
+        dz, v = [_log1p(x) for x in step], list(v)
+        for j, x in zip(free_at, step):
+            v[j] *= 1.0 + x
+        lg0 = [x + y for x, y in zip(lg0, _dots(lf0, dz))]
+        return lg0, [x + y for x, y in zip(r, _dots(dlf, dz))] if multi else r, v
 
     t, objective, first_stage = nu / scale, 0.0, True
-    current = ((np.zeros(len(first)), np.zeros(len(lam)), np.ones(len(p_host))),)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-        while True:
-            final = nu / t <= _GAP * max(scale, abs(objective))
-            current, last = state(current[0], t), math.inf
-            for _ in range(300):
-                point, v, g, gg, low, high, objective, phi = current
-                a, b = g / low, g / high
-                aa, bb, ab = a * a, b * b, lft @ (a + b)
-                grad = t * ph * v[free] - 1.0 - ab
-                ww, rows = aa + bb, no_rows
-                if multi:  # the Schur term of each bad point, as centered rows (no cancellation)
-                    rho, kappa = (aa - bb) / ww, gg / g
-                    zbar = np.add.reduceat((ww * kappa * rho)[:, None] * lf, first) / np.add.reduceat(ww * kappa**2, first)[:, None]
-                    rows = np.sqrt(ww)[:, None] * (rho[:, None] * lf - kappa[:, None] * zbar[grp])
-                hess = lft @ ((4.0 * a * a * b * b / ww - a - b)[:, None] * lf)
-                hess.reshape(-1)[:: len(ab) + 1] += 1.0 + ab  # the diagonal, as a view
-                step = _newton_step(hess, rows, grad)
-                dec = float(-grad @ step) if step is not None else math.nan
-                if not math.isfinite(dec):
-                    return None
-                if dec <= (0.0 if final else 1.0) or dec >= last:
-                    break
-                tau, last = min(1.0, 0.9 / max(float(-step.min()), 1e-300)), (dec if dec <= 0.25 else math.inf)
-                for _ in range(40 if dec > 0.25 else 1):
-                    trial = state(moved(point, tau * step), t)
-                    if dec <= 0.25 or trial[-1] < phi and trial[-1] <= phi - 1e-4 * tau * dec:
-                        break
-                    tau *= 0.5
-                else:  # no decrease above phi's float resolution: the stage ends where it stands
-                    break
-                current = trial
-                if first_stage and t * abs(current[6]) > _FOLLOW * nu:
-                    t = _FOLLOW * nu / abs(current[6])
-                    current, last = state(current[0], t), math.inf
-            else:
+    current = (([0.0] * len(first), [0.0] * len(lf), [1.0] * len(p_host)),)
+    while True:
+        final = nu / t <= _GAP * max(scale, abs(objective))
+        current, last = state(current[0], t), math.inf
+        for _ in range(300):
+            point, v, g, gg, low, high, objective, phi = current
+            apb, ww, rho, coef = [], [], [], []
+            for x, y, z in zip(g, low, high):
+                a, b = _div(x, y), _div(x, z)
+                aa, bb = a * a, b * b
+                w = aa + bb
+                apb.append(a + b)
+                ww.append(w)
+                rho.append(_div(aa - bb, w))
+                coef.append(_div(4.0 * a * a * b * b, w) - a - b)
+            ab = _dots(lft, apb)
+            grad = [t * x * v[j] - 1.0 - y for x, j, y in zip(ph, free_at, ab)]
+            rows = []
+            if multi:  # the Schur term of each bad point, as centered rows (no cancellation)
+                kappa = [_div(x, y) for x, y in zip(gg, g)]
+                weight = [w * k * x for w, k, x in zip(ww, kappa, rho)]
+                den = _span_sums([w * (k * k) for w, k in zip(ww, kappa)], spans)
+                num = [_span_sums([w * x for w, x in zip(weight, col)], spans) for col in lft]
+                zbar = [[_div(col[i], y) for col in num] for i, y in enumerate(den)]
+                rows = [
+                    [math.sqrt(w) * (x * z - k * y) for z, y in zip(row, zbar[i])]
+                    for w, x, k, row, i in zip(ww, rho, kappa, lf, grp)
+                ]
+            hess = [_dots(row, coef) for row in outer]
+            for i, x in enumerate(ab):
+                hess[i][i] += 1.0 + x
+            step = _newton_step(hess, rows, grad)
+            dec = -_dot(grad, step) if step is not None else math.nan
+            if not math.isfinite(dec):
                 return None
-            if not (t and math.isfinite(objective)):  # the first stage takes t to 0 after an infinite objective
-                return None
-            if final or nu / t <= _GAP * max(scale, abs(objective)):
-                return t, v, g, low, high
-            t, first_stage = t * _T_GROWTH, False
+            if dec <= (0.0 if final else 1.0) or dec >= last:
+                break
+            tau, last = min(1.0, 0.9 / max(-min(step), 1e-300)), (dec if dec <= 0.25 else math.inf)
+            for _ in range(40 if dec > 0.25 else 1):
+                trial = state(moved(point, [tau * x for x in step]), t)
+                if dec <= 0.25 or trial[-1] < phi and trial[-1] <= phi - 1e-4 * tau * dec:
+                    break
+                tau *= 0.5
+            else:  # no decrease above phi's float resolution: the stage ends where it stands
+                break
+            current = trial
+            if first_stage and t * abs(current[6]) > _FOLLOW * nu:
+                t = _FOLLOW * nu / abs(current[6])
+                current, last = state(current[0], t), math.inf
+        else:
+            return None
+        if not (t and math.isfinite(objective)):  # the first stage takes t to 0 after an infinite objective
+            return None
+        if final or nu / t <= _GAP * max(scale, abs(objective)):
+            return t, np.array(v), np.array(g), np.array(low), np.array(high)
+        t, first_stage = t * _T_GROWTH, False
 
 
-def _eliminate(gmin: np.ndarray, a: np.ndarray, d: np.ndarray | None = None, spans: list | None = None) -> np.ndarray:
+def _eliminate(gmin: list, a: list, d: list | None = None, spans: list | None = None) -> list:
     """The slack s = min_C G_C - u per bad point at the u that minimizes
     -a u - sum_C log(G_C^2 - u^2), a = t |p_beta|: for one circuit s = lo =
-    G (1 + 1/(r + A)) / (1 + r), A = a G, r = sqrt(1 + A^2), with G = gmin.
+    G (1 + 1/(r + A)) / (1 + r), A = a G, r = hypot(1, A), with G = gmin.
     When some bad point has more than one circuit, `spans` holds each bad
     point's circuit range [f, e) and d = G_C - min G, and a Newton from lo
-    runs on Python floats, one bad point at a time, each step clipped to
-    [lo, max(lo, min(k / a, min G))] for k = e - f circuits, until every bad
-    point moves by at most 1e-15 s in the same step (at most 50 steps).
-    Its sums over a bad point's circuits add as np.add.reduceat does up to
-    8 circuits, x_f + (((0.0 + x_f+1) + x_f+2) + ...), so the floats are
-    those of the array form; from 9 circuits on, NumPy sums pairwise and the
-    last bits may differ.  A zero divisor gives the signed infinity (or nan)
-    of IEEE division, and a nan stays nan through the clip."""
-    big = a * gmin
-    r = np.hypot(1.0, big)
-    lo = gmin * (1.0 + 1.0 / (r + big)) / (1.0 + r)
+    runs one bad point at a time, each step clipped to [lo, max(lo, min(k /
+    a, min G))] for k = e - f circuits, until every bad point moves by at
+    most 1e-15 s in the same step (at most 50 steps).  Its sums over a bad
+    point's circuits add as np.add.reduceat does up to 8 circuits, so the
+    floats are those of the array form; from 9 circuits on, NumPy sums
+    pairwise and the last bits may differ.  A zero divisor gives the signed
+    infinity (or nan) of IEEE division, and a nan stays nan through the
+    clip."""
+    s = []
+    for g, ai in zip(gmin, a):
+        big = ai * g
+        r = math.hypot(1.0, big)
+        s.append(g * (1.0 + 1.0 / (r + big)) / (1.0 + r))
     if spans is None:
-        return lo
-    ds, s, points = d.tolist(), lo.tolist(), []
-    for (f, e), g, ai, li in zip(spans, gmin.tolist(), a.tolist(), s):
+        return s
+    points = []
+    for (f, e), g, ai, li in zip(spans, gmin, a, s):
         cap = (e - f) / ai if ai else math.inf
         hi = cap if cap < g else g  # np.minimum, then np.maximum: a tie takes the second
         hi = hi if hi > li else li
-        points.append((li, hi, ai, ds[f], ds[f] + 2.0 * g, [(x, x + 2.0 * g) for x in ds[f + 1 : e]]))
+        points.append((li, hi, ai, d[f], d[f] + 2.0 * g, [(x, x + 2.0 * g) for x in d[f + 1 : e]]))
     for _ in range(50):
         done = True
         for i, (li, hi, ai, x0, top0, rest) in enumerate(points):
@@ -405,20 +507,46 @@ def _eliminate(gmin: np.ndarray, a: np.ndarray, d: np.ndarray | None = None, spa
             s[i] = new
         if done:
             break
-    return np.array(s)
+    return s
 
 
-def _newton_step(hess: np.ndarray, rows: np.ndarray, grad: np.ndarray) -> np.ndarray | None:
-    """Solve (hess + rows' rows) d = -grad by one LU solve of the system
-    scaled to a unit diagonal, which is backward stable however large the
-    rows are (circuits of one bad point near a tie); None when singular."""
-    if len(rows):
-        hess = hess + rows.T @ rows
-    scale = 1.0 / np.sqrt(hess.diagonal())
-    try:
-        return np.linalg.solve(hess * (scale[:, None] * scale), -grad * scale) * scale
-    except np.linalg.LinAlgError:
-        return None
+def _newton_step(hess: list, rows: list, grad: list) -> list | None:
+    """Solve (hess + rows' rows) d = -grad, of any order, by one Gaussian
+    elimination without pivoting on the upper triangle of the system scaled
+    to a unit diagonal: the matrix is symmetric positive definite, so that
+    is backward stable however large the rows are (circuits of one bad point
+    near a tie).  None when a diagonal entry is not positive or a pivot is
+    0; a nan or inf entry gives a step that is not finite."""
+    n = len(grad)
+    system = [hess[i][i:] + [-g] for i, g in enumerate(grad)]  # row i: columns i.., then the right-hand side
+    for r in rows:
+        for i, row in enumerate(system):
+            x = r[i]
+            for j in range(i, n):
+                row[j - i] += x * r[j]
+    scale = []
+    for row in system:
+        if not row[0] > 0.0:
+            return None
+        scale.append(1.0 / math.sqrt(row[0]))
+    for i, row in enumerate(system):
+        for j in range(i, n):
+            row[j - i] *= scale[i] * scale[j]
+        row[-1] *= scale[i]
+    for k, pivots in enumerate(system):
+        if not pivots[0]:
+            return None
+        for i in range(k + 1, n):
+            row, f = system[i], pivots[i - k] / pivots[0]
+            for j in range(len(row)):
+                row[j] -= f * pivots[i - k + j]
+    step = [0.0] * n
+    for k in range(n - 1, -1, -1):
+        row, total = system[k], system[k][-1]
+        for j in range(k + 1, n):
+            total -= row[j - k] * step[j]
+        step[k] = total / row[0]
+    return [x * s for x, s in zip(step, scale)]
 
 
 def _round_pieces(lam, grp, p_bad, p_host, fixed, t, v, g, low, high) -> tuple[np.ndarray, np.ndarray]:

@@ -534,8 +534,8 @@ class TestNewtonStep:
         units /= np.linalg.norm(units, axis=1)[:, None]
         norms = np.concatenate([10.0 ** rng.uniform(2, 8, size=big), rng.uniform(0.0, 1.0, size=len(units) - big)])
         rows = units * norms[:, None]
-        for r in (rows, np.empty((0, f))):
-            d = bounds._newton_step(hess, r, grad)
+        for r in (rows.tolist(), []):
+            d = bounds._newton_step(hess.tolist(), r, grad.tolist())
             assert _backward_error(hess, r, grad, d) <= 1e-12
 
     @pytest.mark.parametrize("big", [0, 1, 2, 3])
@@ -550,6 +550,52 @@ class TestNewtonStep:
         rng = np.random.default_rng(200 + f)
         for _ in range(50):
             self.check(rng, f, f + int(rng.integers(0, 2)))
+
+    @pytest.mark.parametrize("f", [5, 6, 7, 8])
+    def test_orders_beyond_the_barriers(self, f):
+        # The barrier's systems have 1-3 unknowns on every input so far; the
+        # elimination is written for any order.
+        rng = np.random.default_rng(300 + f)
+        for _ in range(20):
+            self.check(rng, f, int(rng.integers(0, f + 1)))
+
+    @pytest.mark.parametrize(
+        "hess",
+        [
+            [[1.0, 1.0], [1.0, 1.0]],
+            [[4.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+            [[0.0, 0.0], [0.0, 1.0]],
+            [[1.0, 0.0], [0.0, -1.0]],
+            [[math.nan, 0.0], [0.0, 1.0]],
+            [[1.0, math.inf], [math.inf, 1.0]],
+        ],
+    )
+    def test_singular_or_not_positive_definite(self, hess):
+        d = bounds._newton_step(hess, [], [1.0] * len(hess))
+        assert d is None or not all(map(math.isfinite, d))
+
+    @pytest.mark.parametrize(
+        "broken",
+        [
+            lambda n: [[1.0] * n for _ in range(n)],
+            lambda n: [[0.0] * n for _ in range(n)],
+            lambda n: [[1.0 if i == j else math.nan for j in range(n)] for i in range(n)],
+        ],
+        ids=["singular", "not positive", "nan"],
+    )
+    def test_a_failed_step_ends_the_path(self, monkeypatch, broken):
+        # Each barrier system of bound-sonc's inputs with two or more free
+        # vertices, its Hessian replaced: the path returns None, and nothing
+        # raises or warns.
+        solves, path, step = [], bounds._central_path, bounds._newton_step
+        monkeypatch.setattr(bounds, "_central_path", lambda *args: solves.append(args) or path(*args))
+        for p in even_simplex_polys():
+            certify_optimality(p)
+        monkeypatch.setattr(bounds, "_newton_step", lambda hess, rows, grad: step(broken(len(grad)), [], grad))
+        solves = [args for args in solves if args[3].sum() >= 2]
+        assert len(solves) >= 10
+        for args in solves:
+            assert path(*args) is None
 
     def test_barrier_steps_are_backward_stable(self, monkeypatch):
         errors, real = [], bounds._newton_step
@@ -608,9 +654,9 @@ class TestEliminate:
     def eliminate(gmin, a, d, sizes):
         """The call `_central_path` makes: d and the spans only when some bad point has more than one circuit."""
         if (sizes == 1).all():
-            return bounds._eliminate(gmin, a)
+            return bounds._eliminate(gmin.tolist(), a.tolist())
         ends = np.cumsum(sizes).tolist()
-        return bounds._eliminate(gmin, a, d, list(zip([0, *ends[:-1]], ends)))
+        return bounds._eliminate(gmin.tolist(), a.tolist(), d.tolist(), list(zip([0, *ends[:-1]], ends)))
 
     def test_matches_the_array_form(self):
         rng = np.random.default_rng(29)
@@ -701,6 +747,23 @@ class TestCertifyOptimality:
         assert r.status is Status.OPTIMALITY_CERTIFIED and verify_certificate(p, r.certificate)
         assert r.p_sonc <= p.evaluate(r.optimal_point)
         assert sonc_feasibility(p) is not None
+
+    @pytest.mark.parametrize("k", [-1000, 300, 900])
+    def test_golden_inputs_at_power_of_two_scales(self, k):
+        # Every coefficient stays a normal float, so the scaling is exact; the
+        # barrier's floats then meet exp and log near the ends of their range.
+        for p in golden_inputs():
+            q = SparsePolynomial.from_terms({a: math.ldexp(c, k) for a, c in p.coefficients.items()}, n=p.n)
+            r = certify_optimality(q)
+            assert r.certificate is None or verify_certificate(q, r.certificate), serialize_polynomial(p)
+
+    def test_barrier_calls_no_lapack_solve(self, monkeypatch):
+        def refusing(*args, **kwargs):
+            raise AssertionError("np.linalg.solve")
+
+        monkeypatch.setattr(np.linalg, "solve", refusing)
+        for p in even_simplex_polys():
+            assert certify_optimality(p).certificate is not None
 
     def test_enumerates_at_most_once(self, monkeypatch):
         # One catalog per call, and none when no term is odd or negative.
@@ -841,12 +904,14 @@ def bound_record(p: SparsePolynomial) -> dict:
 def _matches_record(path: Path, polys: list[SparsePolynomial]) -> None:
     """Statuses, circuits and unbounded witnesses exactly; values to 1e-12 of
     max(|value|, scale).  That absorbs no reordering of the barrier's float
-    operations: forming its Newton step's scaled matrix as hess * scale *
-    scale[:, None] in place of hess * (scale[:, None] * scale) moves sweep
-    draw 634's p_sonc by 1.9e-12 of that, so a host whose BLAS rounds
-    differently need not pass.  An answer with a witness has p_dual and
-    dual_point null, and `verify_unbounded` accepts the witness; every other
-    answer has a finite p_dual and a dual point whose constant entry is 1."""
+    operations on sweep draw 634, whose p_sonc moves by 1e-12 to 7e-12 of
+    that under each reordering tried, far below the barrier's stopping gap
+    of 1e-8.  The barrier runs on Python floats, so p_sonc depends on no
+    BLAS; what is left is the platform's libm (exp, log, log1p, expm1) in
+    the barrier, and LAPACK in `_descend` and `_barrier_points`, which set
+    p_dual.  An answer with a witness has p_dual and dual_point null, and
+    `verify_unbounded` accepts the witness; every other answer has a finite
+    p_dual and a dual point whose constant entry is 1."""
     golden = json.loads(path.read_text())
     assert len(golden) == len(polys)
     for p, want in zip(polys, golden):
