@@ -8,8 +8,9 @@ pairing over v with v_0 = 1 and |v_beta| <= prod v_alpha^lambda_alpha for
 each circuit.  One log-barrier path on that dual, by damped Newton over
 the vertex values, gives both: its multipliers, rounded to exact coverage,
 are the certificate pieces, and gamma is what the constant point has left.
-Every certificate is re-checked by an independent verifier, so a false
-positive is impossible by construction.
+Every certificate is re-checked by an independent verifier, which matches
+coefficients only to 1e-7 scale (scale = 1 + max |c|), so p_sonc <= inf p
+holds up to that tolerance, not exactly.
 
 Every moment vector (z^alpha) of a real point z is a member of that dual
 cone, with equality or slack in every circuit's condition, and its pairing
@@ -136,11 +137,11 @@ def _scale(p: SparsePolynomial) -> float:
 
 
 def verify_certificate(p: SparsePolynomial, cert: SoncCertificate) -> bool:
-    """Sound re-check, independent of the search and of any catalog: each
-    piece is a circuit (`Circuit` derives its weights by its own exact
+    """Re-check, independent of the search and of any catalog: each piece
+    is a circuit (`Circuit` derives its weights by its own exact
     elimination) and passes the nonnegativity test, the residual is even
     with nonnegative coefficients, and pieces plus residual reproduce
-    p - gamma coefficient by coefficient."""
+    p - gamma coefficient by coefficient, each to within 1e-7 scale."""
     tol = 1e-7 * _scale(p)
     total: dict[Exponent, float] = {}
     for piece in cert.pieces:
@@ -203,6 +204,7 @@ def _certify(
     residual = {exp: coeff[exp] for exp in hosts if exp != zero}
     pieces: tuple[CertificatePiece, ...] = ()
     vertices: dict[Exponent, float] = {}
+    taken: dict[Exponent, float] = {}
     if groups:
         bad = sorted(groups)
         is_bad, is_host = (np.array([exp in s for exp in points]) for s in (groups, hosts))
@@ -235,23 +237,21 @@ def _certify(
             return None, {}, []
         vertices = dict(zip(used, path[1].tolist()))
         cs, deltas = _round_pieces(lam, grp, p_bad, p_host, fixed, *path)
-        taken = cs.sum(axis=0)
+        taken = dict(zip(used, cs.sum(axis=0).tolist()))  # each vertex's coefficient, summed as the checker adds it
         # An anchor keeps its shift; the pieces take all of a free vertex (a
         # shortfall leaves p - gamma unmatched, and the checker rejects).
         for j, v in enumerate(used):
             residual.pop(v, None)
             if fixed[j]:
-                shifts[v] = coeff[v] - float(taken[j])
+                shifts[v] = coeff[v] - taken[v]
         pieces = tuple(
             CertificatePiece(verts, beta, tuple(float(cs[r, pos[v]]) for v in verts), float(deltas[r]))
             for r, (beta, verts, _) in enumerate(rows)
             if deltas[r] != 0.0
         )
     gamma = 0.0
-    if keep is not None:  # p_keep - gamma must reproduce the pieces' sum as the checker adds it
-        at_keep = 0.0
-        for q in pieces:
-            at_keep += dict(zip(q.vertices, q.c)).get(keep, 0.0)
+    if keep is not None:  # p_keep - gamma must reproduce the pieces' sum
+        at_keep = taken.get(keep, 0.0)
         gamma = coeff[keep] - at_keep
         while coeff[keep] - gamma < at_keep:
             gamma = math.nextafter(gamma, -math.inf)
@@ -702,7 +702,8 @@ def _unbounded_curve(p: SparsePolynomial, uncovered: list[Exponent]) -> Unbounde
     a bounded input has none, so it runs no search.  The point x of
     conv{alpha - beta} nearest the origin (`_nearest_point`) has <x, alpha -
     beta> >= |x|^2 > 0, so it proposes w; its rationalization must pass
-    `verify_unbounded`, which no non-vertex does."""
+    `verify_unbounded`, which no non-vertex does.  No float point on the
+    curve is formed, so no weight is too large."""
     points = sorted(set(p.coefficients) | {(0,) * p.n})
     for alpha in uncovered:
         diffs = [[a - b for a, b in zip(alpha, beta)] for beta in points if beta != alpha]
@@ -774,9 +775,10 @@ def certify_optimality(p: SparsePolynomial, seed: int = 0) -> BoundResult:
     moment vector of the candidate z of least value among the barrier
     points (`_barrier_points`), which without a certificate or a bad point
     are the origin alone, p_dual = p(z).  Optimality is claimed when the
-    certified bound closes the gap to 1e-5 scale, so p_sonc <= inf p <=
-    p(z) = p_dual pins the infimum.  The search is deterministic: `seed` is
-    accepted for callers that still pass it and ignored."""
+    certified bound closes the gap to 1e-5 scale: inf p then lies in
+    [p_sonc, p_dual] up to the verifier's 1e-7 scale tolerance on p_sonc and
+    the rounding of p(z).  The search is deterministic: `seed` is accepted
+    for callers that still pass it and ignored."""
     zero = (0,) * p.n
     support = SupportSet(p.n, tuple(set(p.support.points) | {zero}))
     cert, vertices, uncovered = _certify(p, support, zero)

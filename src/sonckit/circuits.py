@@ -7,12 +7,12 @@ interior of their convex hull.  Barycentric coordinates come from a
 fraction-free (Bareiss) elimination, so they are exact at any exponent size
 and strict positivity (hence relative-interior membership) never depends on
 a float tolerance.  `_gauss_jordan` is the one such elimination on Python
-ints: `_affine_coordinates` runs it for a single circuit, and the bound's
-nearest-point search for its bordered systems.  Catalog enumeration runs
-the same elimination batched and incrementally over all vertex sets at
-once, on stacked NumPy arrays: in int64 while a batch's entries are below
-2**31 in magnitude, so that no product in a pivot step can overflow, and
-on Python ints otherwise.  It writes the catalog as per-arity arrays
+ints: `barycentric_coordinates` runs it for a single circuit, and the
+bound's nearest-point search for its bordered systems.  Catalog
+enumeration runs the same elimination batched and incrementally over all
+vertex sets at once, on stacked NumPy arrays: in int64 while a batch's
+entries are below 2**31 in magnitude, so that no product in a pivot step
+can overflow, and on Python ints otherwise.  It writes the catalog as per-arity arrays
 (`ArityGroup`), the form the dual cone test reads; Circuit objects are
 built only when asked for.
 """
@@ -72,38 +72,14 @@ def _gauss_jordan(rows: list[list[int]], k: int) -> int | None:
     return prev
 
 
-def _affine_coordinates(
-    vertices: Sequence[Exponent], targets: Sequence[Sequence[int]]
-) -> tuple[list[bool], dict[int, list[int]], int]:
-    """Where every target lies relative to affinely independent vertices.
-
-    `_gauss_jordan` over the lifted matrix [1 ... 1; vertices | 1 ... 1;
-    targets] gives the affine weights mu of each target (sum(mu) = 1,
-    sum(mu_i * v_i) = target) as integer numerators over the last pivot.
-    Returns, per target, whether it lies outside the affine hull; the
-    numerators of the targets in the relative interior (every mu_i > 0),
-    keyed by target position; and the common denominator.  Raises
-    AffinelyDependentError when some vertex column gets no pivot.
-    """
-    k = len(vertices)
-    rows = [[1] * (k + len(targets)), *map(list, zip(*vertices, *targets))]
-    prev = _gauss_jordan(rows, k)
-    if prev is None:
-        raise AffinelyDependentError(f"vertices {tuple(vertices)} are affinely dependent")
-    outside = [any(row[j] for row in rows[k:]) for j in range(k, k + len(targets))]
-    interior = {
-        j - k: [rows[i][j] for i in range(k)]
-        for j in range(k, k + len(targets))
-        if not outside[j - k] and all(rows[i][j] * prev > 0 for i in range(k))
-    }
-    return outside, interior, prev
-
-
 def barycentric_coordinates(vertices: Sequence[Exponent], beta: Sequence[int]) -> list[Fraction] | None:
     """Exact weights mu > 0 with sum(mu) = 1 and sum(mu_i * v_i) = beta.
 
-    Returns None when beta is not in the relative interior of the convex
-    hull (on the boundary, or outside the affine hull).  Raises
+    `_gauss_jordan` over the lifted matrix [1 ... 1 1; vertices beta] leaves
+    beta's weights as integer numerators over the last pivot in its column,
+    and a nonzero below them when beta is outside the affine hull.  Returns
+    None when beta is not in the relative interior of the convex hull (on
+    the boundary, or outside the affine hull).  Raises
     AffinelyDependentError when the vertices are affinely dependent.
     """
     if not vertices:
@@ -111,8 +87,14 @@ def barycentric_coordinates(vertices: Sequence[Exponent], beta: Sequence[int]) -
     n = len(vertices[0])
     if any(len(v) != n for v in vertices) or len(beta) != n:
         raise ValueError("dimension mismatch between vertices and inner point")
-    _, interior, det = _affine_coordinates(vertices, [beta])
-    return [Fraction(x, det) for x in interior[0]] if interior else None
+    k = len(vertices)
+    rows = [[1] * (k + 1), *map(list, zip(*vertices, beta))]
+    det = _gauss_jordan(rows, k)
+    if det is None:
+        raise AffinelyDependentError(f"vertices {tuple(vertices)} are affinely dependent")
+    if any(row[k] for row in rows[k:]) or not all(row[k] * det > 0 for row in rows[:k]):
+        return None
+    return [Fraction(row[k], det) for row in rows[:k]]
 
 
 def affinely_independent(points: Sequence[Exponent]) -> bool:
@@ -302,7 +284,7 @@ def _exact(mats: np.ndarray, bound: int) -> np.ndarray:
 
 
 def _pivot_step(mats: np.ndarray, prev: np.ndarray, sets: np.ndarray, cols: np.ndarray, k: int):
-    """Step k of _affine_coordinates' elimination for a batch of children.
+    """Step k of barycentric_coordinates' elimination for a batch of children.
 
     Child t copies the reduced (n+1) x |A| matrix of parent sets[t] and
     pivots on column cols[t] in the first row at or below k with a nonzero
@@ -330,12 +312,12 @@ def enumerate_circuits(support: SupportSet) -> CircuitCatalog:
     time, depth first, by a batched, incremental fraction-free elimination.
     A k-vertex set holds the (n+1) x |A| matrix [1 ... 1; support points]
     after k Bareiss pivot steps on its vertices' columns: the numbers that
-    _affine_coordinates, the kernel for a single circuit, reaches with every
-    support point as a target.  A child set takes over its parent's matrix
-    and needs one more step, which all children in a batch take at once on
-    stacked arrays (_pivot_step): in int64 while every entry of the batch is
-    below 2**31 in magnitude, so no product overflows, and on Python ints
-    otherwise.  The reduced matrix answers both questions: the points with
+    barycentric_coordinates' elimination, the kernel for a single circuit,
+    reaches with every support point as its target.  A child set takes over
+    its parent's matrix and needs one more step, which all children in a
+    batch take at once on stacked arrays (_pivot_step): in int64 while every
+    entry of the batch is below 2**31 in magnitude, so no product overflows,
+    and on Python ints otherwise.  The reduced matrix answers both questions: the points with
     all weights positive are the set's inner points, with the weights'
     numerators in the set's rows and their common denominator the last
     pivot, and the even points outside its affine hull are the ones that may

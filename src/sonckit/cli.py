@@ -20,7 +20,7 @@ from typing import Sequence
 
 from . import __version__
 from .bounds import Status, certify_optimality, sonc_feasibility
-from .circuits import Circuit, SupportTooLargeError, enumerate_circuits, log_circuit_number
+from .circuits import Circuit, SupportTooLargeError, circuit_number, enumerate_circuits
 from .dual import psd_dual_quartic, quartic_dual_membership, sage_dual_membership, sonc_dual_membership
 from .entropy import DEFAULT_TOL
 from .nonneg import CircuitPolynomial, is_nonneg_circuit
@@ -106,7 +106,7 @@ def _cmd_check(args) -> int:
         cp = CircuitPolynomial(circuit, c, read_number(obj["delta"], "delta"))
         ok, witness = is_nonneg_circuit(cp)
         try:
-            theta = math.exp(log_circuit_number(cp.c, circuit))
+            theta = circuit_number(cp.c, circuit)
         except OverflowError:  # Theta beyond the float range has no JSON number
             theta = None
         _emit(

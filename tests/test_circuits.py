@@ -22,7 +22,6 @@ from sonckit import (
     sonc_dual_membership,
 )
 from sonckit import circuits as circuits_module
-from sonckit.circuits import _affine_coordinates
 
 from _gen import (
     MOTZKIN_TEXT,
@@ -64,15 +63,19 @@ class TestBarycentric:
 
     def test_univariate_quartic_weights(self):
         assert barycentric_coordinates([(0,), (4,)], (1,)) == [Fraction(3, 4), Fraction(1, 4)]
+        assert barycentric_coordinates([(0, 0), (4, 0)], (2, 0)) == [Fraction(1, 2), Fraction(1, 2)]
 
     def test_vertex_is_not_interior(self):
         assert barycentric_coordinates([(0,), (4,)], (4,)) is None
+        assert barycentric_coordinates([(0, 0), (4, 0)], (4, 0)) is None
 
     def test_outside_hull(self):
         assert barycentric_coordinates([(0,), (4,)], (6,)) is None
+        assert barycentric_coordinates([(0, 0), (4, 0)], (6, 0)) is None
 
     def test_outside_affine_hull(self):
         assert barycentric_coordinates([(0, 0), (2, 0)], (1, 1)) is None
+        assert barycentric_coordinates([(0, 0), (4, 0)], (1, 1)) is None
 
     def test_dependent_vertices_raise(self):
         with pytest.raises(AffinelyDependentError):
@@ -95,14 +98,6 @@ class TestBarycentric:
 
     def test_affinely_independent_empty(self):
         assert affinely_independent([])
-
-    def test_affine_coordinates_split(self):
-        # (2,) is interior; the vertex (4,) and (6,) lie on the line, off the
-        # open segment; (1, 1) leaves the line.
-        outside, interior, det = _affine_coordinates([(0, 0), (4, 0)], [(2, 0), (4, 0), (6, 0), (1, 1)])
-        assert outside == [False, False, False, True]
-        assert list(interior) == [0]
-        assert [Fraction(x, det) for x in interior[0]] == [Fraction(1, 2), Fraction(1, 2)]
 
     def test_exact_near_exponent_cap(self):
         big = 2**20

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON schemas, determinism."""
 
+import ast
 import json
 import os
 import pathlib
@@ -472,6 +473,27 @@ class TestEntryPoint:
         unbounded = outputs["bound u.txt"]
         assert unbounded["status"] == "dual_only" and unbounded["p_dual"] is None and unbounded["dual_point"] is None
         assert unbounded["unbounded"] == {"vertex": [3], "w": [1], "s": [-1]}
+
+    def test_readme_guarantees_name_existing_tests(self):
+        # Each bullet of the Guarantees section cites tests/<file>.py::<name>,
+        # and each citation is a test function of that file (in its class).
+        tests = pathlib.Path(__file__).parent
+        readme = (tests.parent / "README.md").read_text()
+        section = readme.split("\n## Guarantees\n")[1].split("\n## ")[0]
+        bullets = re.split(r"\n(?=- )", section)[1:]
+        cited = [re.findall(r"tests/(\w+\.py)::([\w:]+)", bullet) for bullet in bullets]
+        assert bullets and all(cited), bullets
+        for file, name in sum(cited, []):
+            scope = ast.parse((tests / file).read_text()).body
+            for part in name.split("::"):
+                defs = {node.name: node for node in scope if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+                assert part in defs, f"{file}::{name}"
+                scope = defs[part].body
+            assert isinstance(defs[part], ast.FunctionDef) and part.startswith("test_"), f"{file}::{name}"
+
+    def test_readme_names_no_private_identifier(self):
+        readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+        assert re.findall(r"\b_[A-Za-z]\w*", readme) == []
 
     def test_exports_resolve(self):
         missing = [name for name in sonckit.__all__ if not hasattr(sonckit, name)]
