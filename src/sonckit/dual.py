@@ -25,13 +25,16 @@ comes from fraction-free elimination on their Gram matrix, under the same
 int64 rule as catalog enumeration (`ArityGroup.solve`).
 
 The test runs vectorized over a catalog, one arity group at a time.  The
-dual SAGE test has no such closed form: it solves one minimax LP per support
-point i, on HiGHS, or by the crossing of lines when the support is
-univariate.  Its rows are the log ratios b_j = log v_i - log v_j, so the LP
-sees numbers no larger than the logs of floats; its value times v_i is the
-value over the rows v_i log(v_i/v_j) (tau scales by v_i), which the
-tolerance bounds.  scipy is imported there, on first use, not with the
-module.
+dual SAGE test runs it first, over the catalog of the support itself, and
+rejects on the first failing circuit: its weights lambda are a feasible
+point of the dual of the LP below for the point i = beta, so v_i g_i >= s,
+and a failing gap fails point i under the same tol.  LPs decide what
+passes: one minimax LP per support point i, on HiGHS, or by the crossing of
+lines when the support is univariate.  Its rows are the log ratios
+b_j = log v_i - log v_j, so the LP sees numbers no larger than the logs of
+floats; its value times v_i is the value over the rows v_i log(v_i/v_j)
+(tau scales by v_i), which the tolerance bounds.  scipy is imported there,
+on first use, not with the module.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .circuits import ArityGroup, Circuit, enumerate_circuits
+from .circuits import ArityGroup, Circuit, SupportTooLargeError, enumerate_circuits
 from .entropy import DEFAULT_TOL
 from .polynomials import DualVector, SupportSet
 
@@ -280,6 +283,12 @@ def sage_dual_membership(support: SupportSet, v: DualVector, tol: float = DEFAUL
     (alpha(i) - alpha(j), log v_i - log v_j): relative to v_i once v_i >= 1,
     as in `_test_group`, since v_i scales the rounding of g_i too, which an
     absolute tol read as a violation on exact moment vectors from 1e6 up.
+
+    A positive vector first meets the dual-cone test over the support's own
+    catalog (`_test_group`, k >= 2): a circuit with inner point alpha(i) and
+    gap s gives v_i g_i >= s, so a failing circuit rejects without an LP.
+    Only vectors that pass it, or supports too large to enumerate, reach
+    the LPs, in support order.
     """
     if v.support != support:
         raise ValueError("dual vector is not indexed by the given support")
@@ -294,6 +303,12 @@ def sage_dual_membership(support: SupportSet, v: DualVector, tol: float = DEFAUL
         coords = np.array(support.points, dtype=float)
     except OverflowError:
         raise ValueError("dual SAGE exponents must lie in the float range") from None
+    try:
+        groups = enumerate_circuits(support).arity_groups
+    except SupportTooLargeError:  # no catalog: the LPs decide alone
+        groups = ()
+    if any(_test_group(g, vals, tol)[0].any() for g in groups if g.k >= 2):
+        return False
     logs = np.log(vals)
     for i, vi in enumerate(vals.tolist()):
         others = np.arange(len(vals)) != i

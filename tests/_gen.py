@@ -1,6 +1,6 @@
 """Shared random generators and brute-force oracles for the test suite.
 
-Run as a script, it prints three lines from whatever sonckit is on the path,
+Run as a script, it prints four lines from whatever sonckit is on the path,
 so two trees compare their outputs by one command each.  The first holds
 the number of bound inputs (`bound_inputs()`), the sha256 of their
 `certify_optimality` JSON lines, the barrier's Newton steps, state
@@ -14,7 +14,10 @@ second holds the number of dual vectors (`dual_inputs()`), the sha256 of their
 indices and v* (tau left out), the member count and the largest
 witness-row residual (`witness_residual`).  The third holds the number
 of row sets (`nearest_point_inputs()`), the sha256 of the points
-`bounds._nearest_point` gives them and the count of None among those:
+`bounds._nearest_point` gives them and the count of None among those.  The
+fourth holds the number of dual SAGE vectors (the entrywise abs of
+`dual_inputs()`), the sha256 of their `sage_dual_membership` verdicts as
+JSON, the member count and the number of `dual.lp_min_infeasibility` calls:
 
     PYTHONPATH=src python tests/_gen.py
 """
@@ -39,6 +42,7 @@ from sonckit import (
     certify_optimality,
     enumerate_circuits,
     parse_polynomial,
+    sage_dual_membership,
     sonc_dual_membership,
 )
 from sonckit.bounds import _certify, _descend, _nearest_point, _unbounded_curve
@@ -371,7 +375,7 @@ def _counted(fn, calls: list[int], multi: list[int] | None = None):
 
 
 if __name__ == "__main__":
-    from sonckit import bounds
+    from sonckit import bounds, dual
 
     steps, states, multi = [0], [0], [0]
     bounds._newton_step, bounds._eliminate = _counted(bounds._newton_step, steps), _counted(bounds._eliminate, states, multi)
@@ -397,3 +401,10 @@ if __name__ == "__main__":
     points = [_nearest_point(diffs) for diffs in nearest_point_inputs()]
     lines = [json.dumps(None if x is None else [str(xi) for xi in x]) for x in points]
     print(len(points), hashlib.sha256("\n".join(lines).encode()).hexdigest(), f"none={points.count(None)}")
+
+    lps = [0]
+    dual.lp_min_infeasibility = _counted(dual.lp_min_infeasibility, lps)
+    vectors = [DualVector(v.support, {p: abs(x) for p, x in v.values.items()}) for v in dual_inputs()]
+    verdicts = [sage_dual_membership(v.support, v) for v in vectors]
+    lines = [json.dumps(member) for member in verdicts]
+    print(len(vectors), hashlib.sha256("\n".join(lines).encode()).hexdigest(), f"members={sum(verdicts)} lps={lps[0]}")

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
@@ -30,7 +31,7 @@ from sonckit import (
 )
 from sonckit.circuits import MAX_EVEN_POINTS
 
-from _gen import moment_mixture, near_quartic_boundary, random_circuit, random_support
+from _gen import dense_support, moment_mixture, near_quartic_boundary, random_circuit, random_support
 
 A4 = SupportSet.of([(i,) for i in range(5)])
 
@@ -629,12 +630,35 @@ class TestSageDual:
                     i = index[c.inner]
                     mean = sum(float(mu) * math.log(v[index[a]]) for mu, a in zip(c.barycentric, c.vertices))
                     gaps[i] = max(gaps[i], math.log(v[i]) - mean)
-                member = sage_dual_membership(A, DualVector(A, dict(zip(A.points, v.tolist()))), tol=tol)
+                dv = DualVector(A, dict(zip(A.points, v.tolist())))
+                member = sage_dual_membership(A, dv, tol=tol)
+                assert not member or sonc_dual_membership(A, dv, tol=tol).member, (A.points, v.tolist())
                 scaled = v * gaps
                 if np.all(np.abs(scaled - tol) > 1e-6 * np.maximum(1.0, v)):
                     assert member == (not np.any(scaled > tol)), (A.points, v.tolist())
                     decided[member] += 1
         assert min(decided.values()) >= 40, decided
+
+    def test_sonc_dual_non_member_rejected_without_an_lp(self, monkeypatch):
+        # The failing circuit's weights are a dual point of its inner point's
+        # LP, so the catalog's closed form rejects before HiGHS runs.
+        A = dense_support(2, 6)
+        m = moment_vector((0.8, 1.2), A)
+        v = DualVector(A, {p: m[p] * (1.5 if any(e % 2 for e in p) else 1.0) for p in A.points})
+        assert not sonc_dual_membership(A, v).member
+        lps = []
+        real = scipy.optimize.linprog
+        monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: lps.append(args) or real(*args, **kwargs))
+        assert not sage_dual_membership(A, v)
+        assert lps == []
+
+    def test_support_over_the_enumeration_cap(self):
+        # 0..42 holds 22 even points: no catalog, so the LPs decide alone.
+        A = SupportSet.of([(a,) for a in range(43)])
+        assert len(A.even_points()) > MAX_EVEN_POINTS
+        m = moment_vector((1.1,), A)
+        assert sage_dual_membership(A, m)
+        assert not sage_dual_membership(A, DualVector(A, {p: m[p] * (1.5 if p[0] % 2 else 1.0) for p in A.points}))
 
     def test_all_ones(self):
         v = dv4([1, 1, 1, 1, 1])
