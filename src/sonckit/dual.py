@@ -28,13 +28,16 @@ The test runs vectorized over a catalog, one arity group at a time.  The
 dual SAGE test runs it first, over the catalog of the support itself, and
 rejects on the first failing circuit: its weights lambda are a feasible
 point of the dual of the LP below for the point i = beta, so v_i g_i >= s,
-and a failing gap fails point i under the same tol.  LPs decide what
-passes: one minimax LP per support point i, on HiGHS, or by the crossing of
-lines when the support is univariate.  Its rows are the log ratios
-b_j = log v_i - log v_j, so the LP sees numbers no larger than the logs of
-floats; its value times v_i is the value over the rows v_i log(v_i/v_j)
-(tau scales by v_i), which the tolerance bounds.  scipy is imported there,
-on first use, not with the module.
+and in exact arithmetic a failing gap fails point i under the same tol.  In
+floats the gap is good to rounding and HiGHS's LP value only to its
+feasibility tolerance, about 1e-7, so on vectors within that band of the
+boundary the closed form rejects where the LPs alone accept.  LPs decide
+what passes: one minimax LP per support point i, on HiGHS, or by the
+crossing of lines when the support is univariate.  Its rows are the log
+ratios b_j = log v_i - log v_j, so the LP sees numbers no larger than the
+logs of floats; its value times v_i is the value over the rows
+v_i log(v_i/v_j) (tau scales by v_i), which the tolerance bounds.  scipy is
+imported there, on first use, not with the module.
 """
 
 from __future__ import annotations
@@ -286,9 +289,12 @@ def sage_dual_membership(support: SupportSet, v: DualVector, tol: float = DEFAUL
 
     A positive vector first meets the dual-cone test over the support's own
     catalog (`_test_group`, k >= 2): a circuit with inner point alpha(i) and
-    gap s gives v_i g_i >= s, so a failing circuit rejects without an LP.
-    Only vectors that pass it, or supports too large to enumerate, reach
-    the LPs, in support order.
+    gap s gives v_i g_i >= s, so a failing circuit rejects without an LP
+    (exact in exact arithmetic; for floats near the boundary see the module
+    docstring).  Only vectors that pass it, or supports too large to
+    enumerate, reach the LPs, in support order.  The catalog is built here
+    when it is not cached, and on supports with many even points in many
+    variables that enumeration costs more than the LPs.
     """
     if v.support != support:
         raise ValueError("dual vector is not indexed by the given support")

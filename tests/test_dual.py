@@ -652,6 +652,19 @@ class TestSageDual:
         assert not sage_dual_membership(A, v)
         assert lps == []
 
+    def test_gap_below_the_lp_tolerance_is_rejected(self):
+        # On a moment vector v_(1,1) = sqrt(v_(0,0) v_(2,2)); lowering v_(2,2)
+        # by 2e-8 opens a gap near 1e-8, ten times the default tol, on that
+        # circuit.  The closed form sees it to rounding; the LPs alone
+        # accepted it, HiGHS's value being good only to its feasibility
+        # tolerance of about 1e-7.
+        A = dense_support(2, 6)
+        m = moment_vector((0.8, 1.2), A)
+        v = DualVector(A, {p: m[p] * (1 - 2e-8 if p == (2, 2) else 1.0) for p in A.points})
+        gap = v[(1, 1)] * (math.log(v[(1, 1)]) - (math.log(v[(0, 0)]) + math.log(v[(2, 2)])) / 2)
+        assert gap > 5e-9
+        assert not sage_dual_membership(A, v)
+
     def test_support_over_the_enumeration_cap(self):
         # 0..42 holds 22 even points: no catalog, so the LPs decide alone.
         A = SupportSet.of([(a,) for a in range(43)])
