@@ -6,7 +6,6 @@ membership, and certified lower bounds for unconstrained optimization.
 
 from .bounds import (
     BoundResult,
-    CertificatePiece,
     SoncCertificate,
     Status,
     UnboundedWitness,
@@ -70,7 +69,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AffinelyDependentError",
     "BoundResult",
-    "CertificatePiece",
     "Circuit",
     "CircuitCatalog",
     "CircuitPolynomial",

@@ -7,10 +7,10 @@ point.  Its dual has the paper's closed form: minimize the coefficient
 pairing over v with v_0 = 1 and |v_beta| <= prod v_alpha^lambda_alpha for
 each circuit.  One log-barrier path on that dual, by damped Newton over
 the vertex values, gives both: its multipliers, rounded to exact coverage,
-are the certificate pieces, and gamma is what the constant point has left.
-Every certificate is re-checked by an independent verifier, which matches
-coefficients only to 1e-7 scale (scale = 1 + max |c|), so p_sonc <= inf p
-holds up to that tolerance, not exactly.
+are the certificate pieces, each a `CircuitPolynomial` on its own `Circuit`,
+and gamma is what the constant point has left.  An independent verifier
+re-checks every certificate; it matches coefficients only to 1e-7 scale
+(scale = 1 + max |c|), so p_sonc <= inf p holds up to that tolerance.
 
 Every moment vector (z^alpha) of a real point z is a member of that dual
 cone, with equality or slack in every circuit's condition, and its pairing
@@ -64,31 +64,18 @@ class Status(str, Enum):
 
 
 @dataclass(frozen=True)
-class CertificatePiece:
-    """sum_i c_i x^vertices(i) + delta x^inner; the weights follow from the circuit."""
-
-    vertices: tuple[Exponent, ...]
-    inner: Exponent
-    c: tuple[float, ...]
-    delta: float
-
-
-@dataclass(frozen=True)
 class SoncCertificate:
-    """p - gamma as circuit pieces plus an even nonnegative monomial residual;
-    each piece names its own circuit, so no catalog is needed to check it."""
+    """p - gamma as circuit polynomials plus an even nonnegative monomial residual;
+    each piece carries its circuit and exact weights, so no catalog is needed."""
 
     gamma: float
-    pieces: tuple[CertificatePiece, ...]
+    pieces: tuple[CircuitPolynomial, ...]
     residual: SparsePolynomial
 
     def to_json_dict(self) -> dict:
         return {
             "gamma": self.gamma,
-            "pieces": [
-                {"vertices": [list(v) for v in q.vertices], "beta": list(q.inner), "c": list(q.c), "delta": q.delta}
-                for q in self.pieces
-            ],
+            "pieces": [q.to_json_dict() for q in self.pieces],
             "residual": self.residual.to_json_dict(),
         }
 
@@ -138,21 +125,16 @@ def _scale(p: SparsePolynomial) -> float:
 
 def verify_certificate(p: SparsePolynomial, cert: SoncCertificate) -> bool:
     """Re-check, independent of the search and of any catalog: each piece
-    is a circuit (`Circuit` derives its weights by its own exact
-    elimination) and passes the nonnegativity test, the residual is even
-    with nonnegative coefficients, and pieces plus residual reproduce
+    (a circuit by construction, whose `Circuit` derived its weights by its
+    own exact elimination) passes the nonnegativity test, the residual is
+    even with nonnegative coefficients, and pieces plus residual reproduce
     p - gamma coefficient by coefficient, each to within 1e-7 scale."""
     tol = 1e-7 * _scale(p)
     total: dict[Exponent, float] = {}
     for piece in cert.pieces:
-        try:
-            circuit = Circuit(piece.vertices, piece.inner)
-            cp = CircuitPolynomial(circuit, piece.c, piece.delta)
-        except ValueError:
+        if not is_nonneg_circuit(piece)[0]:
             return False
-        if not is_nonneg_circuit(cp)[0]:
-            return False
-        for exp, coef in zip((*circuit.vertices, circuit.inner), (*cp.c, cp.delta)):
+        for exp, coef in zip((*piece.circuit.vertices, piece.circuit.inner), (*piece.c, piece.delta)):
             total[exp] = total.get(exp, 0.0) + coef
     for exp, coef in cert.residual.coefficients.items():
         if not is_even_point(exp) or coef < -1e-12:
@@ -186,11 +168,12 @@ def _certify(
     circuit vertex, and the sorted odd or negative terms (bad points) that
     no circuit covers: the module's one boundedness test, as any of them
     makes p unbounded below.  (None, {}, those terms) when there are some,
-    (None, {}, []) when the path fails or the checker rejects.  The catalog
-    is built only when there is a bad point.  Each is covered by circuits
-    with that inner point and vertices among the positive even points and
-    the constant, read with their weights off the arity groups (no Circuit
-    is built), in the order of the bad points, then of the catalog.
+    (None, {}, []) when the path fails, a piece rounds to no circuit
+    polynomial or the checker rejects.  Each bad point is covered by
+    circuits with that inner point and vertices among the positive even
+    points and the constant, read with their weights off the arity groups
+    (a Circuit is built only per piece), in the order of the bad points,
+    then of the catalog, which is built only when there is a bad point.
     Circuits sharing a vertex or an inner point form a component, anchored
     at its least vertex.  One barrier path finds the largest shift at every
     anchor; the other shifts (above 1e-12 scale) and unused positive even
@@ -202,7 +185,7 @@ def _certify(
     groups: dict[Exponent, list] = {exp: [] for exp, c in coeff.items() if c != 0.0 and exp not in hosts}
     shifts = {zero: coeff[zero]} if zero in coeff else {}
     residual = {exp: coeff[exp] for exp in hosts if exp != zero}
-    pieces: tuple[CertificatePiece, ...] = ()
+    pieces: tuple[CircuitPolynomial, ...] = ()
     vertices: dict[Exponent, float] = {}
     taken: dict[Exponent, float] = {}
     if groups:
@@ -244,11 +227,14 @@ def _certify(
             residual.pop(v, None)
             if fixed[j]:
                 shifts[v] = coeff[v] - taken[v]
-        pieces = tuple(
-            CertificatePiece(verts, beta, tuple(float(cs[r, pos[v]]) for v in verts), float(deltas[r]))
-            for r, (beta, verts, _) in enumerate(rows)
-            if deltas[r] != 0.0
-        )
+        try:  # a coefficient rounded to 0 or past the float range is no circuit polynomial
+            pieces = tuple(
+                CircuitPolynomial(Circuit(verts, beta), tuple(cs[r, pos[v]] for v in verts), deltas[r])
+                for r, (beta, verts, _) in enumerate(rows)
+                if deltas[r] != 0.0
+            )
+        except ValueError:
+            return None, {}, []
     gamma = 0.0
     if keep is not None:  # p_keep - gamma must reproduce the pieces' sum
         at_keep = taken.get(keep, 0.0)

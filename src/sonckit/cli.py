@@ -20,7 +20,7 @@ from typing import Sequence
 
 from . import __version__
 from .bounds import Status, certify_optimality, sonc_feasibility
-from .circuits import Circuit, SupportTooLargeError, circuit_number, enumerate_circuits
+from .circuits import SupportTooLargeError, circuit_number, enumerate_circuits
 from .dual import psd_dual_quartic, quartic_dual_membership, sage_dual_membership, sonc_dual_membership
 from .entropy import DEFAULT_TOL
 from .nonneg import CircuitPolynomial, is_nonneg_circuit
@@ -85,8 +85,6 @@ def _text_lines(obj, indent: int = 0) -> list[str]:
                 lines.extend(_text_lines(val, indent + 1))
             else:
                 lines.append(f"{pad}- {json.dumps(val)}")
-    else:
-        lines.append(f"{pad}{json.dumps(obj)}")
     return lines
 
 
@@ -100,13 +98,10 @@ def _cmd_circuits(args) -> int:
 def _cmd_check(args) -> int:
     text = _read(args.input)
     if args.kind == "nonneg-circuit":
-        obj = _json(text)
-        circuit = Circuit(obj["vertices"], obj["beta"])
-        c = tuple(read_number(x, "circuit coefficients") for x in obj["c"])
-        cp = CircuitPolynomial(circuit, c, read_number(obj["delta"], "delta"))
+        cp = CircuitPolynomial.from_json_dict(_json(text))
         ok, witness = is_nonneg_circuit(cp)
         try:
-            theta = circuit_number(cp.c, circuit)
+            theta = circuit_number(cp.c, cp.circuit)
         except OverflowError:  # Theta beyond the float range has no JSON number
             theta = None
         _emit(

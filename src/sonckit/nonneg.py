@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import Mapping
 
 from .circuits import Circuit, log_circuit_number
 from .entropy import entropy_minimizer, relative_entropy
-from .polynomials import SparsePolynomial
+from .polynomials import SparsePolynomial, read_number
 
 #: Absolute decision tolerance, scaled by max(1, Theta).
 DECISION_TOL = 1e-9
@@ -43,6 +44,16 @@ class CircuitPolynomial:
             raise ValueError("circuit delta must be finite")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "delta", delta)
+
+    def to_json_dict(self) -> dict:
+        verts, beta = [list(v) for v in self.circuit.vertices], list(self.circuit.inner)
+        return {"vertices": verts, "beta": beta, "c": list(self.c), "delta": self.delta}
+
+    @classmethod
+    def from_json_dict(cls, obj: Mapping) -> "CircuitPolynomial":
+        circuit = Circuit(obj["vertices"], obj["beta"])
+        c = tuple(read_number(x, "circuit coefficients") for x in obj["c"])
+        return cls(circuit, c, read_number(obj["delta"], "delta"))
 
 
 @dataclass(frozen=True)

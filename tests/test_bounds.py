@@ -14,7 +14,6 @@ import scipy.optimize
 from scipy.optimize import minimize
 
 from sonckit import (
-    CertificatePiece,
     Circuit,
     CircuitPolynomial,
     SoncCertificate,
@@ -32,7 +31,7 @@ from sonckit import (
     verify_certificate,
     verify_unbounded,
 )
-from sonckit import bounds
+from sonckit import bounds, cli
 from sonckit import dual
 from sonckit.bounds import _nearest_point
 from sonckit.circuits import SupportTooLargeError, is_even_point
@@ -158,7 +157,7 @@ class TestFeasibility:
         assert cert is not None
         assert len(cert.pieces) == 1
         piece = cert.pieces[0]
-        assert piece.inner == (2, 2)
+        assert piece.circuit.inner == (2, 2)
         assert piece.c == pytest.approx((1.0, 1.0, 1.0))
         assert piece.delta == pytest.approx(-3.0)
         assert cert.residual.coefficients == {}
@@ -226,22 +225,18 @@ class TestFeasibility:
             produced += 1
             assert verify_certificate(q, cert)
             for piece in cert.pieces:
-                cp = CircuitPolynomial(Circuit(piece.vertices, piece.inner), piece.c, piece.delta)
-                assert is_nonneg_circuit(cp)[0]
+                assert is_nonneg_circuit(piece)[0]
         assert produced == attempted
 
 
 def _from_json(blob: dict) -> SoncCertificate:
     """The certificate a reader rebuilds from its JSON alone."""
-    pieces = tuple(
-        CertificatePiece(tuple(map(tuple, q["vertices"])), tuple(q["beta"]), tuple(q["c"]), q["delta"])
-        for q in blob["pieces"]
-    )
+    pieces = tuple(CircuitPolynomial.from_json_dict(q) for q in blob["pieces"])
     return SoncCertificate(blob["gamma"], pieces, SparsePolynomial.from_json_dict(blob["residual"]))
 
 
 def _tampered(cert: SoncCertificate, **fields) -> SoncCertificate:
-    """cert with its first piece's fields replaced."""
+    """cert with its first piece's coefficients replaced."""
     first = dataclasses.replace(cert.pieces[0], **fields)
     return SoncCertificate(cert.gamma, (first, *cert.pieces[1:]), cert.residual)
 
@@ -263,27 +258,46 @@ class TestSelfDescribingCertificate:
             checked += 1
         assert checked == 37
 
+    def test_each_piece_is_a_nonneg_circuit_input(self, tmp_path, capsys):
+        # README's contract: a piece's JSON, as it stands, is an input that
+        # `sonckit check nonneg-circuit` answers with exit 0.
+        path, checked = tmp_path / "piece.json", 0
+        for p in golden_inputs():
+            cert = certify_optimality(p).certificate
+            for piece in cert.to_json_dict()["pieces"] if cert is not None else []:
+                path.write_text(json.dumps(piece))
+                assert cli.main(["check", "nonneg-circuit", str(path)]) == 0, piece
+                assert json.loads(capsys.readouterr().out)["nonneg"] is True
+                checked += 1
+        assert checked == 77
+
     @pytest.mark.parametrize(
         "text, fields",
         [
-            ("1 + x1^4 - 3*x1^2", {"vertices": ((0,), (3,))}),  # an odd vertex
-            ("1 + x1^4 - 3*x1^2", {"vertices": ((0,), (2,), (4,)), "c": (2.25, 1.0, 1.0)}),  # affinely dependent
-            ("1 + x1^4 - 3*x1^2", {"inner": (4,)}),  # beta is a vertex
-            (MOTZKIN_TEXT, {"inner": (1, 2)}),  # beta on the edge from 0 to (2, 4)
-            (MOTZKIN_TEXT, {"vertices": ((0, 0), (2, 2), (4, 4))}),  # affinely dependent
+            ("1 + x1^4 - 3*x1^2", {"vertices": [[0], [3]]}),  # an odd vertex
+            ("1 + x1^4 - 3*x1^2", {"vertices": [[0], [2], [4]], "c": [2.25, 1.0, 1.0]}),  # affinely dependent
+            ("1 + x1^4 - 3*x1^2", {"beta": [4]}),  # beta is a vertex
+            (MOTZKIN_TEXT, {"beta": [1, 2]}),  # beta on the edge from 0 to (2, 4)
+            (MOTZKIN_TEXT, {"vertices": [[0, 0], [2, 2], [4, 4]]}),  # affinely dependent
         ],
     )
     def test_tampered_circuit_is_rejected(self, text, fields):
+        # A piece is a CircuitPolynomial, so the type refuses a tampered
+        # circuit when it is built, before any verifier sees it.
         p = parse_polynomial(text)
         cert = certify_optimality(p).certificate
         assert verify_certificate(p, cert)
-        assert verify_certificate(p, _tampered(cert, **fields)) is False
+        blob = {**cert.pieces[0].to_json_dict(), **fields}
+        with pytest.raises(ValueError):
+            CircuitPolynomial(Circuit(blob["vertices"], blob["beta"]), blob["c"], blob["delta"])
+        with pytest.raises(ValueError):
+            CircuitPolynomial.from_json_dict(blob)
 
     def test_reordered_coefficients_are_rejected(self):
         p = parse_polynomial("1 + x1^4 - 3*x1^2")
         cert = certify_optimality(p).certificate
         (piece,) = cert.pieces
-        assert piece.vertices == ((0,), (4,)) and piece.c[0] != piece.c[1]
+        assert piece.circuit.vertices == ((0,), (4,)) and piece.c[0] != piece.c[1]
         assert verify_certificate(p, _tampered(cert, c=piece.c[::-1])) is False
 
     def test_bound_path_builds_one_circuit_per_piece(self, monkeypatch):
@@ -300,12 +314,39 @@ class TestSelfDescribingCertificate:
             built.clear()
             r = certify_optimality(p)
             assert r.certificate is not None
-            assert [(c.vertices, c.inner) for c in built] == [(q.vertices, q.inner) for q in r.certificate.pieces]
+            assert built == [q.circuit for q in r.certificate.pieces]
+            built.clear()
+            assert verify_certificate(p, r.certificate) and built == []
         # The inner point x^2 of the circuit {0, x^4} is no vertex, and x^5 has no circuit.
         built.clear()
         r = certify_optimality(parse_polynomial("1 + x1^4 - 3*x1^2 + x1^5"))
         assert r.certificate is None and r.status is Status.DUAL_ONLY
         assert built == []
+
+
+class TestVerifyCertificate:
+    """The verifier's rejections once every piece is a circuit polynomial."""
+
+    def test_piece_beyond_its_circuit_number_is_rejected(self):
+        # 1 + x1^4 - 3 x1^2 as one piece on {0, 4}: the sum matches p exactly,
+        # but Theta(1, 1) = 2 < |delta| = 3, so the piece is negative at x1^2 = 1.5.
+        p = parse_polynomial("1 + x1^4 - 3*x1^2")
+        piece = CircuitPolynomial(Circuit([(0,), (4,)], (2,)), (1.0, 1.0), -3.0)
+        assert is_nonneg_circuit(piece)[0] is False
+        assert verify_certificate(p, SoncCertificate(0.0, (piece,), SparsePolynomial.from_terms({}, n=1))) is False
+
+    @pytest.mark.parametrize(
+        "text, ok",
+        [
+            ("1 + x1^2", True),
+            ("1 + x1 + x1^2", False),  # an odd residual exponent
+            ("1 - 1e-11*x1^2", False),  # a residual coefficient below -1e-12
+        ],
+    )
+    def test_residual_must_be_even_and_nonnegative(self, text, ok):
+        # The residual is p itself, so pieces plus residual match p exactly.
+        p = parse_polynomial(text)
+        assert verify_certificate(p, SoncCertificate(0.0, (), p)) is ok
 
 
 def _extended(p):

@@ -10,6 +10,7 @@ import subprocess
 import sys
 
 import pytest
+import scipy.optimize
 
 import sonckit
 from sonckit.cli import main
@@ -138,6 +139,17 @@ class TestCheck:
         obj = {"n": 2, "points": [[0, 0], [2, 0], [0, 2], [1, 1]], "values": [1e40, 3e40, 2e40, 1e40]}
         code, out, _ = run_main(["check", "sage-dual", files("v.json", obj)], capsys)
         assert code == 0 and json.loads(out) == {"member": True}
+
+    def test_sage_dual_lp_failure_exits_2(self, files, capsys, monkeypatch):
+        # All ones on the unit square passes the circuit screen (its one even
+        # point makes no circuit with k >= 2), so HiGHS decides; a failed
+        # solve is no verdict.
+        failed = scipy.optimize.OptimizeResult(status=4, message="numerical difficulties")
+        monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: failed)
+        obj = {"n": 2, "points": [[0, 0], [1, 0], [0, 1], [1, 1]], "values": [1, 1, 1, 1]}
+        code, out, err = run_main(["check", "sage-dual", files("v.json", obj)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1 and "HiGHS failed" in err
 
     def test_garbage_input_exits_2(self, files, capsys):
         code, _, err = run_main(["check", "dual-member", files("g.json", "{not json")], capsys)

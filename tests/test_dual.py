@@ -175,6 +175,11 @@ class TestCircuitMembership:
     def test_zero_vertex_with_nonzero_inner_rejected(self):
         assert not circuit_dual_membership(self.circuit, self.dv(1.0, 0.5, 0.0))[0]
 
+    def test_single_vertex_below_tol_rejected(self):
+        single = Circuit([(2,)], (2,))
+        assert circuit_dual_membership(single, self.dv(1.0, 0.0, -1e-6)) == (False, None)
+        assert circuit_dual_membership(single, self.dv(1.0, 0.0, -1e-12))[0]
+
     def test_matches_scalar_closed_form(self):
         # member iff v1^2 <= v0*v2
         rng = np.random.default_rng(43)
