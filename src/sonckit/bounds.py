@@ -5,12 +5,12 @@ The primal maximizes gamma with p - gamma in the cone of sums of
 nonnegative circuit polynomials supported on supp(p) and the constant
 point.  Its dual has the paper's closed form: minimize the coefficient
 pairing over v with v_0 = 1 and |v_beta| <= prod v_alpha^lambda_alpha for
-each circuit.  One log-barrier path on that dual, by damped Newton over
-the vertex values, gives both: its multipliers, rounded to exact coverage,
-are the certificate pieces, each a `CircuitPolynomial` on its own `Circuit`,
-and gamma is what the constant point has left.  An independent verifier
-re-checks every certificate; it matches coefficients only to 1e-7 scale
-(scale = 1 + max |c|), so p_sonc <= inf p holds up to that tolerance.
+each circuit.  One log-barrier path on that dual, by damped Newton in the
+logs of the vertex values, gives both: its multipliers, rounded to exact
+coverage, are the certificate pieces, each a `CircuitPolynomial` on its own
+`Circuit`, and gamma is what the constant point has left.  An independent
+verifier re-checks every certificate; it matches coefficients only to 1e-7
+scale (scale = 1 + max |c|), so p_sonc <= inf p holds up to that tolerance.
 
 Every moment vector (z^alpha) of a real point z is a member of that dual
 cone, with equality or slack in every circuit's condition, and its pairing
@@ -275,10 +275,6 @@ def _expm1(x: float) -> float:
         return math.inf
 
 
-def _log1p(x: float) -> float:
-    return math.log1p(x) if x > -1.0 else -math.inf if x == -1.0 else math.nan
-
-
 def _log_sum(xs: list) -> float:
     total = 0.0
     for x in xs:
@@ -325,15 +321,15 @@ def _central_path(lam: np.ndarray, grp: np.ndarray, p_host: np.ndarray, free: np
     with v = 1 at the anchors and u_beta <= G_C(v) = prod_a v_a^lambda_a for
     each circuit C (row C of `lam`, bad point grp[C]); its barrier -sum_C
     log(G_C^2 - u^2) - sum_free log v_a has parameter nu = 2 #C + #free.
-    Each u is eliminated exactly (`_eliminate`), and damped Newton runs on
-    the free v (Schur-complement Hessian H + R'R, one `_newton_step`, Armijo
-    while the decrement exceeds 1/4; the Schur rows R vanish, and are
-    skipped, when each bad point has one circuit).  A stage ends at
-    decrement 1, the last one only when the decrement stops falling.
-
-    The arrays are read once.  A system has a few free vertices and
-    circuits, so the path runs on Python floats, where a step is a few
-    hundred operations and no array call."""
+    Each u is eliminated exactly (`_eliminate`), and damped Newton runs in
+    z = log v on the free v (Schur-complement Hessian H + R'R, one
+    `_newton_step`, Armijo while the decrement exceeds 1/4; the Schur rows R
+    vanish, and are skipped, when each bad point has one circuit).  A step x
+    takes z to z + tau x, tau = min(1, log 10 / max(-x)) before halving, so
+    no vertex value falls below a tenth of itself in one step.  A stage ends
+    at decrement 1, the last one only when the decrement stops falling.  The
+    arrays are read once: a system has a few free vertices and circuits, so
+    a step is a few hundred operations on Python floats and no array call."""
     first = np.flatnonzero(np.diff(grp, prepend=-1)).tolist()
     free_at, grp, p_host, p_bad = np.flatnonzero(free).tolist(), grp.tolist(), p_host.tolist(), p_bad.tolist()
     lf = lam[:, free].tolist()
@@ -381,11 +377,11 @@ def _central_path(lam: np.ndarray, grp: np.ndarray, p_host: np.ndarray, free: np
 
     def moved(point: tuple, step: list) -> tuple:
         lg0, r, v = point
-        dz, v = [_log1p(x) for x in step], list(v)
+        v = list(v)
         for j, x in zip(free_at, step):
-            v[j] *= 1.0 + x
-        lg0 = [x + y for x, y in zip(lg0, _dots(lf0, dz))]
-        return lg0, [x + y for x, y in zip(r, _dots(dlf, dz))] if multi else r, v
+            v[j] *= _exp(x)
+        lg0 = [x + y for x, y in zip(lg0, _dots(lf0, step))]
+        return lg0, [x + y for x, y in zip(r, _dots(dlf, step))] if multi else r, v
 
     t, objective, first_stage = nu / scale, 0.0, True
     current = (([0.0] * len(first), [0.0] * len(lf), [1.0] * len(p_host)),)
@@ -425,7 +421,7 @@ def _central_path(lam: np.ndarray, grp: np.ndarray, p_host: np.ndarray, free: np
                 return None
             if dec <= (0.0 if final else 1.0) or dec >= last:
                 break
-            tau, last = min(1.0, 0.9 / max(-min(step), 1e-300)), (dec if dec <= 0.25 else math.inf)
+            tau, last = min(1.0, math.log(10.0) / max(-min(step), 1e-300)), (dec if dec <= 0.25 else math.inf)
             for _ in range(40 if dec > 0.25 else 1):
                 trial = state(moved(point, [tau * x for x in step]), t)
                 if dec <= 0.25 or trial[-1] < phi and trial[-1] <= phi - 1e-4 * tau * dec:

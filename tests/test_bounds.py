@@ -651,6 +651,15 @@ class TestNewtonStep:
             certify_optimality(p)
         assert len(errors) > 500 and max(errors) <= 1e-12
 
+    def test_bound_sonc_takes_at_most_400_steps(self, monkeypatch):
+        # Steps are applied in log v, where they are computed; applied as v (1 + x),
+        # growth steps fall short and these 18 inputs take 440.
+        calls, real = [], bounds._newton_step
+        monkeypatch.setattr(bounds, "_newton_step", lambda *args: calls.append(1) or real(*args))
+        for p in even_simplex_polys():
+            certify_optimality(p)
+        assert len(calls) <= 400
+
 
 def _eliminate_arrays(gmin, a, d, sizes) -> np.ndarray:
     """The array form of `bounds._eliminate` that its scalar loop replaced:
@@ -797,6 +806,25 @@ class TestCertifyOptimality:
             q = SparsePolynomial.from_terms({a: math.ldexp(c, k) for a, c in p.coefficients.items()}, n=p.n)
             r = certify_optimality(q)
             assert r.certificate is None or verify_certificate(q, r.certificate), serialize_polynomial(p)
+
+    def test_certificates_survive_two_to_the_minus_300(self):
+        # The scaling is exact, so each certified golden input must stay certified.
+        certified = 0
+        for p in golden_inputs():
+            if certify_optimality(p).certificate is None:
+                continue
+            certified += 1
+            q = SparsePolynomial.from_terms({a: math.ldexp(c, -300) for a, c in p.coefficients.items()}, n=p.n)
+            r = certify_optimality(q)
+            assert r.certificate is not None and verify_certificate(q, r.certificate), serialize_polynomial(p)
+        assert certified == 37
+
+    @pytest.mark.parametrize("text", ["x1^2 - x1 + 1", MOTZKIN_TEXT, "x1^4 - x1^3 + 1"])
+    def test_tiny_multiples_are_optimality_certified(self, text):
+        p = parse_polynomial(text)
+        q = SparsePolynomial.from_terms({a: 1e-100 * c for a, c in p.coefficients.items()}, n=p.n)
+        r = certify_optimality(q)
+        assert r.status is Status.OPTIMALITY_CERTIFIED and verify_certificate(q, r.certificate)
 
     def test_barrier_calls_no_lapack_solve(self, monkeypatch):
         def refusing(*args, **kwargs):
@@ -945,14 +973,15 @@ def bound_record(p: SparsePolynomial) -> dict:
 def _matches_record(path: Path, polys: list[SparsePolynomial]) -> None:
     """Statuses, circuits and unbounded witnesses exactly; values to 1e-12 of
     max(|value|, scale).  That absorbs no reordering of the barrier's float
-    operations on sweep draw 634, whose p_sonc moves by 1e-12 to 7e-12 of
-    that under each reordering tried, far below the barrier's stopping gap
-    of 1e-8.  The barrier runs on Python floats, so p_sonc depends on no
-    BLAS; what is left is the platform's libm (exp, log, log1p, expm1) in
-    the barrier, and LAPACK in `_descend` and `_barrier_points`, which set
-    p_dual.  An answer with a witness has p_dual and dual_point null, and
-    `verify_unbounded` accepts the witness; every other answer has a finite
-    p_dual and a dual point whose constant entry is 1."""
+    operations tried on sweep draw 634, whose p_sonc moved by 1e-12 to 7e-12
+    of that under each; taking the barrier's steps in log coordinates moved
+    it by 3.2e-13.  All are far below the barrier's stopping gap of 1e-8.
+    The barrier runs on Python floats, so p_sonc depends on no BLAS; what is
+    left is the platform's libm (exp, log, expm1) in the barrier, and LAPACK
+    in `_descend` and `_barrier_points`, which set p_dual.  An answer with a
+    witness has p_dual and dual_point null, and `verify_unbounded` accepts
+    the witness; every other answer has a finite p_dual and a dual point
+    whose constant entry is 1."""
     golden = json.loads(path.read_text())
     assert len(golden) == len(polys)
     for p, want in zip(polys, golden):
